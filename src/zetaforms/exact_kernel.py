@@ -60,14 +60,34 @@ def lcm_upto(k: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+def harmonic_prefixes(p: int, lo: int, hi: int) -> tuple[int, list[int]]:
+    """Scaled harmonic prefixes: (L, [L^p H^(p)_k for k = lo..hi]).
+
+    H^(p)_k = sum_{t=1}^{k} t^{-p} and L = lcm(1, ..., hi), so each term
+    (L/t)^p is an integer and the prefixes cost hi integer additions,
+    with no gcds.  Only the window lo..hi is kept.  This is the one
+    power-sum kernel: partial fractions, zeta-form constants and the
+    partial-sum identity all read it.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError("harmonic_prefixes needs 0 <= lo <= hi")
+    L = lcm_upto(hi) if hi else 1
+    acc = 0
+    for t in range(1, lo + 1):
+        acc += (L // t) ** p
+    row = [acc]
+    for t in range(lo + 1, hi + 1):
+        acc += (L // t) ** p
+        row.append(acc)
+    return L, row
+
+
 def power_sum(i: int, m: int) -> Fraction:
     """H^(i)_m = sum_{t=1}^{m} t^{-i} as an exact rational; 0 for m = 0."""
     if m < 0:
         raise ValueError("power_sum needs m >= 0")
-    if m == 0:
-        return Fraction(0)
-    return power_sum(i, m - 1) + Fraction(1, m ** i)
+    L, row = harmonic_prefixes(i, m, m)
+    return Fraction(row[0], L ** i)
 
 
 class QPolynomial:
@@ -200,54 +220,3 @@ def poly_eval_precise(p: QPolynomial, x, dps: int | None = None):
         return _run()
     with mp.workdps(dps):
         return _run()
-
-
-# Truncated power-series helpers over Fraction (used for exact partial
-# fractions).  A series is a plain list of Fractions, index = power.
-
-def series_mul_linear_power(series: list[Fraction], c0: Fraction, e: int, order: int) -> list[Fraction]:
-    """Multiply a truncated series by (c0 + u)^e, truncating at ``order``."""
-    top = min(e, order - 1)
-    c0 = Fraction(c0)
-    pw = []
-    for s in range(top + 1):
-        pw.append(binomial(e, s) * c0 ** (e - s))
-    out = [Fraction(0)] * order
-    for i, a in enumerate(series):
-        if a == 0:
-            continue
-        for j, b in enumerate(pw):
-            k = i + j
-            if k >= order:
-                break
-            out[k] += a * b
-    return out
-
-
-def series_inverse(series: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Multiplicative inverse of a truncated series with nonzero constant term."""
-    if not series or series[0] == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    inv = [Fraction(0)] * order
-    inv[0] = 1 / Fraction(series[0])
-    for s in range(1, order):
-        acc = Fraction(0)
-        for i in range(1, min(s, len(series) - 1) + 1):
-            acc += Fraction(series[i]) * inv[s - i]
-        inv[s] = -acc * inv[0]
-    return inv
-
-
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * order
-    for i, x in enumerate(a):
-        if i >= order:
-            break
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            k = i + j
-            if k >= order:
-                break
-            out[k] += x * y
-    return out

@@ -131,7 +131,10 @@ def _em_at(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
             return acc, None
 
 
-_ZETA_CACHE: dict[tuple[int, int], mpf] = {}
+# (s, workdps) -> (digits the value is certified to, value).  A hit must
+# also meet the caller's digits: two contexts share a workdps with
+# different digits/guard splits.
+_ZETA_CACHE: dict[tuple[int, int], tuple[int, mpf]] = {}
 
 
 def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
@@ -140,11 +143,11 @@ def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
         raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
     key = (s, ctx.workdps)
     hit = _ZETA_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if hit is not None and hit[0] >= ctx.digits:
+        return hit[1]
     with mp.workdps(ctx.workdps):
         v, _bound = _em_power_tail(s, 1, -(ctx.digits + 4))
-    _ZETA_CACHE[key] = v
+    _ZETA_CACHE[key] = (ctx.digits, v)
     return v
 
 

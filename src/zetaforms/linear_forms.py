@@ -11,10 +11,11 @@ S''_n = l''_0 + sum_i l_i * C(i+1,2) * zeta(i+2) with the *same* l_i.
 This module produces those coefficients exactly.
 
 The decomposition route is: exact partial fractions c_{i,j} of R at its
-integer poles j in [-n, n] (Taylor expansion by truncated series, no
-linear solves), then re-indexing of the pole tails against zeta tails.
-The i = 1 coefficients sum to zero (forced by decay), which makes the
-harmonic contribution to l_0 finite.
+integer poles j in [-n, n] (Taylor coefficients from the log-derivative
+recurrence, whose inputs are harmonic prefixes; no linear solves), then
+re-indexing of the pole tails against zeta tails.  The i = 1
+coefficients sum to zero (forced by decay), which makes the harmonic
+contribution to l_0 finite.
 """
 from __future__ import annotations
 
@@ -24,15 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .exact_kernel import (
-    QPolynomial,
-    binomial,
-    lcm_upto,
-    power_sum,
-    series_inverse,
-    series_mul,
-    series_mul_linear_power,
-)
+from .exact_kernel import QPolynomial, binomial, harmonic_prefixes, lcm_upto
 
 
 @dataclass(frozen=True)
@@ -161,28 +154,52 @@ class PartialFractionTable:
 
 
 def partial_fractions(summand: Summand) -> PartialFractionTable:
-    """Exact Taylor expansion of R(t) (t-j)^a at each pole j.
+    """Exact Taylor expansion of F(u) = R(t) (t-j)^a, u = t - j, at each pole j.
 
-    Per pole: expand numerator and the deleted denominator as truncated
-    series in u = t - j up to u^(a-1), invert, multiply.  Work is
-    O(a^2 n^2) rational operations overall and perfectly conditioned.
+    F = f0 prod_k (c_k + u)^{e_k}: the roots give c = j-(2r+1)n .. j-n-1
+    and j+n+1 .. j+(2r+1)n with e = 3, the other poles c = j-n .. j+n
+    without 0 with e = -a.  The log-derivative F'/F = sum_s g_s u^s has
+    g_s = (-1)^s sum_k e_k c_k^{-(s+1)}, a signed combination of harmonic
+    prefixes H^(s+1)_m with m <= (2r+2)n, and (s+1) f_{s+1} =
+    sum_{i<=s} f_i g_{s-i}.  With L = d_{(2r+2)n}, the integers
+    G_s = L^{s+1} g_s and Hh_k = L^k k! f_k / f0 obey
+    Hh_{s+1} = sum_i Hh_i G_{s-i} s!/i!, so the recurrence runs on ints
+    and each coefficient c_{a-k,j} = f_k is reduced once.  Every pole is
+    computed, so the symmetry c_{i,-j} = (-1)^{i+1} c_{i,j} stays a check.
     """
     spec = summand.spec
-    a, n = spec.a, spec.n
+    a, r, n = spec.a, spec.r, spec.n
+    w = (2 * r + 1) * n
+    poles = range(-n, n + 1)
+    # G[j][s], order p = s + 1 outermost so one prefix row is held at a time
+    G: dict[int, list[int]] = {j: [] for j in poles}
+    for p in range(1, a):
+        L, P = harmonic_prefixes(p, 0, w + n)
+        sign = 1 if p % 2 else -1                  # (-1)^s
+        for j in poles:
+            positive = 3 * (P[j + w] - P[j + n]) - a * P[j + n]
+            negative = 3 * (P[w - j] - P[n - j]) - a * P[n - j]
+            G[j].append(sign * positive - negative)
     coeffs: dict[tuple[int, int], Fraction] = {}
-    for j in range(-n, n + 1):
-        order = a
-        num = [Fraction(summand.scale)] + [Fraction(0)] * (order - 1)
-        for root, mult in summand.numerator_roots:
-            num = series_mul_linear_power(num, Fraction(j - root), mult, order)
-        den = [Fraction(1)] + [Fraction(0)] * (order - 1)
-        for m in range(-n, n + 1):
-            if m == j:
-                continue
-            den = series_mul_linear_power(den, Fraction(j - m), a, order)
-        ser = series_mul(num, series_inverse(den, order), order)
-        for i in range(1, a + 1):
-            coeffs[(i, j)] = ser[a - i]
+    for j in poles:
+        # f0 = F(0) = scale * (prod of root offsets)^3 / (prod of pole offsets)^a,
+        # where n - j of the pole offsets are negative
+        roots = math.perm(w + j, w - n) * math.perm(w - j, w - n)
+        others = math.factorial(n - j) * math.factorial(n + j)
+        f0num = (-1) ** (n - j) * summand.scale * roots ** 3
+        f0den = others ** a
+        g = G.pop(j)                               # frees G as the table fills
+        hh = [1]
+        for s in range(a - 1):
+            acc, ratio = 0, 1                      # ratio = s!/i!
+            for i in range(s, -1, -1):
+                acc += hh[i] * g[s - i] * ratio
+                ratio *= i
+            hh.append(acc)
+        scale = f0den
+        for k in range(a):
+            coeffs[(a - k, j)] = Fraction(f0num * hh[k], scale)
+            scale *= L * (k + 1)
     return PartialFractionTable(spec=spec, coeffs=coeffs)
 
 
@@ -252,6 +269,26 @@ def _check_structure(table: PartialFractionTable) -> None:
             )
 
 
+def _harmonic_tails(table: PartialFractionTable, kind: str, T: int) -> Fraction:
+    """sum_{i,j} c_{i,j} H^(i)_{T-j} for PLAIN, and
+    sum_{i,j} c_{i,j} C(i+1,2) H^(i+2)_{T-j} for DOUBLE_DERIVED, exactly.
+
+    Reads one row of scaled prefixes per order, over the window
+    T-n .. T+n, from the shared harmonic kernel.
+    """
+    a, n = table.spec.a, table.spec.n
+    shift = 0 if kind == PLAIN else 2
+    out = Fraction(0)
+    for i in range(1, a + 1):
+        p = i + shift
+        L, row = harmonic_prefixes(p, T - n, T + n)
+        col = sum(table.c(i, j) * row[n - j] for j in range(-n, n + 1))
+        if shift:
+            col *= binomial(i + 1, 2)
+        out += col / L ** p
+    return out
+
+
 def zeta_form_plain(table: PartialFractionTable) -> ZetaLinearForm:
     """Collapse pole tails onto zeta values for the plain sum.
 
@@ -263,11 +300,7 @@ def zeta_form_plain(table: PartialFractionTable) -> ZetaLinearForm:
     _check_structure(table)
     a, n = table.spec.a, table.spec.n
     zc = {i: table.column_sum(i) for i in range(3, a + 1, 2)}
-    l0 = Fraction(0)
-    for j in range(-n, n + 1):
-        l0 -= table.c(1, j) * power_sum(1, n - j)
-        for i in range(2, a + 1):
-            l0 -= table.c(i, j) * power_sum(i, n - j)
+    l0 = -_harmonic_tails(table, PLAIN, n)
     return ZetaLinearForm(spec=table.spec, kind=PLAIN, constant=l0, zeta_coeffs=zc)
 
 
@@ -281,10 +314,7 @@ def zeta_form_derived(table: PartialFractionTable) -> ZetaLinearForm:
     _check_structure(table)
     a, n = table.spec.a, table.spec.n
     zc = {i: table.column_sum(i) for i in range(3, a + 1, 2)}
-    l0pp = Fraction(0)
-    for j in range(-n, n + 1):
-        for i in range(1, a + 1):
-            l0pp -= table.c(i, j) * binomial(i + 1, 2) * power_sum(i + 2, n - j)
+    l0pp = -_harmonic_tails(table, DOUBLE_DERIVED, n)
     return ZetaLinearForm(spec=table.spec, kind=DOUBLE_DERIVED, constant=l0pp, zeta_coeffs=zc)
 
 
@@ -318,23 +348,14 @@ def verify_partial_sum_identity(table: PartialFractionTable,
     side is evaluated through an independent route (factored products for
     R, differentiated partial fractions for R'').
     """
-    spec = table.spec
-    a, n = spec.a, spec.n
-    summand = build_summand(spec)
+    n = table.spec.n
+    summand = build_summand(table.spec)
     if form.kind == PLAIN:
         lhs = sum((summand.eval_exact(t) for t in range(n + 1, upto + 1)), Fraction(0))
-        rhs = form.constant
-        for j in range(-n, n + 1):
-            for i in range(1, a + 1):
-                rhs += table.c(i, j) * power_sum(i, upto - j)
     else:
         lhs = sum((half_second_derivative_exact(table, t) for t in range(n + 1, upto + 1)),
                   Fraction(0))
-        rhs = form.constant
-        for j in range(-n, n + 1):
-            for i in range(1, a + 1):
-                rhs += table.c(i, j) * binomial(i + 1, 2) * power_sum(i + 2, upto - j)
-    return lhs == rhs
+    return lhs == form.constant + _harmonic_tails(table, form.kind, upto)
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def find_tau0(a: int, r: int, dps: int | None = None) -> tuple[mpc, dict]:
     """
     dps = dps or default_dps(a)
     with mp.workdps(dps):
-        x = _tau0_initial_guess(a, r)
+        guess = x = _tau0_initial_guess(a, r)
         trace = []
         ok = True
         for _ in range(400):
@@ -292,7 +292,7 @@ def find_tau0(a: int, r: int, dps: int | None = None) -> tuple[mpc, dict]:
         resid = q_scaled_residual(a, r, x)
         cert = {
             "method": "fixed-point-init+newton" + ("" if ok else "+subdivision"),
-            "initial_guess": mp.nstr(_tau0_initial_guess(a, r), 20),
+            "initial_guess": mp.nstr(guess, 20),
             "newton_steps": len(trace),
             "last_step": trace[-1] if trace else 0.0,
             "scaled_residual": mp.nstr(resid, 8),

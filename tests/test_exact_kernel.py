@@ -7,13 +7,11 @@ from mpmath import mp, mpf, mpc
 
 from zetaforms.exact_kernel import (
     QPolynomial,
+    harmonic_prefixes,
     lcm_upto,
     pochhammer,
     poly_eval_precise,
     power_sum,
-    series_inverse,
-    series_mul,
-    series_mul_linear_power,
 )
 
 
@@ -119,15 +117,17 @@ def test_power_sum_values():
     assert power_sum(2, 4) == Fraction(1, 1) + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
 
 
-def test_series_helpers_roundtrip():
-    order = 8
-    base = [Fraction(1), Fraction(2), Fraction(0), Fraction(-1)] + [Fraction(0)] * 4
-    inv = series_inverse(base, order)
-    prod = series_mul(base, inv, order)
-    assert prod[0] == 1 and all(c == 0 for c in prod[1:])
-    shifted = series_mul_linear_power([Fraction(1)] + [Fraction(0)] * (order - 1),
-                                      Fraction(3), 2, order)
-    assert shifted[:3] == [Fraction(9), Fraction(6), Fraction(1)]
+def test_harmonic_prefixes_window():
+    # L = lcm(1..4) = 12; the window 2..4 holds 12^2 H^(2)_k
+    assert harmonic_prefixes(2, 2, 4) == (12, [144 + 36, 144 + 36 + 16, 144 + 36 + 16 + 9])
+    assert harmonic_prefixes(3, 0, 0) == (1, [0])
+    with pytest.raises(ValueError):
+        harmonic_prefixes(2, 3, 2)
+
+
+def test_power_sum_cold_large_m():
+    # a recursive prefix would exceed the interpreter's recursion limit here
+    assert power_sum(3, 5000) == sum((Fraction(1, t ** 3) for t in range(1, 5001)), Fraction(0))
 
 
 def test_lcm_rejects_bad_input():

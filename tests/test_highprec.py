@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 import mpmath
 
+from zetaforms import highprec
 from zetaforms.highprec import (
     DOUBLE_DERIVED,
     PLAIN,
@@ -58,6 +59,16 @@ def test_zeta_matches_mpmath_oracle():
     for s in (2, 3, 5, 8, 13, 40):
         with mp.workdps(CTX.workdps):
             assert abs(zeta_value(s, CTX) - mpmath.zeta(s)) < mpf(10) ** -CTX.digits
+
+
+def test_zeta_cache_meets_each_callers_digits():
+    # both contexts work at 150 digits; the 100-digit value cached by the
+    # first must not be returned to the second, which asks for 140
+    highprec._ZETA_CACHE.clear()
+    zeta_value(3, PrecisionContext(100, 50))
+    v = zeta_value(3, PrecisionContext(140, 10))
+    with mp.workdps(300):
+        assert abs(v - mpmath.zeta(3)) < mpf(10) ** -140
 
 
 def test_power_sum_tail_matches_mpmath_hurwitz():

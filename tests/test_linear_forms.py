@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from zetaforms.exact_kernel import QPolynomial, lcm_upto, series_mul
+from zetaforms.exact_kernel import QPolynomial, lcm_upto
 from zetaforms.linear_forms import (
     DOUBLE_DERIVED,
     PLAIN,
@@ -117,12 +119,24 @@ def _taylor_division_oracle(spec: FormSpec, j: int) -> dict[int, Fraction]:
 
 
 def test_partial_fraction_against_long_division_oracle():
-    spec = FormSpec(a=7, r=1, n=1)
-    table = table_for(spec)
-    for j in (-1, 0, 1):
-        oracle = _taylor_division_oracle(spec, j)
-        for i in range(1, 8):
-            assert table.c(i, j) == oracle[i], (i, j)
+    for spec in (FormSpec(7, 1, 1), FormSpec(9, 1, 2), FormSpec(13, 2, 2), FormSpec(15, 2, 1)):
+        table = table_for(spec)
+        for j in range(-spec.n, spec.n + 1):
+            oracle = _taylor_division_oracle(spec, j)
+            for i in range(1, spec.a + 1):
+                assert table.c(i, j) == oracle[i], (spec, i, j)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (FormSpec(13, 2, 6), "c08ed339d81e7d8d5b4d70c5708ff2647b87f41bb1aebd21b30a977d2ff28c7c"),
+    (FormSpec(41, 6, 2), "dcd913c019a7f8a2eed1fabcfd3d0735121fe9c67b871717794c77360376642f"),
+])
+def test_partial_fraction_golden_digest(spec, digest):
+    # SHA-256 of the canonical table JSON, recorded from the truncated-series
+    # route that the log-derivative recurrence replaced
+    doc = json.dumps(table_to_json(partial_fractions(build_summand(spec))),
+                     sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_even_zeta_coefficients_vanish_exactly():
@@ -162,6 +176,13 @@ def test_partial_sum_identity_certifies_constants():
         for T in (spec.n + 3, spec.n + 11):
             assert verify_partial_sum_identity(table, p, T)
             assert verify_partial_sum_identity(table, d, T)
+
+
+def test_partial_sum_identity_far_truncation():
+    # T = 1200 reads harmonic prefixes past any recursion limit
+    table = table_for(FormSpec(7, 1, 1))
+    assert verify_partial_sum_identity(table, zeta_form_plain(table), 1200)
+    assert verify_partial_sum_identity(table, zeta_form_derived(table), 1200)
 
 
 def test_half_second_derivative_matches_log_derivative_route():
