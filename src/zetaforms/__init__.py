@@ -23,6 +23,7 @@ from .highprec import (              # noqa: F401
     PrecisionContext,
     zeta_value,
     eval_S_direct,
+    eval_S_form,
     form_residual,
     measure_rates,
     RateReport,

@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--n-range", required=True, help="e.g. 20..40")
     p.add_argument("--digits", type=int, default=0,
-                   help="floor on the auto-scaled working precision "
+                   help="floor on the auto-scaled zeta budget (digits) "
                         f"(the {ENV_DIGITS} environment variable also applies)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")

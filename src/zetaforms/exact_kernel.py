@@ -1,28 +1,12 @@
-"""Exact big-rational primitives shared by every other module.
+"""Exact integer primitives shared by the other modules.
 
-Everything here is pure and exact: Python ints for big integers,
-``fractions.Fraction`` for rationals (always reduced, denominator > 0 by
-construction), and a small dense polynomial type over the rationals.
+Everything here is pure and exact on Python ints: binomials, lcm(1..k)
+and the scaled harmonic prefixes that every power sum is read from.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-from mpmath import mp, mpf
-
-
-def pochhammer(alpha, k: int) -> Fraction:
-    """Rising factorial alpha (alpha+1) ... (alpha+k-1); 1 for k = 0."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    alpha = Fraction(alpha)
-    out = Fraction(1)
-    for i in range(k):
-        out *= alpha + i
-    return out
 
 
 def binomial(n: int, k: int) -> int:
@@ -80,143 +64,3 @@ def harmonic_prefixes(p: int, lo: int, hi: int) -> tuple[int, list[int]]:
         acc += (L // t) ** p
         row.append(acc)
     return L, row
-
-
-def power_sum(i: int, m: int) -> Fraction:
-    """H^(i)_m = sum_{t=1}^{m} t^{-i} as an exact rational; 0 for m = 0."""
-    if m < 0:
-        raise ValueError("power_sum needs m >= 0")
-    L, row = harmonic_prefixes(i, m, m)
-    return Fraction(row[0], L ** i)
-
-
-class QPolynomial:
-    """Dense univariate polynomial over Fraction, lowest degree first.
-
-    Coefficients are kept canonical (no trailing zeros).  The zero
-    polynomial has degree -1, used as the distinguished sentinel.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls([])
-
-    @classmethod
-    def from_roots(cls, scale, roots: Sequence[tuple[Fraction | int, int]]) -> "QPolynomial":
-        """scale * prod (X - root)^multiplicity."""
-        out = cls([scale])
-        for root, mult in roots:
-            out = out * cls([-Fraction(root), 1]) ** mult
-        return out
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if not self or not other:
-            return QPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return QPolynomial(out)
-
-    def __pow__(self, e: int) -> "QPolynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        out = QPolynomial([1])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def scale(self, c) -> "QPolynomial":
-        c = Fraction(c)
-        return QPolynomial([c * x for x in self.coeffs])
-
-    def derivative(self) -> "QPolynomial":
-        return QPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift(self, c) -> "QPolynomial":
-        """Taylor shift: returns q with q(X) = p(X + c)."""
-        c = Fraction(c)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            pw = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] += a * binomial(i, i - j) * pw
-                pw *= c
-        return QPolynomial(out)
-
-    def eval_exact(self, x) -> Fraction:
-        x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __repr__(self):
-        return f"QPolynomial({list(self.coeffs)!r})"
-
-
-def poly_eval_precise(p: QPolynomial, x, dps: int | None = None):
-    """Horner evaluation of p at a high-precision real/complex point.
-
-    Runs at the caller's working precision unless ``dps`` is given.  Each
-    coefficient is converted exactly (num/den division is the only
-    rounding), so the result is accurate to working precision up to the
-    usual Horner error, well below the caller's guard digits.
-    """
-    def _run():
-        acc = mpf(0)
-        for c in reversed(p.coeffs):
-            cc = mpf(c.numerator) / c.denominator
-            acc = acc * x + cc
-        return acc
-
-    if dps is None:
-        return _run()
-    with mp.workdps(dps):
-        return _run()

@@ -1,6 +1,6 @@
-"""Arbitrary-precision evaluation with certified truncation bounds.
+"""Arbitrary-precision evaluation with certified error bounds.
 
-Three layers:
+Four layers:
 
 * Euler-Maclaurin power sums.  ``zeta_value`` and the tail sums
   sum_{m >= T} m^{-s} carry an explicit remainder bound: for the
@@ -9,10 +9,18 @@ Three layers:
   stops once that term is below target (doubling the expansion point if
   the terms bottom out too early).
 
-* Direct summation of the defining series.  Terms are advanced by the
-  exact term ratio; the double-derived summand (1/2) R''(t) is realized
-  as R(t) (L(t)^2 + L'(t))/2 where L = R'/R is a sum of simple poles,
-  updated in O(1) per step.
+* Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
+  (or S''_n) from its exact coefficients and certified zeta values.  The
+  coefficients cancel from sum|coeff| down to the value, so the zeta
+  values must be good to 10^-digits with digits at least
+  log10 sum|coeff| minus the target; the certified error is
+  sum|coeff| 10^-digits plus rounding.  ``measure_rates`` takes this route.
+
+* Direct summation of the defining series, the independent cross-check
+  behind ``eval_S_direct`` and ``form_residual``.  Terms are advanced by
+  the exact term ratio; the double-derived summand (1/2) R''(t) is
+  realized as R(t) (L(t)^2 + L'(t))/2 where L = R'/R is a sum of simple
+  poles, updated in O(1) per step.
 
 * Tail completion.  Either an elementary bound
   sum_{t >= T} R(t) <= A(T) (T^-D + T^{1-D}/(D-1)) when the decay
@@ -30,7 +38,9 @@ from typing import Iterable, Sequence
 
 from mpmath import mp, mpf
 
-from .linear_forms import FormSpec, Summand, build_summand, PLAIN, DOUBLE_DERIVED
+from . import linear_forms
+from .linear_forms import (FormSpec, Summand, ZetaLinearForm, build_summand, PLAIN,
+                           DOUBLE_DERIVED, _log_of_fraction)
 
 
 @dataclass(frozen=True)
@@ -410,11 +420,12 @@ def _direct_sum(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
 @dataclass(frozen=True)
 class EvalResult:
     value: mpf
-    method: str                 # "direct" or "direct+laurent"
+    method: str                 # "direct", "direct+laurent" or "form"
     split_T: int
     terms: int
-    tail_bound_log10: float
+    tail_bound_log10: float     # "form": the whole certified error, not a tail
     laurent_K: int | None = None
+    zeta_digits: int | None = None   # "form": zeta values certified to 10^-zeta_digits
 
 
 _DIRECT_TERM_CAP = 250_000
@@ -471,6 +482,33 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
                       terms=max(0, T - t0), tail_bound_log10=bound, laurent_K=K)
 
 
+def _log10_abs_sum(coeffs) -> float:
+    """log10 sum |c| over exact rationals, without overflow."""
+    out = float("-inf")
+    for c in coeffs:
+        if c:
+            out = _log10_add(out, _log_of_fraction(c) / math.log(10))
+    return out
+
+
+def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
+    """S_n or S''_n as l_0 + sum l_i zeta(.) from the exact form.
+
+    The zeta values are certified below 10^-digits and the sum runs at
+    workdps, so the error is at most sum|coeff| 10^-digits from the zeta
+    values plus the rounding of k+1 coefficients, k products and k sums,
+    below 4 (k+4) sum|coeff| 10^-workdps (every zeta(s) here is below 2).
+    Callers pick digits at least log10 sum|coeff| minus their target.
+    """
+    size = _log10_abs_sum(form.all_coefficients())
+    with mp.workdps(ctx.workdps):
+        value = form.evaluate(lambda s: zeta_value(s, ctx))
+    rounding = size + math.log10(4 * (len(form.zeta_coeffs) + 4)) - ctx.workdps
+    return EvalResult(value=value, method="form", split_T=0, terms=0,
+                      tail_bound_log10=_log10_add(size - ctx.digits, rounding),
+                      zeta_digits=ctx.digits)
+
+
 def form_residual(form, ctx: PrecisionContext) -> mpf:
     """|S_direct - linear-form value| for either kind.
 
@@ -479,18 +517,15 @@ def form_residual(form, ctx: PrecisionContext) -> mpf:
     10^-digits absolute needs log10(B) extra working digits on top of the
     context; they are added automatically.
     """
-    from .linear_forms import _log_of_fraction
-
     coeff_log10 = max(
         0.0,
         max(_log_of_fraction(c) for c in form.all_coefficients()) / math.log(10),
     )
     wdps = ctx.workdps + int(coeff_log10) + 5
     res = eval_S_direct(form.spec, form.kind, ctx, wdps=wdps)
+    target = eval_S_form(form, PrecisionContext(digits=wdps - ctx.guard, guard=ctx.guard))
     with mp.workdps(wdps):
-        zctx = PrecisionContext(digits=wdps - ctx.guard, guard=ctx.guard)
-        target = form.evaluate(lambda s: zeta_value(s, zctx))
-        return abs(res.value - target)
+        return abs(res.value - target.value)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +543,10 @@ class RateSample:
     sign_plain: int
     cos_signed: float             # cos(n omega_signed + phi_signed)
     log_amp_ratio: float          # log(|S''_n| / (eps''^n |cos n omega + phi|))
+    method: str                   # evaluation route of S_n and S''_n
+    zeta_digits: int              # zeta values certified to 10^-zeta_digits
+    bound_log10_plain: float      # certified log10 error bound of S_n
+    bound_log10_pp: float         # the same for S''_n
 
 
 @dataclass(frozen=True)
@@ -550,14 +589,54 @@ class RateReport:
         return (match / counted if counted else float("nan")), match, counted
 
 
+_RATE_SIG_DIGITS = 20      # significant digits every rate value is certified to
+_RATE_GUARD = 20           # zeta digits beyond log10 sum|coeff| minus the target
+_RATE_ATTEMPTS = 4
+
+
+def _certified_value(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
+    """``eval_S_form`` with its bound more than _RATE_SIG_DIGITS digits below
+    |value|.  A value that misses is evaluated again with the zeta budget
+    raised by its shortfall; one at or below its bound tells no shortfall,
+    and the budget grows by half."""
+    for _ in range(_RATE_ATTEMPTS):
+        res = eval_S_form(form, ctx)
+        bound = res.tail_bound_log10
+        with mp.workdps(15):
+            size = float(mp.log10(abs(res.value))) if res.value else float("-inf")
+        if size - bound > _RATE_SIG_DIGITS:
+            return res
+        if size > bound:
+            extra = math.ceil(_RATE_SIG_DIGITS - (size - bound)) + ctx.guard
+        else:
+            extra = ctx.digits // 2
+        ctx = PrecisionContext(digits=ctx.digits + extra, guard=ctx.guard)
+    raise ArithmeticError(
+        f"{form.kind} value at {form.spec} is not certified to "
+        f"{_RATE_SIG_DIGITS} significant digits with zeta values to 10^-{res.zeta_digits}")
+
+
+def _rate_forms(spec: FormSpec) -> tuple[ZetaLinearForm, ZetaLinearForm]:
+    """Plain and double-derived forms at spec.  The table is used once, so
+    it is not put in table_for's cache; the calls go through the module so
+    that wrappers installed there see them."""
+    table = linear_forms.partial_fractions(build_summand(spec))
+    return linear_forms.zeta_form_plain(table), linear_forms.zeta_form_derived(table)
+
+
 def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
                   cos_exclusion: float = 1e-3, min_digits: int = 0) -> RateReport:
     """High-precision |S_n|, |S''_n| along n, against the saddle constants.
 
-    Working precision is auto-scaled per n: the double-derived series
-    cancels from term scale eps_a^n down to eps''_a^n, so the decimal
-    budget grows like n log10(eps_a / eps''_a) plus a fixed reserve.
-    ``min_digits`` raises the floor.
+    Both values come from their exact zeta forms (``eval_S_form``), which
+    share the l_i.  The forms cancel from sum|coeff| down to the value, so
+    at n the zeta values need log10 sum|coeff| - tol_n digits plus a guard,
+    with target tol_n = n log10 eps''_a - 34.  One budget, the largest over
+    the n values and at least ``min_digits``, serves the whole call, so
+    each zeta(s) is computed once.  Each value is then certified to 20
+    significant digits (bound < log10|value| - 20); the target ignores the
+    amplitude of S''_n, so a value that misses is evaluated again with the
+    budget raised by the shortfall.
     """
     if (saddle_data.a, saddle_data.r) != (a, r):
         raise ValueError("saddle data does not match (a, r)")
@@ -565,22 +644,26 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
     Lpp = float(saddle_data.log_eps_pp_a)
     omega = float(saddle_data.omega_a)
     phi = float(saddle_data.phi_a)
-    dec_gap = max(0.0, (L - Lpp) / math.log(10))
-    samples = []
+    forms = []
+    digits = max(50, min_digits)
     for n in n_values:
-        spec = FormSpec(a=a, r=r, n=n)
-        digits = max(int(n * dec_gap) + 64, min_digits)
-        wdps = digits + 20
+        pair = _rate_forms(FormSpec(a=a, r=r, n=n))
         tol = n * Lpp / math.log(10) - 34
-        ctx = PrecisionContext(digits=max(50, digits), guard=20)
-        plain = eval_S_direct(spec, PLAIN, ctx, abs_tol_log10=tol, wdps=wdps)
-        derived = eval_S_direct(spec, DOUBLE_DERIVED, ctx, abs_tol_log10=tol, wdps=wdps)
-        with mp.workdps(wdps):
+        for form in pair:
+            need = _log10_abs_sum(form.all_coefficients()) - tol + _RATE_GUARD
+            digits = max(digits, math.ceil(need))
+        forms.append((n, pair))
+    ctx = PrecisionContext(digits=digits, guard=20)
+    samples = []
+    for n, (plain_form, derived_form) in forms:
+        plain = _certified_value(plain_form, ctx)
+        derived = _certified_value(derived_form, ctx)
+        with mp.workdps(ctx.workdps):
             log_sn = float(mp.log(abs(plain.value))) / n
-            log_spp = float(mp.log(abs(derived.value))) / n if derived.value != 0 else float("-inf")
+            log_spp = float(mp.log(abs(derived.value))) / n
             cref = float(mp.cos(n * saddle_data.omega_a + saddle_data.phi_a))
             csig = float(mp.cos(n * saddle_data.omega_signed + saddle_data.phi_signed))
-            if derived.value != 0 and abs(cref) >= cos_exclusion:
+            if abs(cref) >= cos_exclusion:
                 amp = float(mp.log(abs(derived.value)) - n * saddle_data.log_eps_pp_a
                             - mp.log(abs(cref)))
             else:
@@ -589,12 +672,16 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
             n=n,
             log_sn_over_n=log_sn,
             log_sppn_over_n=log_spp,
-            sign_pp=1 if derived.value > 0 else (-1 if derived.value < 0 else 0),
+            sign_pp=1 if derived.value > 0 else -1,
             cos_reference=cref,
             excluded=abs(cref) < cos_exclusion,
-            sign_plain=1 if plain.value > 0 else (-1 if plain.value < 0 else 0),
+            sign_plain=1 if plain.value > 0 else -1,
             cos_signed=csig,
             log_amp_ratio=amp,
+            method=derived.method,
+            zeta_digits=max(plain.zeta_digits, derived.zeta_digits),
+            bound_log10_plain=plain.tail_bound_log10,
+            bound_log10_pp=derived.tail_bound_log10,
         ))
     return RateReport(a=a, r=r, log_eps_a=L, log_eps_pp_a=Lpp,
                       omega_a=omega, phi_a=phi, cos_exclusion=cos_exclusion,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .exact_kernel import QPolynomial, binomial, harmonic_prefixes, lcm_upto
+from .exact_kernel import binomial, harmonic_prefixes, lcm_upto
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,6 @@ class Summand:
         for j in self.poles:
             v /= Fraction(t - j) ** self.pole_order
         return v
-
-    def numerator_poly(self) -> QPolynomial:
-        return QPolynomial.from_roots(self.scale, self.numerator_roots)
-
-    def denominator_poly(self) -> QPolynomial:
-        return QPolynomial.from_roots(1, [(j, self.pole_order) for j in self.poles])
 
 
 def build_summand(spec: FormSpec) -> Summand:

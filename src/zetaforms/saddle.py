@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf, mpc
 
-from .exact_kernel import QPolynomial
-
 
 def default_dps(a: int) -> int:
     """Working precision scaling with a; root gaps shrink as a grows."""
@@ -183,14 +181,6 @@ def _q_newton_step(a, r, x):
     Ap = A * (3 / (x + c) + (a + 3) / (x - 1))
     Bp = B * (3 / (x - c) + (a + 3) / (x + 1))
     return (A - B) / (Ap - Bp)
-
-
-def q_expanded(a: int, r: int) -> QPolynomial:
-    """Expanded coefficients of Q; only sensible for small a (oracle use)."""
-    c = 2 * r + 1
-    lhs = QPolynomial.from_roots(1, [(-c, 3), (1, a + 3)])
-    rhs = QPolynomial.from_roots(1, [(c, 3), (-1, a + 3)])
-    return lhs - rhs
 
 
 def find_mu1(a: int, r: int, dps: int | None = None) -> tuple[mpf, dict]:

@@ -1,0 +1,165 @@
+"""Independent reference implementations that only the tests use.
+
+Dense polynomials over the rationals, rising factorials and exact power
+sums: slow, transparent routes that the package's own algorithms are
+checked against.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from mpmath import mpf
+
+from zetaforms.exact_kernel import binomial, harmonic_prefixes
+
+
+def pochhammer(alpha, k: int) -> Fraction:
+    """Rising factorial alpha (alpha+1) ... (alpha+k-1); 1 for k = 0."""
+    if k < 0:
+        raise ValueError("pochhammer needs k >= 0")
+    alpha = Fraction(alpha)
+    out = Fraction(1)
+    for i in range(k):
+        out *= alpha + i
+    return out
+
+
+def power_sum(i: int, m: int) -> Fraction:
+    """H^(i)_m = sum_{t=1}^{m} t^{-i} as an exact rational; 0 for m = 0,
+    read from the package's harmonic prefix kernel."""
+    if m < 0:
+        raise ValueError("power_sum needs m >= 0")
+    L, row = harmonic_prefixes(i, m, m)
+    return Fraction(row[0], L ** i)
+
+
+class QPolynomial:
+    """Dense univariate polynomial over Fraction, lowest degree first.
+
+    Coefficients are kept canonical (no trailing zeros).  The zero
+    polynomial has degree -1, used as the distinguished sentinel.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Fraction | int]):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def zero(cls) -> "QPolynomial":
+        return cls([])
+
+    @classmethod
+    def from_roots(cls, scale, roots: Sequence[tuple[Fraction | int, int]]) -> "QPolynomial":
+        """scale * prod (X - root)^multiplicity."""
+        out = cls([scale])
+        for root, mult in roots:
+            out = out * cls([-Fraction(root), 1]) ** mult
+        return out
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other: "QPolynomial") -> "QPolynomial":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return QPolynomial(out)
+
+    def __neg__(self) -> "QPolynomial":
+        return QPolynomial([-c for c in self.coeffs])
+
+    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
+        return self + (-other)
+
+    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
+        if not self or not other:
+            return QPolynomial.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b != 0:
+                    out[i + j] += a * b
+        return QPolynomial(out)
+
+    def __pow__(self, e: int) -> "QPolynomial":
+        if e < 0:
+            raise ValueError("negative power")
+        out = QPolynomial([1])
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def derivative(self) -> "QPolynomial":
+        return QPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def shift(self, c) -> "QPolynomial":
+        """Taylor shift: returns q with q(X) = p(X + c)."""
+        c = Fraction(c)
+        n = len(self.coeffs)
+        out = [Fraction(0)] * n
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            pw = Fraction(1)
+            for j in range(i, -1, -1):
+                out[j] += a * binomial(i, i - j) * pw
+                pw *= c
+        return QPolynomial(out)
+
+    def eval_exact(self, x) -> Fraction:
+        x = Fraction(x)
+        out = Fraction(0)
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def __repr__(self):
+        return f"QPolynomial({list(self.coeffs)!r})"
+
+
+def poly_eval_precise(p: QPolynomial, x):
+    """Horner evaluation of p at a high-precision real/complex point, at the
+    caller's working precision.  Each coefficient is converted exactly
+    (num/den division is the only rounding)."""
+    acc = mpf(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + mpf(c.numerator) / c.denominator
+    return acc
+
+
+def numerator_poly(summand) -> QPolynomial:
+    """The numerator of R(t), expanded."""
+    return QPolynomial.from_roots(summand.scale, summand.numerator_roots)
+
+
+def q_expanded(a: int, r: int) -> QPolynomial:
+    """Expanded coefficients of Q(X) = (X+c)^3 (X-1)^{a+3} - (X-c)^3 (X+1)^{a+3},
+    c = 2r+1; only sensible for small a."""
+    c = 2 * r + 1
+    lhs = QPolynomial.from_roots(1, [(-c, 3), (1, a + 3)])
+    rhs = QPolynomial.from_roots(1, [(c, 3), (-1, a + 3)])
+    return lhs - rhs

