@@ -11,8 +11,10 @@ parts are implemented here as standalone checkers over exact data:
 * rank_lower_bound, zeta_rank_bound -- the rank arithmetic
 * oscillation_subsequence   -- greedy cosine-avoiding subsequence
 
-All smallness data is exact (Fractions) so the inequality checks are
-decisive rather than floating-point judgements.
+All smallness data is exact (Fractions), and the permutation and
+hypothesis inequalities are decided by integer cross-multiplication of
+their numerators and denominators, so every check is decisive rather than
+a floating-point judgement.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from operator import getitem
 from typing import Callable, Sequence
 
 from mpmath import mp
@@ -114,7 +117,10 @@ class EpsTable:
     eps: dict[tuple[int, int], Fraction] = field(hash=False)
 
     def value(self, j: int, n: int) -> Fraction:
-        v = self.eps[(j, n)]
+        try:
+            v = self.eps[(j, n)]
+        except KeyError:
+            raise ValueError(f"eps_({j},{n}) is not in the table") from None
         if v <= 0:
             raise ValueError(f"eps_({j},{n}) must be positive")
         return v
@@ -122,10 +128,23 @@ class EpsTable:
     def support(self) -> list[int]:
         return sorted({n for (_j, n) in self.eps})
 
-    def hypothesis_violations(self, phi: Callable[[int], int]) -> list[dict]:
+    def _row(self, n: int, rows: dict) -> tuple[list[int], list[int]]:
+        """Numerators and denominators of eps_{1,n} .. eps_{k,n}, each read
+        once through value() and kept in ``rows``."""
+        row = rows.get(n)
+        if row is None:
+            ratios = [self.value(j, n).as_integer_ratio() for j in range(1, self.k + 1)]
+            row = rows[n] = ([p for p, _q in ratios], [q for _p, q in ratios])
+        return row
+
+    def hypothesis_violations(self, phi: Callable[[int], int], rows: dict | None = None) -> list[dict]:
         """All (i, n, n') in the support with n' >= phi(n) violating
-        eps_{i,n'} / eps_{i,n} <= (1/(k+1)!) eps_{i+1,n'} / eps_{i+1,n}."""
-        eta = Fraction(1, math.factorial(self.k + 1))
+        eps_{i,n'} / eps_{i,n} <= (1/(k+1)!) eps_{i+1,n'} / eps_{i+1,n},
+        decided on the entries' integer numerators and denominators.
+        ``rows`` keeps the entries read (see _row), so that a caller checking
+        more inequalities on the same table reads each entry once."""
+        rows = {} if rows is None else rows
+        fact = math.factorial(self.k + 1)
         ns = self.support()
         bad = []
         for n in ns:
@@ -133,14 +152,17 @@ class EpsTable:
                 cut = phi(n)
             except IndexError:
                 continue                     # phi past the data: nothing to check
-            for npr in ns:
-                if npr < cut:
-                    continue
-                for i in range(1, self.k):
-                    lhs = self.value(i, npr) * self.value(i + 1, n)
-                    rhs = eta * self.value(i, n) * self.value(i + 1, npr)
+            later = [npr for npr in ns if npr >= cut]
+            if not later or self.k < 2:
+                continue
+            num, den = self._row(n, rows)
+            for npr in later:
+                num_p, den_p = self._row(npr, rows)
+                for i in range(self.k - 1):
+                    lhs = num_p[i] * num[i + 1] * fact * den[i] * den_p[i + 1]
+                    rhs = num[i] * num_p[i + 1] * den_p[i] * den[i + 1]
                     if lhs > rhs:
-                        bad.append({"i": i, "n": n, "n_prime": npr})
+                        bad.append({"i": i + 1, "n": n, "n_prime": npr})
         return bad
 
 
@@ -168,35 +190,41 @@ def permutation_product_check(table: EpsTable, phi: Callable[[int], int], n: int
     with eta_Id = 1 and eta_sigma = 1/(k+1)! otherwise.  Hypothesis
     violations are reported separately; the conclusion is only asserted
     when the hypothesis holds on the table's support.
+
+    Each inequality is decided exactly by integer cross-multiplication:
+    the products of the entries' numerators and denominators along sigma
+    give lhs_num * diag_den * (k+1)! <= diag_num * lhs_den (no (k+1)! for
+    the identity).  Rows come in itertools.permutations order.
     """
     if k != table.k:
         raise ValueError("k mismatch with the table")
-    viol = table.hypothesis_violations(phi)
+    rows_read: dict = {}
+    viol = table.hypothesis_violations(phi, rows_read)
     iterates = [n]
     for _ in range(k - 1):
         iterates.append(phi(iterates[-1]))
-    diag = Fraction(1)
-    for j in range(1, k + 1):
-        diag *= table.value(j, iterates[j - 1])
-    eta_off = Fraction(1, math.factorial(k + 1))
+    # nums[j][s] / dens[j][s] = eps_{j+1, phi^{s-1}(n)}; index 0 is unused so
+    # that sigma's 1-based entries index the rows directly.
+    cols = [table._row(m, rows_read) for m in iterates]
+    nums = [(None, *(col[0][j] for col in cols)) for j in range(k)]
+    dens = [(None, *(col[1][j] for col in cols)) for j in range(k)]
+    identity = tuple(range(1, k + 1))
+    diag_num = math.prod(map(getitem, nums, identity))
+    diag_den = math.prod(map(getitem, dens, identity))
+    fact = math.factorial(k + 1)
+    diag_den_fact, eta_off = diag_den * fact, Fraction(1, fact)
     rows = []
-    all_ok = True
-    for sigma in permutations(range(1, k + 1)):
-        is_id = all(sigma[j] == j + 1 for j in range(k))
-        eta = Fraction(1) if is_id else eta_off
-        lhs = Fraction(1)
-        for j in range(1, k + 1):
-            lhs *= table.value(j, iterates[sigma[j - 1] - 1])
-        ok = lhs <= eta * diag
-        rows.append((sigma, ok, eta))
-        if not ok:
-            all_ok = False
+    for sigma in permutations(identity):
+        is_id = sigma == identity
+        ok = (math.prod(map(getitem, nums, sigma)) * (diag_den if is_id else diag_den_fact)
+              <= diag_num * math.prod(map(getitem, dens, sigma)))
+        rows.append((sigma, ok, Fraction(1) if is_id else eta_off))
     return PermutationProductReport(
         k=k, n=n,
         hypothesis_ok=not viol,
         hypothesis_violations=tuple(viol),
         rows=tuple(rows),
-        conclusion_holds=all_ok,
+        conclusion_holds=all(ok for _sigma, ok, _eta in rows),
     )
 
 
@@ -396,8 +424,8 @@ def random_smallness_table(rng, k: int, phi_gap: int | None = None
     eps: dict[tuple[int, int], Fraction] = {}
     for j in range(1, k + 1):
         for n in support:
-            jitter = Fraction(rng.randint(0, 255), 1024)   # in [0, 1/4]
-            eps[(j, n)] = Fraction(1, 2 ** (n * taus[j - 1])) * (1 + jitter)
+            jitter = rng.randint(0, 255)                   # jitter/1024 in [0, 1/4]
+            eps[(j, n)] = Fraction(1024 + jitter, 2 ** (n * taus[j - 1] + 10))
     table = EpsTable(k=k, eps=eps)
 
     def phi(n: int) -> int:

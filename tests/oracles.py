@@ -1,16 +1,19 @@
 """Independent reference implementations that only the tests use.
 
-Dense polynomials over the rationals, rising factorials and exact power
-sums: slow, transparent routes that the package's own algorithms are
-checked against.
+Dense polynomials over the rationals, rising factorials, exact power
+sums and the permutation product inequality in Fraction arithmetic: slow,
+transparent routes that the package's own algorithms are checked against.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import permutations
+from typing import Callable, Iterable, Sequence
 
 from mpmath import mpf
 
+from zetaforms.criterion import EpsTable, PermutationProductReport
 from zetaforms.exact_kernel import binomial, harmonic_prefixes
 
 
@@ -163,3 +166,47 @@ def q_expanded(a: int, r: int) -> QPolynomial:
     lhs = QPolynomial.from_roots(1, [(-c, 3), (1, a + 3)])
     rhs = QPolynomial.from_roots(1, [(c, 3), (-1, a + 3)])
     return lhs - rhs
+
+
+def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: int,
+                               k: int) -> PermutationProductReport:
+    """criterion.permutation_product_check computed entry by entry in
+    Fraction arithmetic: the hypothesis loop, then every sigma in S_k."""
+    if k != table.k:
+        raise ValueError("k mismatch with the table")
+    eta = Fraction(1, math.factorial(k + 1))
+    ns = table.support()
+    viol = []
+    for m in ns:
+        try:
+            cut = phi(m)
+        except IndexError:
+            continue
+        for mpr in ns:
+            if mpr < cut:
+                continue
+            for i in range(1, k):
+                lhs = table.value(i, mpr) * table.value(i + 1, m)
+                rhs = eta * table.value(i, m) * table.value(i + 1, mpr)
+                if lhs > rhs:
+                    viol.append({"i": i, "n": m, "n_prime": mpr})
+    iterates = [n]
+    for _ in range(k - 1):
+        iterates.append(phi(iterates[-1]))
+    diag = Fraction(1)
+    for j in range(1, k + 1):
+        diag *= table.value(j, iterates[j - 1])
+    rows = []
+    for sigma in permutations(range(1, k + 1)):
+        eta_sigma = Fraction(1) if sigma == tuple(range(1, k + 1)) else eta
+        lhs = Fraction(1)
+        for j in range(1, k + 1):
+            lhs *= table.value(j, iterates[sigma[j - 1] - 1])
+        rows.append((sigma, lhs <= eta_sigma * diag, eta_sigma))
+    return PermutationProductReport(
+        k=k, n=n,
+        hypothesis_ok=not viol,
+        hypothesis_violations=tuple(viol),
+        rows=tuple(rows),
+        conclusion_holds=all(ok for _sigma, ok, _eta in rows),
+    )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import permutation_product_oracle
 from zetaforms.criterion import (
     AbstractInstance,
     EpsTable,
@@ -195,3 +196,117 @@ def test_permutation_check_randomized_suite_small():
         rep = permutation_product_check(table, phi, n0, k)
         assert rep.hypothesis_ok, rep.hypothesis_violations[:3]
         assert rep.conclusion_holds
+
+
+def _old_entry_table(seed: int, k: int):
+    """random_smallness_table's parameters and entries as first written:
+    each entry 2^{-n tau_j} (1 + jitter/1024) as a Fraction product, drawing
+    from the RNG in the same order."""
+    rng = random.Random(seed)
+    taus = []
+    t = rng.randint(1, 4)
+    for _ in range(k):
+        taus.append(t)
+        t += rng.randint(1, 3)
+    taus.reverse()
+    need = int(math.log2(math.factorial(k + 1))) + 3
+    gap = need + rng.randint(2, 6)
+    support = [1 + i * gap for i in range(k)]
+    support += [support[-1] + 1, support[-1] + gap]
+    eps = {}
+    for j in range(1, k + 1):
+        for n in support:
+            jitter = Fraction(rng.randint(0, 255), 1024)
+            eps[(j, n)] = Fraction(1, 2 ** (n * taus[j - 1])) * (1 + jitter)
+    return EpsTable(k=k, eps=eps), gap, 1
+
+
+def test_random_smallness_table_entries_unchanged():
+    for seed in range(40):
+        for k in (1, 2, 3, 5):
+            old, gap, n0_old = _old_entry_table(seed, k)
+            table, phi, n0 = random_smallness_table(random.Random(seed), k)
+            assert table == old and table.eps == old.eps
+            assert n0 == n0_old
+            assert all(phi(n) == n + gap for n in table.support())
+
+
+def test_permutation_check_equals_fraction_oracle():
+    rng = random.Random(5150)
+    counts = {}
+    for _ in range(2000):
+        k = rng.randint(2, 5)
+        table, phi, n0 = random_smallness_table(rng, k)
+        rep = permutation_product_check(table, phi, n0, k)
+        assert rep == permutation_product_oracle(table, phi, n0, k)
+        counts[k] = counts.get(k, 0) + 1
+    assert sorted(counts) == [2, 3, 4, 5]
+
+
+def test_permutation_check_equals_oracle_on_perturbed_tables():
+    # every entry times a random p/q with p, q < 2^40 and random bit sizes,
+    # so that hypothesis violations and failing rows both occur
+    rng = random.Random(8128)
+    failed_rows = violated = passed = 0
+    for _ in range(500):
+        k = rng.randint(2, 5)
+        table, phi, n0 = random_smallness_table(rng, k)
+        eps = {key: v * Fraction(rng.randrange(1, 2 ** rng.randint(1, 40)),
+                                 rng.randrange(1, 2 ** rng.randint(1, 40)))
+               for key, v in table.eps.items()}
+        table = EpsTable(k=k, eps=eps)
+        rep = permutation_product_check(table, phi, n0, k)
+        assert rep == permutation_product_oracle(table, phi, n0, k)
+        failed_rows += not rep.conclusion_holds
+        violated += not rep.hypothesis_ok
+        passed += rep.passed
+    assert failed_rows and violated and passed
+
+
+def _bound_table(bump: Fraction = Fraction(0)) -> EpsTable:
+    # k = 2, phi(n) = n + 1: the swapped product eps_{1,2} eps_{2,1} equals
+    # (1/3!) eps_{1,1} eps_{2,2} exactly, times (1 + bump)
+    e11, e22, e21 = Fraction(5, 7), Fraction(11, 13), Fraction(3, 2)
+    e12 = e11 * e22 / (6 * e21) * (1 + bump)
+    return EpsTable(k=2, eps={(1, 1): e11, (2, 1): e21, (1, 2): e12, (2, 2): e22})
+
+
+def test_permutation_check_equality_at_the_bound_passes():
+    rep = permutation_product_check(_bound_table(), lambda n: n + 1, 1, 2)
+    assert rep.rows == (((1, 2), True, Fraction(1)), ((2, 1), True, Fraction(1, 6)))
+    assert rep.hypothesis_ok and rep.passed
+
+
+def test_permutation_check_just_past_the_bound_fails():
+    table = _bound_table(Fraction(1, 2 ** 200))
+    assert float(table.eps[(1, 2)]) == float(_bound_table().eps[(1, 2)])
+    rep = permutation_product_check(table, lambda n: n + 1, 1, 2)
+    assert rep.rows == (((1, 2), True, Fraction(1)), ((2, 1), False, Fraction(1, 6)))
+    assert rep.hypothesis_violations == ({"i": 1, "n": 1, "n_prime": 2},)
+    assert not rep.conclusion_holds and not rep.passed
+    assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, 2)
+
+
+def test_permutation_check_missing_entry_is_value_error():
+    table = EpsTable(k=2, eps={(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4),
+                               (1, 2): Fraction(1, 8)})
+    with pytest.raises(ValueError, match=r"eps_\(2,2\)"):
+        permutation_product_check(table, lambda n: n + 1, 1, 2)
+
+
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 8)])
+def test_permutation_check_nonpositive_entry_on_chain(bad):
+    table = EpsTable(k=2, eps={(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4),
+                               (1, 2): Fraction(1, 8), (2, 2): bad})
+    with pytest.raises(ValueError, match=r"eps_\(2,2\) must be positive"):
+        permutation_product_check(table, lambda n: n + 1, 1, 2)
+
+
+def test_permutation_check_reads_int_and_float_entries_exactly():
+    exact = {(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4), (1, 2): Fraction(1, 64),
+             (2, 2): Fraction(1)}
+    mixed = EpsTable(k=2, eps={(1, 1): 0.5, (2, 1): Fraction(1, 4), (1, 2): 2.0 ** -6,
+                               (2, 2): 1})
+    phi = lambda n: n + 1
+    assert (permutation_product_check(mixed, phi, 1, 2)
+            == permutation_product_check(EpsTable(k=2, eps=exact), phi, 1, 2))
