@@ -57,6 +57,12 @@ def cmd_forms(args) -> int:
         spec = FormSpec(a=args.a, r=args.r, n=args.n)
     except ValueError as exc:
         return _error_block(EXIT_INPUT_ERROR, "invalid-spec", str(exc))
+    ctx = None
+    if args.residual_digits:
+        try:
+            ctx = PrecisionContext(digits=args.residual_digits, guard=20)
+        except ValueError as exc:
+            return _error_block(EXIT_INPUT_ERROR, "invalid-digits", str(exc))
     table = table_for(spec)
     plain = zeta_form_plain(table)
     derived = zeta_form_derived(table)
@@ -77,10 +83,12 @@ def cmd_forms(args) -> int:
                     and plain.zeta_coeffs == derived.zeta_coeffs)
     checks.append(structure_ok)
     residual_digits = None
-    if args.residual_digits:
-        ctx = PrecisionContext(digits=args.residual_digits, guard=20)
-        res_p = form_residual(plain, ctx)
-        res_d = form_residual(derived, ctx)
+    if ctx is not None:
+        try:
+            res_p = form_residual(plain, ctx)
+            res_d = form_residual(derived, ctx)
+        except ArithmeticError as exc:
+            return _error_block(EXIT_NUMERIC_ERROR, "residual", str(exc))
         bound = mp.mpf(10) ** (-args.residual_digits // 2)
         checks.append(res_p < bound and res_d < bound)
         residual_digits = {

@@ -17,10 +17,18 @@ Four layers:
   sum|coeff| 10^-digits plus rounding.  ``measure_rates`` takes this route.
 
 * Direct summation of the defining series, the independent cross-check
-  behind ``eval_S_direct`` and ``form_residual``.  Terms are advanced by
-  the exact term ratio; the double-derived summand (1/2) R''(t) is
-  realized as R(t) (L(t)^2 + L'(t))/2 where L = R'/R is a sum of simple
-  poles, updated in O(1) per step.
+  behind ``eval_S_direct`` and ``form_residual``.  Every quantity is a
+  Python integer scaled by 2^P, with P from the working precision (raised
+  once if the result misses its target).  Terms are advanced by the exact
+  integer term ratio, R <- R num // den; the double-derived summand
+  (1/2) R''(t) is realized as R(t) (L(t)^2 + L'(t))/2 where L = R'/R is a
+  sum of simple poles, each floored once as (1 << P) // x and updated in
+  O(1) per step.  Beside the sum the kernel carries an integer bound on
+  its floor errors (a running recurrence for the term's own error, one
+  unit per floor, |x| e_y + |y| e_x + e_x e_y per product), and that
+  rounding bound is part of the certified error ``eval_S_direct``
+  returns.  The shared direct part of the Laurent tails' power sums is
+  summed on integers too, at the scale of its hardest tolerance.
 
 * Tail completion.  Either an elementary bound
   sum_{t >= T} R(t) <= A(T) (T^-D + T^{1-D}/(D-1)) when the decay
@@ -59,6 +67,10 @@ class PrecisionContext:
     @property
     def workdps(self) -> int:
         return self.digits + self.guard
+
+
+_LOG2_10 = math.log2(10)
+_LOG10_2 = math.log10(2)
 
 
 def _ilog10(v: int) -> float:
@@ -171,8 +183,9 @@ def power_sum_tail(s: int, start: int, ctx: PrecisionContext) -> mpf:
 def _em_tail_range(s_lo: int, s_hi: int, x0: int, tol_log10) -> list[mpf]:
     """Power-sum tails for every integer s in [s_lo, s_hi] at one start x0.
 
-    Shares the direct part across all s values; the per-s expansion is
-    the same certified routine as the scalar case.  ``tol_log10`` is one
+    Shares the direct part across all s values, summed on integers at the
+    scale of the hardest tolerance; the per-s expansion is the same
+    certified routine as the scalar case.  ``tol_log10`` is one
     float or a per-s sequence (the heaviest tolerance sets the expansion
     point, each s stops at its own).
     """
@@ -188,14 +201,23 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int, tol_log10) -> list[mpf]:
     needed = max(x0, int(0.46 * (-hardest)) + 8) if hardest < 0 else x0
     while True:
         X = max(x0, needed + extra)
-        acc = [mpf(0)] * count
-        ok = True
+        # direct part on integers scaled by 2^P, P set by the hardest
+        # tolerance: w floors once at m^-s_lo and once per later s, so each
+        # (m, s) is within 2 units, and a w floored to 0 stays below them
+        err = 2 * (X - x0)
+        P = max(0, math.ceil(-hardest * _LOG2_10)) + err.bit_length() + 8
+        assert err == 0 or _ilog10(err) - P * _LOG10_2 < hardest
+        one = 1 << P
+        direct = [0] * count
         for m in range(x0, X):
-            w = mpf(m) ** (-s_lo)
-            mi = mpf(m)
+            w = one // m ** s_lo
             for idx in range(count):
-                acc[idx] += w
-                w = w / mi
+                if not w:
+                    break
+                direct[idx] += w
+                w //= m
+        acc = [mp.ldexp(v, -P) for v in direct]
+        ok = True
         for idx in range(count):
             s = s_lo + idx
             value, bound = _em_at(s, X, mpf(10) ** tols[idx])
@@ -375,46 +397,74 @@ def _elementary_tail_bound_log10(spec: FormSpec, kind: str, T: int) -> float:
     return out
 
 
-def _direct_sum(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
-    """sum of the summand (plain) or of (1/2) R'' over t in [t_start, t_stop),
-    at the current working precision."""
+def _direct_sum(spec: FormSpec, kind: str, t_start: int, t_stop: int,
+                P: int) -> tuple[int, int]:
+    """sum of the summand (plain) or of (1/2) R'' over t in [t_start, t_stop)
+    on integers scaled by 2^P: returns (value, err) with the exact sum
+    within err / 2^P of value / 2^P.
+
+    ``err`` bounds the accumulated floor errors: one unit per floor, the
+    term's own error carried by the running recurrence
+    eR <- ceil(eR num/den) + 1, and |x| e_y + |y| e_x + e_x e_y for each
+    product x y of two inexact values.  Needs t_start > (2r+1)n, where
+    every term is positive.
+    """
     a, r, n = spec.a, spec.r, spec.n
     if t_stop <= t_start:
-        return mpf(0)
-    summand = build_summand(spec)
-    t = t_start
-    Rt_frac = summand.eval_exact(t)
-    Rt = mpf(Rt_frac.numerator) / mpf(Rt_frac.denominator)
+        return 0, 0
+    one = 1 << P
+    R0 = build_summand(spec).eval_exact(t_start)
+    Rt, eR = R0.numerator * one // R0.denominator, 1
+    acc = eacc = 0
     derived = kind == DOUBLE_DERIVED
     c = (2 * r + 1) * n
+    t = t_start
     if derived:
-        # L = R'/R = 3 S - a Sw and L' = -3 T + a Tw, with S, T over the
-        # 6rn simple poles of the numerator blocks and Sw, Tw over the
-        # 2n+1 of the denominator block; each moves by four poles per step
-        S = (sum(1 / mpf(t - root) for root in range(n + 1, c + 1))
-             + sum(1 / mpf(t + n + 1 + k) for k in range(2 * r * n)))
-        T = (sum(1 / mpf(t - root) ** 2 for root in range(n + 1, c + 1))
-             + sum(1 / mpf(t + n + 1 + k) ** 2 for k in range(2 * r * n)))
-        Sw = sum(1 / mpf(t - m) for m in range(-n, n + 1))
-        Tw = sum(1 / mpf(t - m) ** 2 for m in range(-n, n + 1))
-    acc = mpf(0)
+        # L = R'/R = 3 S - a Sw and L' = -3 T + a Tw.  S, T run over the
+        # 4rn simple poles of the numerator blocks, x in [t-c, t-n) and
+        # (t+n, t+c]; Sw, Tw over the 2n+1 of the denominator block,
+        # x in [t-n, t+n].  Each step moves the four window ends by one:
+        # an x enters with its floored 1/x and 1/x^2 and leaves with the
+        # same values, so each sum stays within one unit per member.
+        rec = {x: (one // x, one // (x * x)) for x in range(t - c, t + c + 1)}
+        num_poles = [*range(t - c, t - n), *range(t + n + 1, t + c + 1)]
+        S = sum(rec[x][0] for x in num_poles)
+        T = sum(rec[x][1] for x in num_poles)
+        Sw = sum(rec[x][0] for x in range(t - n, t + n + 1))
+        Tw = sum(rec[x][1] for x in range(t - n, t + n + 1))
+        eS, eSw = len(num_poles), 2 * n + 1
+        eL = 3 * eS + a * eSw
+        eM0 = 2 + 3 * eS + a * eSw      # floor and ceil of L L, plus 3 T and a Tw
+        half = P + 1                    # the (1/2) of (1/2) R'' is one more shift
+        eprod = 0                       # product errors, in units of 2^-half
     while t < t_stop:
         p, q, u, v = t - n, t + n + 1, t - c, t + c + 1
         if derived:
             L = 3 * S - a * Sw
-            acc += Rt * (L * L - 3 * T + a * Tw)
-            ep, eq, eu, ev = 1 / mpf(p), 1 / mpf(q), 1 / mpf(u), 1 / mpf(v)
-            S += ep - eu + ev - eq
-            Sw += eq - ep
-            ep, eq, eu, ev = ep * ep, eq * eq, eu * eu, ev * ev
-            T += ep - eu + ev - eq
-            Tw += eq - ep
+            M = (L * L >> P) - 3 * T + a * Tw
+            eM = ((2 * abs(L) * eL + eL * eL) >> P) + eM0
+            acc += Rt * M >> half
+            eprod += Rt * eM + abs(M) * eR + eR * eM
+            rp, rp2 = rec[p]
+            rq, rq2 = rec[q]
+            ru, ru2 = rec.pop(u)
+            rv, rv2 = rec[v] = one // v, one // (v * v)
+            S += rp - ru + rv - rq
+            Sw += rq - rp
+            T += rp2 - ru2 + rv2 - rq2
+            Tw += rq2 - rp2
         else:
             acc += Rt
+            eacc += eR
         # R(t+1)/R(t) as one exact integer ratio
-        Rt = Rt * (p ** (a + 3) * v ** 3) / (u ** 3 * q ** (a + 3))
+        num, den = p ** (a + 3) * v ** 3, u ** 3 * q ** (a + 3)
+        Rt = Rt * num // den
+        eR = -(-eR * num // den) + 1
         t += 1
-    return acc / 2 if derived else acc
+    if derived:
+        # one floor per term, plus the product errors brought to scale
+        eacc = (t_stop - t_start) - (-eprod >> half)
+    return acc, eacc
 
 
 @dataclass(frozen=True)
@@ -423,23 +473,52 @@ class EvalResult:
     method: str                 # "direct", "direct+laurent" or "form"
     split_T: int
     terms: int
-    tail_bound_log10: float     # "form": the whole certified error, not a tail
+    # certified log10 error: series truncation (the Laurent tail's own
+    # target included) plus the rounding of the head; for "form" the
+    # zeta values' error plus rounding
+    tail_bound_log10: float
     laurent_K: int | None = None
     zeta_digits: int | None = None   # "form": zeta values certified to 10^-zeta_digits
+    work_bits: int | None = None     # direct routes: the head is summed on integers scaled by 2^work_bits
 
 
 _DIRECT_TERM_CAP = 250_000
 _DIRECT_T_CAP = 1_000_000
+_GUARD_BITS = 64
+
+
+def _head_value(spec: FormSpec, kind: str, t0: int, T: int, wdps: int,
+                tol: float) -> tuple[mpf, float, int]:
+    """The head over [t0, T) at wdps digits, the log10 bound of its
+    rounding (the kernel's floor errors plus the conversion to mpf) and
+    the scale P it was summed at.
+
+    P starts at wdps digits plus guard bits.  The floor error of a term
+    grows with the terms after it, so where they rise far above the first
+    the bound can miss the target tol; the head is then summed once more
+    with P raised by the shortfall.
+    """
+    P = math.ceil(wdps * _LOG2_10) + _GUARD_BITS
+    head, err = _direct_sum(spec, kind, t0, T, P)
+    shortfall = _ilog10(err) - P * _LOG10_2 - tol if err else 0.0
+    if shortfall > 0:
+        P += math.ceil(shortfall * _LOG2_10) + _GUARD_BITS
+        head, err = _direct_sum(spec, kind, t0, T, P)
+    with mp.workdps(wdps):
+        value = mp.ldexp(head, -P)
+        err += 1 << max(0, abs(head).bit_length() - mp.prec)
+    return value, _ilog10(err) - P * _LOG10_2, P
 
 
 def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
                   abs_tol_log10: float | None = None,
                   wdps: int | None = None) -> EvalResult:
-    """Evaluate the defining series with a certified absolute tail bound.
+    """Evaluate the defining series with a certified absolute error bound.
 
     Picks plain truncation when the polynomial decay is steep enough to
     reach the target within a bounded number of terms, otherwise sums a
-    short head and completes with the certified Laurent tail.
+    short head and completes with the certified Laurent tail.  The head
+    is summed on integers scaled by 2^P (``_head_value``).
     """
     if kind not in (PLAIN, DOUBLE_DERIVED):
         raise ValueError(f"unknown kind {kind!r}")
@@ -455,11 +534,11 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
             break
         T *= 2
     if chosen is not None:
-        with mp.workdps(wdps):
-            head = _direct_sum(spec, kind, t0, chosen)
+        head, rounding, P = _head_value(spec, kind, t0, chosen, wdps, tol)
+        bound = _elementary_tail_bound_log10(spec, kind, chosen)
         return EvalResult(value=head, method="direct", split_T=chosen,
-                          terms=chosen - t0,
-                          tail_bound_log10=_elementary_tail_bound_log10(spec, kind, chosen))
+                          terms=chosen - t0, tail_bound_log10=_log10_add(bound, rounding),
+                          work_bits=P)
 
     lt = _laurent_for(spec)
     T = max(lt.min_t, 2 * t0, 48)
@@ -474,12 +553,13 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
                 f"Laurent tail for {spec} does not reach 10^{tol}; "
                 "raise the split point or lower the precision target"
             )
+    head, rounding, P = _head_value(spec, kind, t0, T, wdps, tol)
     with mp.workdps(wdps):
-        head = _direct_sum(spec, kind, t0, T)
-        tail = lt.tail_value(kind, K, T, tol)
-        value = head + tail
+        value = head + lt.tail_value(kind, K, T, tol)
     return EvalResult(value=value, method="direct+laurent", split_T=T,
-                      terms=max(0, T - t0), tail_bound_log10=bound, laurent_K=K)
+                      terms=max(0, T - t0),
+                      tail_bound_log10=_log10_add(_log10_add(bound, tol), rounding),
+                      laurent_K=K, work_bits=P)
 
 
 def _log10_abs_sum(coeffs) -> float:

@@ -15,6 +15,7 @@ from mpmath import mpf
 
 from zetaforms.criterion import EpsTable, PermutationProductReport
 from zetaforms.exact_kernel import binomial, harmonic_prefixes
+from zetaforms.linear_forms import DOUBLE_DERIVED, FormSpec, build_summand
 
 
 def pochhammer(alpha, k: int) -> Fraction:
@@ -210,3 +211,41 @@ def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: in
         rows=tuple(rows),
         conclusion_holds=all(ok for _sigma, ok, _eta in rows),
     )
+
+
+def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
+    """sum of the summand (plain) or of (1/2) R'' over t in [t_start, t_stop)
+    in mpf arithmetic at the caller's working precision: the term advanced
+    by its exact ratio, L = R'/R and L' kept as running pole sums."""
+    a, r, n = spec.a, spec.r, spec.n
+    if t_stop <= t_start:
+        return mpf(0)
+    t = t_start
+    Rt_frac = build_summand(spec).eval_exact(t)
+    Rt = mpf(Rt_frac.numerator) / mpf(Rt_frac.denominator)
+    derived = kind == DOUBLE_DERIVED
+    c = (2 * r + 1) * n
+    if derived:
+        S = (sum(1 / mpf(t - root) for root in range(n + 1, c + 1))
+             + sum(1 / mpf(t + n + 1 + k) for k in range(2 * r * n)))
+        T = (sum(1 / mpf(t - root) ** 2 for root in range(n + 1, c + 1))
+             + sum(1 / mpf(t + n + 1 + k) ** 2 for k in range(2 * r * n)))
+        Sw = sum(1 / mpf(t - m) for m in range(-n, n + 1))
+        Tw = sum(1 / mpf(t - m) ** 2 for m in range(-n, n + 1))
+    acc = mpf(0)
+    while t < t_stop:
+        p, q, u, v = t - n, t + n + 1, t - c, t + c + 1
+        if derived:
+            L = 3 * S - a * Sw
+            acc += Rt * (L * L - 3 * T + a * Tw)
+            ep, eq, eu, ev = 1 / mpf(p), 1 / mpf(q), 1 / mpf(u), 1 / mpf(v)
+            S += ep - eu + ev - eq
+            Sw += eq - ep
+            ep, eq, eu, ev = ep * ep, eq * eq, eu * eu, ev * ev
+            T += ep - eu + ev - eq
+            Tw += eq - ep
+        else:
+            acc += Rt
+        Rt = Rt * (p ** (a + 3) * v ** 3) / (u ** 3 * q ** (a + 3))
+        t += 1
+    return acc / 2 if derived else acc

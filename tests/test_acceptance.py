@@ -74,9 +74,13 @@ def grid_residuals(grid_forms):
     ctx = PrecisionContext(digits=250, guard=25)
     started = time.time()
     residuals = {}
+    seconds = {}
     for spec, (_table, plain, derived) in grid_forms.items():
+        spec_started = time.time()
         residuals[spec] = (form_residual(plain, ctx), form_residual(derived, ctx))
-    return residuals, time.time() - started
+        seconds[spec] = time.time() - spec_started
+    slowest = max(seconds, key=seconds.get)
+    return residuals, time.time() - started, (slowest, seconds[slowest])
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +105,13 @@ def rate_report():
 
 
 def test_criterion_1_linear_form_identity(grid_residuals):
-    residuals, elapsed = grid_residuals
+    residuals, elapsed, (slowest, slowest_s) = grid_residuals
     tol = mpf(10) ** -150
     worst = max(max(p, d) for p, d in residuals.values())
     ok = all(p < tol and d < tol for p, d in residuals.values())
     announce(f"criterion 1 (linear-form identity, {len(residuals)} specs, "
-             f"worst residual {mp.nstr(worst, 3)}, {elapsed:.0f}s): "
+             f"worst residual {mp.nstr(worst, 3)}, {elapsed:.0f}s, slowest spec "
+             f"{(slowest.a, slowest.r, slowest.n)} {slowest_s:.1f}s): "
              f"{'PASS' if ok else 'FAIL'}")
     assert ok, f"worst residual {worst}"
     assert elapsed < 300, f"grid took {elapsed:.0f}s, target < 5 min"

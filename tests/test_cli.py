@@ -37,6 +37,20 @@ def test_forms_command_rejects_6r_gt_a():
     assert run(["forms", "--a", "7", "--r", "2", "--n", "1"]) == 2
 
 
+def test_forms_residual_digits_below_50_is_input_error(capsys):
+    assert run(["forms", "--a", "7", "--r", "1", "--n", "1", "--residual-digits", "30"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "invalid-digits"
+
+
+def test_forms_residual_out_of_reach_is_numeric_failure(capsys):
+    # the Laurent tail of (7,1,1) cannot reach 10^-40010 within its order cap
+    assert run(["forms", "--a", "7", "--r", "1", "--n", "1", "--residual-digits", "40000"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "residual"
+    assert "does not reach" in err["error"]["message"]
+
+
 def test_asymptotics_command(tmp_path):
     out = tmp_path / "saddle.json"
     code = run(["asymptotics", "--a", "13", "--r", "2", "--out", str(out)])

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from functools import partial
 
 import pytest
 from mpmath import mp, mpf
@@ -18,8 +20,11 @@ from zetaforms.highprec import (
     power_sum_tail,
     zeta_value,
 )
-from zetaforms.linear_forms import FormSpec, table_for, zeta_form_derived, zeta_form_plain
+from zetaforms.linear_forms import (FormSpec, build_summand, half_second_derivative_exact,
+                                   table_for, zeta_form_derived, zeta_form_plain)
 from zetaforms.saddle import compute_constants
+
+from oracles import direct_sum_mpf
 
 
 CTX = PrecisionContext(digits=60, guard=20)
@@ -89,6 +94,69 @@ def test_em_tail_range_consistent_with_scalar():
             assert abs(vals[idx] - mpmath.zeta(s, 48)) < mpf(10) ** -65
 
 
+def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
+    # Laurent coefficients up to 1e72 push the per-s tolerances to 1e-140,
+    # far below the 60-digit working precision; the direct part must be
+    # summed at the scale of the hardest tolerance, not of the context
+    lt = highprec._laurent_for(FormSpec(7, 1, 6))
+    K, wdps = 64, 60
+    lt.extend(K)
+    spread = math.log10(K) + 2
+    tols = [-wdps - (highprec._ilog10(abs(b)) if b else 0) - spread for b in lt.b[:K]]
+    assert min(tols) < -2 * wdps
+    with mp.workdps(wdps):
+        vals = _em_tail_range(lt.D, lt.D + K - 1, 48, tols)
+    with mp.workdps(3 * wdps):
+        for val, s, tol in zip(vals, range(lt.D, lt.D + K), tols):
+            ref = mpmath.zeta(s, 48)
+            # the tolerance, plus the rounding of the value to wdps digits
+            assert abs(val - ref) <= mpf(10) ** tol + abs(ref) * mpf(10) ** (1 - wdps)
+
+
+def _exact_head(spec, kind, t0, T):
+    if kind == PLAIN:
+        term = build_summand(spec).eval_exact
+    else:
+        term = partial(half_second_derivative_exact, table_for(spec))
+    return sum((term(t) for t in range(t0, T)), Fraction(0))
+
+
+@pytest.mark.parametrize("abc", [(7, 1, 1), (9, 1, 2), (13, 1, 2)])
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_direct_sum_certificate_against_exact_sum(abc, kind):
+    # at these scales the floor errors are within a few times their bound:
+    # the bound must cover the distance to the exact rational sum, and
+    # stay a few thousand units (a vacuous bound would pass the first check)
+    spec = FormSpec(*abc)
+    t0 = build_summand(spec).first_nonzero_term()
+    T = 200
+    exact = _exact_head(spec, kind, t0, T)
+    for P in (64, 160, 400):
+        head, err = highprec._direct_sum(spec, kind, t0, T, P)
+        assert abs(Fraction(head, 1 << P) - exact) <= Fraction(err, 1 << P)
+        assert err < 2 ** 13
+
+
+@pytest.mark.parametrize("abc", [(13, 1, 6), (7, 1, 1), (7, 1, 2), (7, 1, 3)])
+def test_direct_sum_agrees_with_mpf_oracle(abc):
+    ctx = PrecisionContext(digits=250, guard=25)
+    spec = FormSpec(*abc)
+    t0 = build_summand(spec).first_nonzero_term()
+    for kind in (PLAIN, DOUBLE_DERIVED):
+        res = eval_S_direct(spec, kind, ctx)
+        P = res.work_bits
+        head, err = highprec._direct_sum(spec, kind, t0, res.split_T, P)
+        # the oracle runs 40 digits above the head's scale, so its own
+        # rounding is far below the kernel's bound
+        with mp.workdps(ctx.workdps + 40):
+            ref = direct_sum_mpf(spec, kind, t0, res.split_T)
+            assert abs(mp.ldexp(head, -P) - ref) <= mp.ldexp(err, -P)
+        assert res.tail_bound_log10 < -ctx.digits
+        if res.method == "direct":
+            with mp.workdps(ctx.workdps + 40):
+                assert abs(res.value - ref) <= mpf(10) ** res.tail_bound_log10
+
+
 def test_S1_positive_and_truncation_stable():
     spec = FormSpec(a=7, r=1, n=1)
     res = eval_S_direct(spec, PLAIN, CTX)
@@ -135,8 +203,10 @@ def test_laurent_and_direct_paths_agree():
 
     lt = highprec._laurent_for(spec)
     t0 = build_summand(spec).first_nonzero_term()
+    P = math.ceil(ctx.workdps * math.log2(10)) + 64
+    head, _err = highprec._direct_sum(spec, PLAIN, t0, 64, P)
     with mp.workdps(ctx.workdps):
-        head = highprec._direct_sum(spec, PLAIN, t0, 64)
+        head = mp.ldexp(head, -P)
         K = 96
         while lt.tail_bound_log10(PLAIN, K, 64) > -100:
             K *= 2
@@ -181,7 +251,9 @@ def test_rates_form_route_matches_direct_summation(n, saddle_13_2):
         assert via_form.method == "form" and via_form.tail_bound_log10 < tol
         direct = eval_S_direct(spec, form.kind, PrecisionContext(digits, 20),
                                abs_tol_log10=tol, wdps=digits + 20)
-        assert direct.method == "direct"
+        # the terms rise far above the first one here: the head is summed
+        # again at a larger scale so that its rounding meets the target
+        assert direct.method == "direct" and direct.tail_bound_log10 < tol
         with mp.workdps(via_form.zeta_digits + 20):
             diff = abs(via_form.value - direct.value)
             assert diff < mpf(10) ** via_form.tail_bound_log10 + mpf(10) ** direct.tail_bound_log10
