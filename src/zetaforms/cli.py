@@ -216,7 +216,7 @@ def cmd_criterion(args) -> int:
         else:
             return _error_block(EXIT_INPUT_ERROR, "unknown-kind",
                                 f"instance kind {kind!r} not supported")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         return _error_block(EXIT_INPUT_ERROR, "malformed-instance", repr(exc))
     report["provenance"] = provenance("criterion", {"in": str(args.infile)})
     _emit(report, args.out, "json")

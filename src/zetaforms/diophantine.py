@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+from .exact_kernel import echelon
 
 
 def convergents(cf_terms: Sequence[int], count: int) -> list[tuple[int, int]]:
@@ -26,7 +27,7 @@ def convergents(cf_terms: Sequence[int], count: int) -> list[tuple[int, int]]:
     out.append((p1, q1))
     idx = 1
     while len(out) < count:
-        term = cf_terms[idx % (len(cf_terms) - 1) + 1] if len(cf_terms) > 1 else cf_terms[0]
+        term = cf_terms[(idx - 1) % (len(cf_terms) - 1) + 1] if len(cf_terms) > 1 else cf_terms[0]
         # periodic tail: for sqrt2 = [1; 2,2,...], golden = [1; 1,1,...]
         p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
         out.append((p1, q1))
@@ -106,12 +107,13 @@ def projective_distance_sweep(xi: float, tau: float, eps: float, p_max: int,
 
     For each p only the few q nearest to p*xi can challenge the bound
     (any other q makes Dist order one while the right side shrinks), so
-    the sweep is p in [1, p_max] times q in round(p*xi) +- 2, plus the
-    vertical line p = 0.  Vectorized; float64 is ample at desk scale.
+    the sweep is p in [1, p_max] times q in round(p*xi) +- 2.  The
+    vertical line p = 0 is not swept: Dist there is the constant
+    1/sqrt(1+xi^2), which the decaying right side falls below for large
+    ||P||.  Vectorized; float64 is ample at desk scale.
     """
     expo = -1 - 1 / tau - eps
     scale = math.sqrt(1 + xi * xi)
-    worst = 0.0
     violations = []
     checked = 0
     block = 1_000_000
@@ -135,7 +137,6 @@ def projective_distance_sweep(xi: float, tau: float, eps: float, p_max: int,
                 ex = np.where(mask, np.log(dist) / np.log(norm), 0.0)
             m = float(ex.min()) if mask.any() else 0.0
             best = min(best, m)
-    # vertical line p = 0: Dist is the constant |(0,1) component off F|
     return DistanceSweepReport(tau=tau, eps=eps, norm_threshold=norm_threshold,
                         checked=checked, violations=tuple(violations),
                         best_exponent=best)
@@ -143,46 +144,6 @@ def projective_distance_sweep(xi: float, tau: float, eps: float, p_max: int,
 
 # ---------------------------------------------------------------------------
 # Siegel-style determinant verifier
-
-
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of a small integer matrix."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _int_rank(mat: list[list[int]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -217,8 +178,8 @@ def siegel_verify(forms_per_n: Sequence[Sequence[Sequence[int]]],
     U = [list(map(int, u)) for u in subspace_basis]
     d = len(U)
     k = len(points)
-    if k > d:
-        raise ValueError("need dim F >= number of points")
+    if not 1 <= k <= d:
+        raise ValueError("need 1 <= number of points <= dim F")
     E = np.asarray(points, dtype=float)
     hypothesis_failures = []
     rows_out = []
@@ -227,17 +188,18 @@ def siegel_verify(forms_per_n: Sequence[Sequence[Sequence[int]]],
         n = idx + 1
         L = [list(map(int, f)) for f in forms]
         p = len(L[0])
-        if _int_rank(L) < len(L):
+        if echelon(L).rank < len(L):
             hypothesis_failures.append({"n": n, "reason": "forms not independent"})
             continue
-        # restriction matrix [L^t(u_j)], pick d independent rows exactly
+        # restriction matrix [L^t(u_j)]; the rows independent of the rows
+        # before them are the pivot columns of its transpose, at most d
         R = [[sum(L[t][h] * U[jj][h] for h in range(p)) for jj in range(d)]
              for t in range(len(L))]
-        chosen = _select_independent_rows(R, d)
-        if chosen is None:
+        cols = echelon([list(col) for col in zip(*R)])
+        if cols.rank < d:
             hypothesis_failures.append({"n": n, "reason": "no independent restriction"})
             continue
-        det = _bareiss_det([R[t] for t in chosen])
+        det = echelon([R[t] for t in cols.pivots]).det
         # upper-bound product from the column-combination argument
         Larr = np.asarray(L, dtype=float)
         smalls = np.abs(Larr @ E.T)      # p x k matrix |L^t(e_j)|
@@ -265,38 +227,6 @@ def siegel_verify(forms_per_n: Sequence[Sequence[Sequence[int]]],
                         hypothesis_failures=tuple(hypothesis_failures),
                         bound_slope=slope,
                         expected_bound_slope=d - k - float(sum(taus)))
-
-
-def _select_independent_rows(R: list[list[int]], d: int) -> list[int] | None:
-    chosen: list[int] = []
-    work: list[list[Fraction]] = []
-    for t in range(len(R)):
-        cand = work + [[Fraction(x) for x in R[t]]]
-        if _frac_rank(cand) == len(cand):
-            work = cand
-            chosen.append(t)
-            if len(chosen) == d:
-                return chosen
-    return None
-
-
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Exact integer primitives shared by the other modules.
 
-Everything here is pure and exact on Python ints: binomials, lcm(1..k)
-and the scaled harmonic prefixes that every power sum is read from.
+Everything here is pure and exact on Python ints: binomials, lcm(1..k),
+the scaled harmonic prefixes that every power sum is read from, and the
+one fraction-free elimination that every rank, row selection and
+determinant is read from.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -64,3 +67,62 @@ def harmonic_prefixes(p: int, lo: int, hi: int) -> tuple[int, list[int]]:
         acc += (L // t) ** p
         row.append(acc)
     return L, row
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Reduced row echelon form of an integer matrix, kept on integers.
+
+    ``rows[:rank]`` divided by ``scale`` is the reduced row echelon form,
+    with pivot columns ``pivots``; the rows below ``rank`` are zero.
+    ``det`` is the signed determinant, 0 unless the matrix is square and
+    of full rank.
+    """
+
+    rank: int
+    pivots: tuple[int, ...]
+    rows: list[list[int]]
+    scale: int
+    det: int
+
+
+def echelon(rows: list[list[int]]) -> Echelon:
+    """Fraction-free Gauss-Jordan elimination, after Bareiss (1968), on a copy.
+
+    Each step with pivot p replaces every other row by
+    (p * row - row[c] * pivot_row) / scale and then sets scale = p.  The
+    divisions are exact, since every entry stays a minor of the input, and
+    every pivot row ends with the same pivot value ``scale``.  Pivots are
+    the first nonzero entry of their column in row order, so the pivot
+    columns are the greedy in-order choice of independent columns.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("echelon needs rows of equal length")
+    pivots: list[int] = []
+    scale, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            # a row with f = 0 is only rescaled by p / scale
+            if i == r or not f and (p == scale or not any(row)):
+                continue
+            m[i] = [(p * x - f * y) // scale for x, y in zip(row, prow)]
+        pivots.append(c)
+        scale = p
+    rank = len(pivots)
+    det = sign * scale if rank == nrows == ncols else 0
+    return Echelon(rank, tuple(pivots), m, scale, det)

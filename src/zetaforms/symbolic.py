@@ -4,17 +4,21 @@ Vectors live in R^k with entries that are exact rational combinations of
 named symbols assumed Q-linearly independent ("1" always among them).
 The Q-rank of columns C_1..C_p equals the rank of the Q-linear map
 psi(r_1..r_p) = sum r_i C_i, realized as an exact matrix over Q with one
-row per (coordinate, symbol) pair.  Two independent routes are computed:
-pivot count of the forward elimination, and p minus the dimension of an
-explicitly constructed and re-verified kernel basis.  Their agreement is
-the executable form of the minimal-subspace dimension identity.
+row per (coordinate, symbol) pair.  Each row is scaled to integers and
+reduced by the one fraction-free elimination of ``exact_kernel``.  The
+pivot count and p minus the size of the kernel basis read off the reduced
+rows come from that one elimination, so they agree by construction; the
+independent check is that every kernel vector is re-verified exactly
+against the original rational matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
+
+from .exact_kernel import echelon
 
 SymEntry = dict[str, Fraction]          # symbol -> coefficient
 SymVector = list[SymEntry]              # one entry per coordinate
@@ -70,31 +74,6 @@ def _as_matrix(columns: Sequence[SymVector], fld: SymbolField) -> list[list[Frac
     return rows
 
 
-def _row_echelon(mat: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """In-place reduced echelon form; returns (rank, pivot column list)."""
-    if not mat:
-        return 0, []
-    nrows, ncols = len(mat), len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
 @dataclass(frozen=True)
 class RankResult:
     rank: int
@@ -109,27 +88,32 @@ class RankResult:
 
 
 def rational_rank(columns: Sequence[SymVector], fld: SymbolField) -> RankResult:
-    """Q-rank of the columns, with the dual kernel route checked exactly.
+    """Q-rank of the columns, with a kernel basis checked exactly.
 
-    Route 1: pivot count of the elimination of the (coordinate x symbol)
-    by column matrix.  Route 2: a kernel basis read off the echelon form,
-    each vector re-verified against the original matrix, giving
-    p - dim ker.  The shared value is also the dimension of the smallest
-    rationally defined subspace containing the row vectors.
+    The (coordinate x symbol) by column matrix is scaled row by row to
+    integers, which keeps its rank, pivots and kernel, and reduced once.
+    The rank is the pivot count; the kernel basis is read off the reduced
+    rows, and each vector is re-verified against the original rational
+    matrix.  The rank is also the dimension of the smallest rationally
+    defined subspace containing the row vectors.
     """
     p = len(columns)
     if p == 0:
         raise ValueError("need at least one column")
     original = _as_matrix(columns, fld)
-    work = [row[:] for row in original]
-    rank, pivots = _row_echelon(work)
+    scaled = []
+    for row in original:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    ech = echelon(scaled)
+    rank, pivots = ech.rank, ech.pivots
     free_cols = [c for c in range(p) if c not in pivots]
     kernel = []
     for fc in free_cols:
         v = [Fraction(0)] * p
         v[fc] = Fraction(1)
         for rr, pc in enumerate(pivots):
-            v[pc] = -work[rr][fc]
+            v[pc] = Fraction(-ech.rows[rr][fc], ech.scale)
         for row in original:
             s = sum((row[c] * v[c] for c in range(p)), Fraction(0))
             if s != 0:

@@ -1,8 +1,9 @@
 """Independent reference implementations that only the tests use.
 
 Dense polynomials over the rationals, rising factorials, exact power
-sums and the permutation product inequality in Fraction arithmetic: slow,
-transparent routes that the package's own algorithms are checked against.
+sums, the permutation product inequality and Gauss-Jordan elimination in
+Fraction arithmetic: slow, transparent routes that the package's own
+algorithms are checked against.
 """
 from __future__ import annotations
 
@@ -211,6 +212,54 @@ def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: in
         rows=tuple(rows),
         conclusion_holds=all(ok for _sigma, ok, _eta in rows),
     )
+
+
+def row_echelon(mat: list[list[Fraction]]) -> tuple[int, list[int]]:
+    """In-place reduced echelon form over Fraction; returns (rank, pivot
+    column list)."""
+    if not mat:
+        return 0, []
+    nrows, ncols = len(mat), len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
+
+
+def select_independent_rows(R: Sequence[Sequence[int]], d: int) -> list[int] | None:
+    """Greedy in-order choice of d rows, each independent of those chosen
+    before it, by a fresh Fraction rank per candidate; None if fewer than
+    d are independent."""
+    chosen: list[int] = []
+    for t in range(len(R)):
+        cand = [[Fraction(x) for x in R[i]] for i in chosen + [t]]
+        if row_echelon(cand)[0] == len(cand):
+            chosen.append(t)
+            if len(chosen) == d:
+                return chosen
+    return None
+
+
+def cofactor_det(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant by cofactor expansion along the first row; 1 for 0 x 0."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, x in enumerate(mat[0]) if x)
 
 
 def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:

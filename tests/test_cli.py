@@ -130,6 +130,20 @@ def test_criterion_malformed_json(tmp_path, capsys):
     assert "line" in err["error"]
 
 
+def test_criterion_zero_divisor_is_malformed_instance(tmp_path, capsys):
+    data = resources.files("zetaforms.data")
+    rank = json.loads((data / "gutnik_log2_zeta.json").read_text())
+    rank["columns"][0][0]["1"]["den"] = "0"
+    dist = json.loads((data / "golden_projective_distance.json").read_text())
+    dist.update(tau=0, p_max=1000)
+    for doc in (rank, dist):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["criterion", "--in", str(bad)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "malformed-instance"
+
+
 def test_criterion_unknown_kind(tmp_path):
     f = tmp_path / "u.json"
     f.write_text(json.dumps({"kind": "mystery"}))

@@ -1,11 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import cofactor_det, row_echelon, select_independent_rows
 from zetaforms.diophantine import (
     ProjectiveInstance,
+    convergents,
     convex_body_emptiness,
     type2_box_check,
     golden_convergents,
@@ -24,6 +27,15 @@ def test_convergents_sqrt2_and_golden():
     gs = golden_convergents(8)
     for (p0, q0), (p1, q1) in zip(gs, gs[1:]):
         assert abs(p1 * q0 - p0 * q1) == 1
+    assert gs == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5), (13, 8), (21, 13), (34, 21)]
+    assert sqrt2_convergents(6) == convergents([1, 2, 2], 6)
+    assert golden_convergents(8) == convergents([1, 1, 1, 1], 8)
+
+
+def test_convergents_of_pi_read_every_term():
+    assert convergents([3, 7, 15, 1, 292], 5) == [
+        (3, 1), (22, 7), (333, 106), (355, 113), (103993, 33102)]
+    assert convergents([3, 7, 15, 1], 2) == [(3, 1), (22, 7)]
 
 
 def test_projective_distance_extremes():
@@ -105,6 +117,22 @@ def test_integer_points_never_on_the_line():
         assert projective_distance(inst, P) > 0
 
 
+def _oracle_dets(forms_per_n, subspace_basis):
+    """Per n: the determinant of the d restricted rows that the greedy
+    Fraction selection picks, or None where the forms are dependent or no
+    d restricted rows are independent."""
+    d = len(subspace_basis)
+    out = []
+    for forms in forms_per_n:
+        if row_echelon([[Fraction(x) for x in f] for f in forms])[0] < len(forms):
+            out.append(None)
+            continue
+        R = [[sum(x * u for x, u in zip(f, b)) for b in subspace_basis] for f in forms]
+        chosen = select_independent_rows(R, d)
+        out.append(None if chosen is None else cofactor_det([R[t] for t in chosen]))
+    return out
+
+
 def test_siegel_sqrt2_consecutive_convergents():
     cs = sqrt2_convergents(26)
     forms = []
@@ -118,6 +146,8 @@ def test_siegel_sqrt2_consecutive_convergents():
     assert rep.passed
     for row in rep.rows_:
         assert row[1] != 0 and abs(row[1]) == 1    # consecutive convergents: det = +-1
+    assert [row[1] for row in rep.rows_] == _oracle_dets(forms, [[1, 0], [0, 1]])
+    assert [row[1] for row in rep.rows_] == [(-1) ** n for n in range(1, 26)]
     # bound exponent tracks d - k - sum tau = 0
     assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.35
 
@@ -128,6 +158,14 @@ def test_siegel_duplicate_forms_rejected():
                         subspace_basis=[[1, 0], [0, 1]])
     assert rep.hypothesis_failures
     assert not rep.passed
+
+
+def test_siegel_needs_points_within_the_subspace_dimension():
+    forms = [[[1, 2], [3, 4]]]
+    for points, basis in (([], []), ([], [[1, 0]]), ([[1.5, 1.0]] * 2, [[1, 0]])):
+        with pytest.raises(ValueError):
+            siegel_verify(forms, [10], points=points, taus=[1.0] * len(points),
+                          subspace_basis=basis)
 
 
 def test_siegel_d_equals_k_slope():
@@ -144,7 +182,40 @@ def test_siegel_d_equals_k_slope():
                         subspace_basis=[[1, 0]])
     # restriction of (q x1 - p x2) to span((1,0)) is q != 0
     assert not rep.hypothesis_failures
+    assert [row[1] for row in rep.rows_] == qseq == _oracle_dets(forms, [[1, 0]])
     assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.35
+
+
+def test_siegel_selects_rows_like_the_greedy_fraction_oracle():
+    # three forms on Z^3 restricted to span((1,0,0), (0,1,1)): some n have a
+    # zero or a dependent restricted row, which the selection skips, and
+    # some have dependent forms
+    rng = random.Random(19)
+    basis = [[1, 0, 0], [0, 1, 1]]
+    forms = []
+    for _ in range(60):
+        while True:
+            fs = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+            if rng.random() < 0.3:
+                fs[0] = [0, fs[0][1], -fs[0][1]]                       # restriction 0
+            if rng.random() < 0.4:
+                fs[1] = [2 * fs[0][0], 2 * fs[0][1] + 1, 2 * fs[0][2] - 1]  # restriction x2
+            if cofactor_det(fs) or rng.random() < 0.05:
+                break
+        forms.append(fs)
+    qseq = [10 + n for n in range(len(forms))]
+    rep = siegel_verify(forms, qseq, points=[[1.0, 0.5, 0.25]], taus=[0.5],
+                        subspace_basis=basis)
+    dets = _oracle_dets(forms, basis)
+    failed = {f["n"] for f in rep.hypothesis_failures}
+    assert failed == {n for n, det in enumerate(dets, 1) if det is None}
+    assert [(row[0], row[1]) for row in rep.rows_] == [
+        (n, det) for n, det in enumerate(dets, 1) if det is not None]
+    choices = {tuple(select_independent_rows(
+        [[f[0], f[1] + f[2]] for f in fs], 2) or ()) for fs in forms}
+    assert {(0, 1), (0, 2), (1, 2)} <= choices
+    assert 0 < len(failed) < len(forms)
+    assert len({abs(row[1]) for row in rep.rows_}) > 5
 
 
 def test_convex_body_emptiness_golden():

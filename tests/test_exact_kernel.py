@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc
 
-from oracles import QPolynomial, pochhammer, poly_eval_precise, power_sum
-from zetaforms.exact_kernel import harmonic_prefixes, lcm_upto
+from oracles import (QPolynomial, cofactor_det, pochhammer, poly_eval_precise, power_sum,
+                     row_echelon, select_independent_rows)
+from zetaforms.exact_kernel import echelon, harmonic_prefixes, lcm_upto
 
 
 def test_pochhammer_basics():
@@ -129,3 +130,52 @@ def test_lcm_rejects_bad_input():
         lcm_upto(0)
     with pytest.raises(ValueError):
         pochhammer(1, -1)
+
+
+def _echelon_cases():
+    rng = random.Random(2024)
+    cases = [[], [[]], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]], [[5]], [[-3, 6, 9]],
+             [[1, 2], [2, 4], [3, 6]], [[2, 4, 6], [2, 4, 6]], [[0, 1], [1, 0]]]
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        size = rng.choice((1, 3, 40, 10**9))
+        density = rng.random()
+        mat = [[rng.randint(-size, size) if rng.random() < density else 0
+                for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            mat[rng.randrange(nrows)] = list(mat[rng.randrange(nrows)])
+        cases.append(mat)
+    return cases
+
+
+def test_echelon_matches_fraction_oracle_and_cofactor_det():
+    shapes = set()
+    for mat in _echelon_cases():
+        ech = echelon(mat)
+        work = [[Fraction(x) for x in row] for row in mat]
+        rank, pivots = row_echelon(work)
+        assert (ech.rank, list(ech.pivots)) == (rank, pivots), mat
+        assert [[Fraction(x, ech.scale) for x in row] for row in ech.rows] == work, mat
+        nrows, ncols = len(mat), len(mat[0]) if mat else 0
+        assert ech.det == (cofactor_det(mat) if nrows == ncols else 0), mat
+        shapes.add("wide" if ncols > nrows else "tall" if ncols < nrows else "square")
+    assert shapes == {"wide", "tall", "square"}
+
+
+def test_echelon_leaves_its_input_alone_and_rejects_ragged_rows():
+    mat = [[2, 3], [4, 5]]
+    assert echelon(mat).det == -2
+    assert mat == [[2, 3], [4, 5]]
+    assert echelon([]).rank == 0 and echelon([]).det == 1
+    with pytest.raises(ValueError):
+        echelon([[1, 2], [3]])
+
+
+def test_echelon_pivots_of_transpose_are_the_greedy_row_choice():
+    for mat in _echelon_cases():
+        if not mat or not mat[0]:
+            continue
+        ech = echelon([list(col) for col in zip(*mat)])
+        for d in range(1, len(mat[0]) + 1):
+            mine = list(ech.pivots[:d]) if ech.rank >= d else None
+            assert mine == select_independent_rows(mat, d), (mat, d)
