@@ -31,7 +31,6 @@ from .highprec import (              # noqa: F401
 from .saddle import (                # noqa: F401
     SaddlePlane,
     SaddleData,
-    q_eval,
     find_mu1,
     find_tau0,
     compute_constants,

@@ -110,7 +110,7 @@ def saddle_json(data, assumptions: dict | None = None) -> dict:
         "log_eps_a": mpf_str(data.log_eps_a, digits),
         "log_eps_pp_a": mpf_str(data.log_eps_pp_a, digits),
         "eps_a_lt_1": bool(data.log_eps_a < 0),
-        "eps_pp_lt_eps": bool(data.log_eps_pp_a < data.log_eps_a),
+        "eps_pp_lt_eps": bool(data.log_eps_gap > 0),
         "omega_a": mpf_str(data.omega_a, digits),
         "phi_a": mpf_str(data.phi_a, digits),
         "diagnostics": {

@@ -136,7 +136,7 @@ def cmd_asymptotics(args) -> int:
     doc["provenance"] = provenance("asymptotics", {"a": args.a, "r": r}, data.dps)
     if warnings:
         doc["warnings"] = warnings
-    asserted = bool(data.log_eps_pp_a < data.log_eps_a < 0)
+    asserted = bool(data.log_eps_gap > 0 and data.log_eps_a < 0)
     doc["pass"] = asserted
     _emit(doc, args.out, "json")
     return EXIT_OK if asserted else EXIT_CHECK_FAILED

@@ -319,9 +319,11 @@ def zeta_rank_bound(a: int, dps: int | None = None,
     Emits bound = 2 + tau_1 + tau_2, the limit target 2 log a / (1 + log 2)
     and the intermediate 2 log r / (1 + log 2) the derivation passes
     through.  Since eps'' < eps, tau_2 > tau_1; the gap tau_2 - tau_1 is
-    emitted as a decimal string at working precision ("tau_gap"), because
-    the float fields round both exponents to the same double from about
-    a = 1e10 on.
+    emitted as a decimal string ("tau_gap"), because the float fields
+    round both exponents to the same double from about a = 1e10 on.  It
+    is log eps - log eps'' over log beta, with the numerator taken from
+    the root offsets (SaddleData.log_eps_gap): from about a = 1e30 the
+    two exponents agree to working precision.
     """
     r = r_of_a(a)
     data = saddle_data if saddle_data is not None else compute_constants(a, r, dps)
@@ -336,7 +338,8 @@ def zeta_rank_bound(a: int, dps: int | None = None,
             raise ArithmeticError(
                 f"nonpositive exponent (tau1={mp.nstr(tau1, 8)}, tau2={mp.nstr(tau2, 8)}): "
                 "the scaled forms do not decay at this a")
-        if tau1 == tau2:
+        gap = data.log_eps_gap / log_beta          # tau2 - tau1
+        if not gap > 0:
             raise ArithmeticError("tau1 == tau2; distinctness required")
         bound = 2 + tau1 + tau2
         reference = 2 * mp.log(a) / (1 + mp.log(2))
@@ -347,7 +350,7 @@ def zeta_rank_bound(a: int, dps: int | None = None,
             "log_beta": float(log_beta),
             "tau1": float(tau1),
             "tau2": float(tau2),
-            "tau_gap": mp.nstr(tau2 - tau1, 20),
+            "tau_gap": mp.nstr(gap, 20),
             "bound": float(bound),
             "reference_2loga_over_1plog2": float(reference),
             "intermediate_2logr_over_1plog2": float(intermediate),

@@ -153,7 +153,7 @@ class SiegelReport:
     tau_sum: float
     rows_: tuple                       # (n, det, log|det|/logQ, logBound/logQ)
     hypothesis_failures: tuple
-    bound_slope: float                 # fitted exponent of the bound product
+    bound_slope: float | None          # fitted exponent of the bound product
     expected_bound_slope: float        # d - k - sum(tau)
 
     @property
@@ -173,7 +173,8 @@ def siegel_verify(forms_per_n: Sequence[Sequence[Sequence[int]]],
     select d rows with a nonzero exact determinant, and record it; the
     column-combination upper bound d! prod_j max_t |L^t(e_j)| *
     (p ||l||_inf ||W||)^(d-k) is tracked alongside and its fitted exponent
-    compared against d - k - sum tau.
+    compared against d - k - sum tau.  Exponents of a row with q_n = 1, and
+    the fitted exponent of fewer than two rows, are undefined and None.
     """
     U = [list(map(int, u)) for u in subspace_basis]
     d = len(U)
@@ -213,15 +214,15 @@ def siegel_verify(forms_per_n: Sequence[Sequence[Sequence[int]]],
         if lq > 0:
             rows_out.append((n, det, math.log(abs(det)) / lq if det else float("-inf"),
                              bnd / lq))
-        else:
-            rows_out.append((n, det, float("nan"), float("nan")))
+        else:                            # q_n = 1: no exponent is defined
+            rows_out.append((n, det, None, None))
         logs.append((lq, bnd))
     if len(logs) >= 2:
         xs = np.array([x for x, _ in logs])
         ys = np.array([y for _, y in logs])
         slope = float(np.polyfit(xs, ys, 1)[0])
     else:
-        slope = float("nan")
+        slope = None
     return SiegelReport(d=d, k=k, tau_sum=float(sum(taus)),
                         rows_=tuple(rows_out),
                         hypothesis_failures=tuple(hypothesis_failures),

@@ -14,7 +14,10 @@ along (-inf, 1] and [c, +inf) the phase
 
 is real on (1, c); principal logarithm branches realize exactly that
 determination.  On the upper bank of [c, +inf) the middle term continues
-to log(tau-c) - i pi.  With f0 = f - tau f':
+to log(tau-c) - i pi.  With
+
+    f0 = f - tau f' = 3c (log(tau+c) + log(c-tau))
+                      - (a+3) (log(tau-1) + log(tau+1)) + 2(a-6r) log 2:
 
     log eps   = Re f0(mu1 + i0)        (growth rate of the plain sums)
     log eps'' = Re f0(tau0)            (growth rate of the derived sums)
@@ -23,12 +26,18 @@ to log(tau-c) - i pi.  With f0 = f - tau f':
 
 with g(tau) = (tau+c)^{3/2} (c-tau)^{3/2} / ((tau+1) (tau-1))^{(a+3)/2}.
 
-Everything is evaluated by powering factored forms; the polynomial is
-never expanded.  Root certificates (bracket or Newton trace plus scaled
-residual) are recorded with each root, and a root whose residual is not
-small at the working precision is refused with ArithmeticError.  With the
-default r = r_of_a(a) the roots certify through a = 1e16 + 1; from about
-1e17 the Newton polish of mu1 stalls short of the root and is refused.
+Both roots solve one equation in offset coordinates.  Q = A - B with
+A = (X+c)^3 (X-1)^{a+3} and B = (X-c)^3 (X+1)^{a+3}, so Q vanishes where
+F = log B - log A does.  With mu1 = c + e^u and tau0 = c - e^w (F taken
+on the branch F = i pi - f'(tau0)), one Newton iteration on the log
+offset u or w finds either root from the closed-form small-offset start,
+at any size of the offset, also where c + e^u rounds to c.  The offsets
+are kept next to the roots, and the constants and branch angles are
+evaluated from them.  The polynomial is never expanded.  Each root
+carries a certificate (Newton trace plus the scaled residual
+|A - B| / max(|A|, |B|), computed as |expm1(F)|), and a root whose
+residual is not small at the working precision is refused with
+ArithmeticError.
 """
 from __future__ import annotations
 
@@ -95,40 +104,40 @@ class SaddlePlane:
             return mp.log(tau - self.c) - mpc(0, mp.pi)
         return mp.log(self.c - tau)
 
-    def f(self, tau, bank: str | None = None):
+    def _phase_at(self, tau, bank):
         self._check_point(tau, bank)
-        a, c = self.a, self.c
-        return (3 * (tau + c) * mp.log(tau + c)
-                + 3 * (c - tau) * self._log_middle(tau, bank)
-                + (a + 3) * (tau - 1) * mp.log(tau - 1)
-                - (a + 3) * (tau + 1) * mp.log(tau + 1)
-                + 2 * (a - 6 * self.r) * mp.log(2))
+        return _phase(self.a, self.r, self.c - tau, self._log_middle(tau, bank))
+
+    def f(self, tau, bank: str | None = None):
+        return self._phase_at(tau, bank)[0]
 
     def f_prime(self, tau, bank: str | None = None):
-        self._check_point(tau, bank)
-        a, c = self.a, self.c
-        return (3 * mp.log(tau + c) - 3 * self._log_middle(tau, bank)
-                + (a + 3) * (mp.log(tau - 1) - mp.log(tau + 1)))
+        return self._phase_at(tau, bank)[1]
 
     def f_second(self, tau):
-        a, c = self.a, self.c
-        return (3 / (tau + c) + 3 / (c - tau)
-                + (a + 3) / (tau - 1) - (a + 3) / (tau + 1))
+        return _f_second(self.a, self.r, self.c - tau)
 
     def f0(self, tau, bank: str | None = None):
-        return self.f(tau, bank) - tau * self.f_prime(tau, bank)
+        return self._phase_at(tau, bank)[2]
 
-    def g(self, tau):
-        a, c = self.a, self.c
-        return ((tau + c) ** mpf(1.5) * (c - tau) ** mpf(1.5)
-                / ((tau + 1) ** (mpf(a + 3) / 2) * (tau - 1) ** (mpf(a + 3) / 2)))
 
-    def g_arg(self, tau) -> mpf:
-        """arg g(tau) via the angle sum, reduced to (-pi, pi]."""
-        a, c = self.a, self.c
-        raw = (mpf(3) / 2 * (mp.arg(tau + c) + mp.arg(c - tau))
-               - mpf(a + 3) / 2 * (mp.arg(tau + 1) + mp.arg(tau - 1)))
-        return reduce_angle(raw)
+def _phase(a: int, r: int, z, log_z):
+    """f, f' and f0 = f - tau f' at tau = c - z, from the offset z and the
+    branch log_z of log(c - tau); they stay accurate where c - z rounds to
+    c."""
+    c = 2 * r + 1
+    lc, l1, l2 = mp.log(2 * c - z), mp.log(c - 1 - z), mp.log(c + 1 - z)
+    k = 2 * (a - 6 * r) * mp.log(2)
+    f = (3 * (2 * c - z) * lc + 3 * z * log_z
+         + (a + 3) * ((c - 1 - z) * l1 - (c + 1 - z) * l2) + k)
+    fp = 3 * lc - 3 * log_z + (a + 3) * (l1 - l2)
+    return f, fp, 3 * c * (lc + log_z) - (a + 3) * (l1 + l2) + k
+
+
+def _f_second(a: int, r: int, z):
+    """f'' at tau = c - z."""
+    c = 2 * r + 1
+    return 3 / (2 * c - z) + 3 / z + (a + 3) * (1 / (c - 1 - z) - 1 / (c + 1 - z))
 
 
 def reduce_angle(x) -> mpf:
@@ -147,23 +156,6 @@ def angle_distance(x, target, modulus) -> mpf:
     return abs(d)
 
 
-def q_eval(a: int, r: int, x):
-    """Q(x) by powered factors; works for complex x and any a."""
-    c = 2 * r + 1
-    return (x + c) ** 3 * (x - 1) ** (a + 3) - (x - c) ** 3 * (x + 1) ** (a + 3)
-
-
-def q_scaled_residual(a: int, r: int, x):
-    """|Q(x)| relative to the larger of its two competing products."""
-    c = 2 * r + 1
-    A = (x + c) ** 3 * (x - 1) ** (a + 3)
-    B = (x - c) ** 3 * (x + 1) ** (a + 3)
-    scale = max(abs(A), abs(B))
-    if scale == 0:
-        return mpf(0)
-    return abs(A - B) / scale
-
-
 def _certify_root(name: str, resid, dps: int) -> None:
     """Refuse a root whose scaled residual is not below 10^-(dps/2).
 
@@ -174,170 +166,92 @@ def _certify_root(name: str, resid, dps: int) -> None:
                               f"{mp.nstr(resid, 3)} at {dps} digits")
 
 
-def _q_newton_step(a, r, x):
+_STEP_CAP = 200
+
+
+def _offset_equation(a: int, r: int, v, quadrant: bool):
+    """z = c - X and F(v) = log B - log A at X = c + e^v (mu1) or c - e^v
+    (tau0, on the branch F = i pi - f'(X)); e^F = B/A in both cases."""
     c = 2 * r + 1
-    A = (x + c) ** 3 * (x - 1) ** (a + 3)
-    B = (x - c) ** 3 * (x + 1) ** (a + 3)
-    Ap = A * (3 / (x + c) + (a + 3) / (x - 1))
-    Bp = B * (3 / (x - c) + (a + 3) / (x + 1))
-    return (A - B) / (Ap - Bp)
+    z = mp.exp(v) if quadrant else -mp.exp(v)
+    F = 3 * v - 3 * mp.log(2 * c - z) + (a + 3) * mp.log1p(2 / (c - 1 - z))
+    return z, (F + mpc(0, mp.pi) if quadrant else F)
 
 
-def find_mu1(a: int, r: int, dps: int | None = None) -> tuple[mpf, dict]:
-    """Unique real root of Q above c = 2r+1, with a bracketing certificate.
+def _scaled_residual(F):
+    """|A - B| / max(|A|, |B|) from F = log B - log A."""
+    return abs(mp.expm1(F if mp.re(F) <= 0 else -F))
 
-    Q(c+) > 0 and Q -> -inf (the X^{a+5} coefficient is 12r - 2a < 0), so
-    a geometric scan locates a sign change; bisection plus a Newton polish
-    finish at working precision.
+
+def _log_offset_newton(a: int, r: int, dps: int, quadrant: bool) -> tuple:
+    """Newton on F(v) = 0 for the log offset v of mu1 (quadrant False) or
+    tau0 (quadrant True), from the closed-form small-offset solution
+    v = log 2c - ((a+3)/3) log((c+1)/(c-1)) (minus i pi/3 for tau0).
+
+    dF/dv = z f''(c - z) stays near 3 while the offset is small, so the
+    iteration converges at any size of e^v.  It stops when the step falls
+    below 10^-(dps-8) relative to v, or once the steps, already past half
+    precision, stop shrinking (rounding noise).  Returns the root and its
+    certificate, whose "offset" string reads back exactly at dps digits.
     """
-    if 6 * r >= a:
-        raise ValueError("need 6r < a for the sign change at infinity")
-    dps = dps or default_dps(a)
     c = 2 * r + 1
+    name = "tau0" if quadrant else "mu1"
     with mp.workdps(dps):
-        d = mpf(1) / 1024
-        expansions = 0
-        while mp.sign(q_eval(a, r, c + d)) > 0:
-            d *= 2
-            expansions += 1
-            if expansions > 120:
-                raise ArithmeticError("no sign change of Q found above c")
-        lo = c + d / 2 if expansions else mpf(c)
-        hi = c + d
-        bracket = (lo, hi)
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            if mp.sign(q_eval(a, r, mid)) > 0:
-                lo = mid
-            else:
-                hi = mid
-        x = (lo + hi) / 2
-        trace = []
-        for _ in range(200):
-            step = _q_newton_step(a, r, x)
-            x -= step
-            trace.append(float(abs(step)))
-            if abs(step) < mpf(10) ** (-(dps - 8)) * max(abs(x), 1):
+        v = mp.log(2 * c) - mpf(a + 3) / 3 * mp.log1p(mpf(2) / (c - 1))
+        if quadrant:
+            v = mpc(v, -mp.pi / 3)
+        start = mp.exp(v)
+        tol, half = mpf(10) ** (-(dps - 8)), mpf(10) ** (-(dps // 2))
+        steps, last = 0, None
+        while steps < _STEP_CAP:
+            z, F = _offset_equation(a, r, v, quadrant)
+            step = F / (z * _f_second(a, r, z))
+            if last is not None and last < half and abs(step) >= last:
                 break
-        resid = q_scaled_residual(a, r, x)
+            v -= step
+            steps += 1
+            last = abs(step)
+            if last < tol * max(1, abs(v)):
+                break
+        z, F = _offset_equation(a, r, v, quadrant)
+        offset = mp.exp(v)
+        root = c - z
+        resid = _scaled_residual(F)
         cert = {
-            "method": "bracket+newton",
-            "bracket": [mp.nstr(bracket[0], 20), mp.nstr(bracket[1], 20)],
-            "newton_steps": len(trace),
-            "last_step": trace[-1] if trace else 0.0,
+            "method": "log-offset-newton",
+            "initial_offset": mp.nstr(start, 20),
+            "offset": mp.nstr(offset, dps + 3),
+            "newton_steps": steps,
+            "last_step": float(last) if last is not None else 0.0,
             "scaled_residual": mp.nstr(resid, 8),
             "dps": dps,
         }
-        if not (x > c):
-            raise ArithmeticError(f"mu1 search left the domain: {x}")
-        _certify_root("mu1", resid, dps)
-    return x, cert
+        if quadrant and not (mp.re(root) > 0 and -mp.pi < mp.im(v) < 0):
+            raise ArithmeticError(f"tau0 search left the quadrant: {root}")
+        _certify_root(name, resid, dps)
+    return root, cert
 
 
-def _tau0_initial_guess(a: int, r: int) -> mpc:
-    """Damped fixed point of the phase equation 3 log z = h(c - z) - i pi,
-    z = c - tau.  Converges toward the quadrant root for every scale of a;
-    for very large a it lands in the regime where |tau0 - c| is tiny."""
-    c = 2 * r + 1
-    with mp.workdps(40):
-        z = mpf("0.01") * mp.exp(mpc(0, -mp.pi / 3))
-        for _ in range(220):
-            tau = c - z
-            h = 3 * mp.log(tau + c) + (a + 3) * (mp.log(tau - 1) - mp.log(tau + 1))
-            znew = mp.exp((h - mpc(0, mp.pi)) / 3)
-            z = (z + znew) / 2
-        return mpc(c - z)
+def find_mu1(a: int, r: int, dps: int | None = None) -> tuple[mpf, dict]:
+    """Unique real root of Q above c = 2r+1, with a Newton certificate.
+
+    Q(c+) > 0 and Q -> -inf (the X^{a+5} coefficient is 12r - 2a < 0), so
+    the root exists; it is found as c + e^u by `_log_offset_newton`.  Where
+    e^u is below the resolution of c the returned root rounds to c, and the
+    certificate's "offset" holds e^u.
+    """
+    if 6 * r >= a:
+        raise ValueError("need 6r < a for the sign change at infinity")
+    return _log_offset_newton(a, r, dps or default_dps(a), quadrant=False)
 
 
 def find_tau0(a: int, r: int, dps: int | None = None) -> tuple[mpc, dict]:
     """Unique root of Q with Re > 0, Im > 0, with a Newton certificate.
 
-    Falls back to an argument-principle rectangle subdivision if Newton
-    leaves the quadrant.
+    Found as c - e^w with -pi < Im w < 0 by `_log_offset_newton`, on the
+    branch f'(tau0) = i pi; the certificate's "offset" holds e^w = c - tau0.
     """
-    dps = dps or default_dps(a)
-    with mp.workdps(dps):
-        guess = x = _tau0_initial_guess(a, r)
-        trace = []
-        ok = True
-        for _ in range(400):
-            step = _q_newton_step(a, r, x)
-            x -= step
-            trace.append(float(abs(step)))
-            if mp.re(x) <= 0 or mp.im(x) <= 0:
-                ok = False
-                break
-            if abs(step) < mpf(10) ** (-(dps - 8)) * max(abs(x), 1):
-                break
-        if not ok:
-            x = _tau0_by_subdivision(a, r, dps)
-            for _ in range(400):
-                step = _q_newton_step(a, r, x)
-                x -= step
-                trace.append(float(abs(step)))
-                if abs(step) < mpf(10) ** (-(dps - 8)) * max(abs(x), 1):
-                    break
-        if mp.re(x) <= 0 or mp.im(x) <= 0:
-            raise ArithmeticError(f"tau0 search left the quadrant: {x}")
-        resid = q_scaled_residual(a, r, x)
-        cert = {
-            "method": "fixed-point-init+newton" + ("" if ok else "+subdivision"),
-            "initial_guess": mp.nstr(guess, 20),
-            "newton_steps": len(trace),
-            "last_step": trace[-1] if trace else 0.0,
-            "scaled_residual": mp.nstr(resid, 8),
-            "dps": dps,
-        }
-        _certify_root("tau0", resid, dps)
-    return x, cert
-
-
-def _winding_number(a, r, corners, samples_per_edge=256) -> int:
-    total = mpf(0)
-    prev_arg = None
-    pts = []
-    for i in range(4):
-        z0, z1 = corners[i], corners[(i + 1) % 4]
-        for k in range(samples_per_edge):
-            pts.append(z0 + (z1 - z0) * mpf(k) / samples_per_edge)
-    pts.append(pts[0])
-    for p in pts:
-        v = q_eval(a, r, p)
-        cur = mp.arg(v)
-        if prev_arg is not None:
-            d = cur - prev_arg
-            while d > mp.pi:
-                d -= 2 * mp.pi
-            while d <= -mp.pi:
-                d += 2 * mp.pi
-            total += d
-        prev_arg = cur
-    return int(mp.nint(total / (2 * mp.pi)))
-
-
-def _tau0_by_subdivision(a, r, dps) -> mpc:
-    """Rectangle subdivision on the quadrant using the argument principle."""
-    c = 2 * r + 1
-    lo_re, hi_re = mpf(1) / 4, mpf(2 * c + 2)
-    lo_im, hi_im = mpf(1) / 1024, mpf(c + 1)
-    for _ in range(60):
-        if hi_re - lo_re < mpf(10) ** -6 and hi_im - lo_im < mpf(10) ** -6:
-            break
-        mid_re = (lo_re + hi_re) / 2
-        mid_im = (lo_im + hi_im) / 2
-        found = False
-        for (r0, r1, i0, i1) in (
-            (lo_re, mid_re, lo_im, mid_im), (mid_re, hi_re, lo_im, mid_im),
-            (lo_re, mid_re, mid_im, hi_im), (mid_re, hi_re, mid_im, hi_im),
-        ):
-            corners = [mpc(r0, i0), mpc(r1, i0), mpc(r1, i1), mpc(r0, i1)]
-            if _winding_number(a, r, corners) >= 1:
-                lo_re, hi_re, lo_im, hi_im = r0, r1, i0, i1
-                found = True
-                break
-        if not found:
-            break
-    return mpc((lo_re + hi_re) / 2, (lo_im + hi_im) / 2)
+    return _log_offset_newton(a, r, dps or default_dps(a), quadrant=True)
 
 
 @dataclass(frozen=True)
@@ -345,9 +259,12 @@ class SaddleData:
     a: int
     r: int
     mu1: mpf
+    mu1_offset: mpf              # mu1 - c, kept since c + offset may round to c
     tau0: mpc
+    tau0_offset: mpc             # c - tau0
     log_eps_a: mpf
     log_eps_pp_a: mpf
+    log_eps_gap: mpf             # log eps - log eps'', > 0 when eps'' < eps
     omega_a: mpf
     phi_a: mpf
     alpha_plus: mpf
@@ -391,39 +308,48 @@ class SaddleData:
 def compute_constants(a: int, r: int, dps: int | None = None) -> SaddleData:
     """All asymptotic constants for (a, r), with residual certificates.
 
-    Raises ArithmeticError when either root fails its certificate."""
+    Everything is evaluated from the root offsets delta = mu1 - c and
+    z = c - tau0 (log(c - tau), 3/(c - tau) and arg(c - tau) included), so
+    the constants stay right where c + delta rounds to c.  Raises
+    ArithmeticError when either root fails its certificate."""
     dps = dps or default_dps(a)
-    plane = SaddlePlane(a=a, r=r)
+    c = SaddlePlane(a=a, r=r).c
     mu1, cert_mu = find_mu1(a, r, dps)
     tau0, cert_tau = find_tau0(a, r, dps)
-    c = plane.c
     with mp.workdps(dps):
-        f0_mu = plane.f0(mu1, bank="upper")
-        log_eps = mp.re(f0_mu)
-        f_t = plane.f(tau0)
-        fp_t = plane.f_prime(tau0)
-        f0_t = f_t - tau0 * fp_t
+        delta = mpf(cert_mu["offset"])
+        z = mp.mpmathify(cert_tau["offset"])
+        log_delta, log_z = mp.log(delta), mp.log(z)
+        # mu1 + i0 lies on the upper bank: log(c - mu1) = log delta - i pi
+        log_eps = mp.re(_phase(a, r, -delta, log_delta - mpc(0, mp.pi))[2])
+        _, fp_t, f0_t = _phase(a, r, z, log_z)
         log_eps_pp = mp.re(f0_t)
+        # log eps - log eps'' from the root equations, so that its sign is
+        # decided also where the two agree to working precision
+        s = delta + z
+        p, m, q = (mp.re(mp.log1p(s / (k - z))) for k in (2 * c, c - 1, c + 1))
+        gap = 6 * c * p - (a + 3) * ((c + 1) * q - (c - 1) * m)
         omega = mp.im(f0_t)
-        fpp = plane.f_second(tau0)
-        phi = reduce_angle(-mp.arg(fpp) / 2 + plane.g_arg(tau0))
-        alpha_p = mp.arg(tau0 - 1)
-        alpha_m = mp.arg(tau0 + 1)
-        beta_p = -mp.arg(c - tau0)
-        beta_m = mp.arg(tau0 + c)
+        alpha_p = mp.arg(c - 1 - z)
+        alpha_m = mp.arg(c + 1 - z)
+        beta_p = -mp.im(log_z)
+        beta_m = mp.arg(2 * c - z)
+        # arg g(tau0) as the angle sum of its factors
+        g_arg = mpf(3) / 2 * (beta_m - beta_p) - mpf(a + 3) / 2 * (alpha_m + alpha_p)
+        phi = reduce_angle(-mp.arg(_f_second(a, r, z)) / 2 + g_arg)
         identity_residual = 3 * (beta_m + beta_p) + (a + 3) * (alpha_p - alpha_m) - mp.pi
         fp_diag = abs(fp_t - mpc(0, mp.pi))
         data = SaddleData(
-            a=a, r=r, mu1=mu1, tau0=tau0,
-            log_eps_a=log_eps, log_eps_pp_a=log_eps_pp,
+            a=a, r=r, mu1=mu1, mu1_offset=delta, tau0=tau0, tau0_offset=z,
+            log_eps_a=log_eps, log_eps_pp_a=log_eps_pp, log_eps_gap=gap,
             omega_a=omega, phi_a=phi,
             alpha_plus=alpha_p, alpha_minus=alpha_m,
             beta_plus=beta_p, beta_minus=beta_m,
             nu_a=nu_of(a),
             angle_identity_residual=identity_residual,
             fprime_tau0_minus_ipi=fp_diag,
-            mu1_residual=q_scaled_residual(a, r, mu1),
-            tau0_residual=q_scaled_residual(a, r, tau0),
+            mu1_residual=_scaled_residual(_offset_equation(a, r, log_delta, False)[1]),
+            tau0_residual=_scaled_residual(_offset_equation(a, r, log_z, True)[1]),
             dps=dps,
             certificates={"mu1": cert_mu, "tau0": cert_tau},
         )
@@ -442,17 +368,17 @@ def check_assumptions(a: int, r: int, data: SaddleData,
     Also reports the root-proximity diagnostics mu1 - c vs nu(a) and
     |tau0 - c| < |mu1 - c|.  Proximity to nu(a) is a large-a asymptotic
     and routinely fails at accessible a; it is reported, never asserted.
+    Both gaps are read from the root offsets.
     """
-    c = 2 * r + 1
     with mp.workdps(data.dps):
         window = min(mpf(3 * r * (r + 1)) / (2 * (a + 3)),
                      mpf(r * (r + 1)) / (3 * (2 * r + 1)))
-        cond1_pass = bool(data.mu1 <= c + window)
+        mu_gap = data.mu1_offset
+        cond1_pass = bool(mu_gap <= window)
         phi_dist = angle_distance(data.phi_a, mp.pi / 2, mp.pi)
         omega_dist = angle_distance(data.omega_a, 0, mp.pi)
         cond2_pass = bool(phi_dist > angle_tol and omega_dist > angle_tol)
         cond3_pass = bool(abs(data.angle_identity_residual) < identity_tol)
-        mu_gap = data.mu1 - c
         report = {
             "a": a, "r": r,
             "cond1_mu1_window": {
@@ -474,7 +400,7 @@ def check_assumptions(a: int, r: int, data: SaddleData,
             "proximity_diagnostics": {
                 "nu_a": mp.nstr(data.nu_a, 8),
                 "mu1_minus_c_below_nu": bool(mu_gap < data.nu_a),
-                "tau0_closer_than_mu1": bool(abs(data.tau0 - c) < mu_gap),
+                "tau0_closer_than_mu1": bool(abs(data.tau0_offset) < mu_gap),
                 "note": "nu-proximity holds only for very large a; reported, not asserted",
             },
             "all_pass": cond1_pass and cond2_pass and cond3_pass,

@@ -1,9 +1,10 @@
 """Independent reference implementations that only the tests use.
 
 Dense polynomials over the rationals, rising factorials, exact power
-sums, the permutation product inequality and Gauss-Jordan elimination in
-Fraction arithmetic: slow, transparent routes that the package's own
-algorithms are checked against.
+sums, the product form of the saddle polynomial Q with an
+argument-principle root count, the permutation product inequality and
+Gauss-Jordan elimination in Fraction arithmetic: slow, transparent routes
+that the package's own algorithms are checked against.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from zetaforms.criterion import EpsTable, PermutationProductReport
 from zetaforms.exact_kernel import binomial, harmonic_prefixes
@@ -168,6 +169,73 @@ def q_expanded(a: int, r: int) -> QPolynomial:
     lhs = QPolynomial.from_roots(1, [(-c, 3), (1, a + 3)])
     rhs = QPolynomial.from_roots(1, [(c, 3), (-1, a + 3)])
     return lhs - rhs
+
+
+def q_eval(a: int, r: int, x):
+    """Q(x) by powered factors; works for complex x and any a."""
+    c = 2 * r + 1
+    return (x + c) ** 3 * (x - 1) ** (a + 3) - (x - c) ** 3 * (x + 1) ** (a + 3)
+
+
+def q_scaled_residual(a: int, r: int, x):
+    """|Q(x)| relative to the larger of its two competing products, from
+    the product form (the package computes it from the root offsets)."""
+    c = 2 * r + 1
+    A = (x + c) ** 3 * (x - 1) ** (a + 3)
+    B = (x - c) ** 3 * (x + 1) ** (a + 3)
+    scale = max(abs(A), abs(B))
+    if scale == 0:
+        return mpf(0)
+    return abs(A - B) / scale
+
+
+def q_prime(a: int, r: int, x):
+    """Q'(x) by powered factors."""
+    c = 2 * r + 1
+    A = (x + c) ** 3 * (x - 1) ** (a + 3)
+    B = (x - c) ** 3 * (x + 1) ** (a + 3)
+    return A * (3 / (x + c) + (a + 3) / (x - 1)) - B * (3 / (x - c) + (a + 3) / (x + 1))
+
+
+def argument_principle_count(f: Callable, df: Callable, corners: Sequence,
+                             samples: int = 64, max_depth: int = 60) -> int:
+    """Zeros of the analytic f (derivative df) inside the polygon with these
+    corners (counterclockwise), as the winding number of f along its
+    boundary.
+
+    Each edge starts from `samples` pieces.  A piece's turn of arg f is
+    read off the principal argument of f(end) / f(start).  It is accepted
+    when that turn is at most pi/4 and the piece's length times |f'/f| at
+    either end is at most pi/4, and is halved otherwise.  For a polynomial
+    |f'/f| = |sum 1/(z - root)| grows near every root, so a root close to
+    a piece forces it to be halved; near a logarithmic singularity the
+    ends do not bound the turn, so f should be a polynomial.  Raises
+    ArithmeticError when f vanishes on the boundary or a piece cannot be
+    resolved."""
+    def point(z):
+        v = f(z)
+        if v == 0:
+            raise ArithmeticError(f"f vanishes on the boundary at {z}")
+        return z, v, abs(df(z) / v)
+
+    def turn(p0, p1, depth):
+        d = mp.arg(p1[1] / p0[1])
+        if abs(d) <= mp.pi / 4 and abs(p1[0] - p0[0]) * max(p0[2], p1[2]) <= mp.pi / 4:
+            return d
+        if depth == max_depth:
+            raise ArithmeticError(f"winding unresolved between {p0[0]} and {p1[0]}")
+        pm = point((p0[0] + p1[0]) / 2)
+        return turn(p0, pm, depth + 1) + turn(pm, p1, depth + 1)
+
+    total = mpf(0)
+    for i, z0 in enumerate(corners):
+        z1 = corners[(i + 1) % len(corners)]
+        pts = [point(z0 + (z1 - z0) * mpf(k) / samples) for k in range(samples + 1)]
+        total += sum(turn(p0, p1, 0) for p0, p1 in zip(pts, pts[1:]))
+    count = total / (2 * mp.pi)
+    if abs(count - mp.nint(count)) > mpf(1) / 8:
+        raise ArithmeticError(f"winding number {count} is not near an integer")
+    return int(mp.nint(count))
 
 
 def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: int,

@@ -167,10 +167,12 @@ def test_criterion_5_saddle_certificates(saddle_certs):
         with mp.workdps(data.dps):
             bound_log = 6 * (r + 1) * mp.log(2) - 2 * (a - 6 * r) * mp.log(r)
         eps_bound_ok = data.log_eps_a <= bound_log
+        steps = "/".join(str(data.certificates[k]["newton_steps"]) for k in ("mu1", "tau0"))
         lines.append(f"a={a}: residuals {'ok' if resid_ok else 'BAD'}, "
                      f"identity {'ok' if identity_ok else 'BAD'}, "
                      f"eps ordering {'ok' if eps_ok else 'BAD'}, "
-                     f"eps bound {'ok' if eps_bound_ok else 'BAD'}")
+                     f"eps bound {'ok' if eps_bound_ok else 'BAD'}, "
+                     f"Newton steps mu1/tau0 {steps}")
         ok = ok and resid_ok and identity_ok and eps_ok and eps_bound_ok
     announce(f"criterion 5 (saddle certificates; {'; '.join(lines)}): "
              f"{'PASS' if ok else 'FAIL'}")

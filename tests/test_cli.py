@@ -3,6 +3,9 @@ import json
 from importlib import resources
 from pathlib import Path
 
+from mpmath import mp
+
+from zetaforms import saddle
 from zetaforms.cli import main
 
 
@@ -84,21 +87,35 @@ def test_rank_bound_1001(tmp_path):
 
 
 def test_rank_bound_distinct_past_float_resolution(tmp_path):
-    # tau1 and tau2 round to the same double here; the gap decides
-    out = tmp_path / "rank.json"
-    code = run(["rank-bound", "--a", "10000000001", "--out", str(out)])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["pass"]
-    assert doc["tau1"] == doc["tau2"]
-    assert float(doc["tau_gap"]) > 0
+    # tau1 and tau2 round to the same double at 1e10+1 and agree to working
+    # precision at 1e30+1 (gap 9.2e-593 at 370 digits); the gap decides
+    for a in (10**10 + 1, 10**30 + 1):
+        out = tmp_path / f"rank-{a}.json"
+        code = run(["rank-bound", "--a", str(a), "--out", str(out)])
+        assert code == 0, a
+        doc = json.loads(out.read_text())
+        assert doc["pass"]
+        assert doc["tau1"] == doc["tau2"]
+        assert mp.mpf(doc["tau_gap"]) > 0
 
 
-def test_asymptotics_uncertified_root_is_numeric_failure(capsys):
-    # Newton stalls short of mu1 at this a; the root must be refused
-    assert run(["asymptotics", "--a", "1000000000000000000000001"]) == 3
+def test_asymptotics_uncertified_root_is_numeric_failure(monkeypatch, capsys):
+    # a root run stopped short must be refused with the numeric-failure code
+    monkeypatch.setattr(saddle, "_STEP_CAP", 1)
+    assert run(["asymptotics", "--a", "13", "--r", "2"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert "not certified" in err["error"]["message"]
+
+
+def test_asymptotics_root_below_the_resolution_of_c(tmp_path):
+    # mu1 - c is about 1.08e-100 at 100 digits, so mu1 itself rounds to c
+    out = tmp_path / "saddle.json"
+    assert run(["asymptotics", "--a", "1001", "--r", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    gap = float(doc["assumption_report"]["cond1_mu1_window"]["mu1_minus_c"])
+    assert 1e-101 < gap < 1e-99
+    assert doc["pass"] and doc["eps_pp_lt_eps"]
+    assert doc["certificates"]["mu1"]["method"] == "log-offset-newton"
 
 
 def test_criterion_rank_fixture(tmp_path):

@@ -152,6 +152,24 @@ def test_siegel_sqrt2_consecutive_convergents():
     assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.35
 
 
+def test_siegel_report_equals_its_recomputation():
+    # q_1 = 1 leaves the first row's exponents undefined; they are None, not
+    # nan, so equal inputs give equal reports
+    cs = sqrt2_convergents(12)
+    forms = [[[q0, -p0], [q1, -p1]] for (p0, q0), (p1, q1) in zip(cs, cs[1:])]
+    qseq = [q0 for _p0, q0 in cs[:-1]]
+
+    def report(m):
+        return siegel_verify(forms[:m], qseq[:m], points=[[math.sqrt(2), 1.0]],
+                             taus=[1.0], subspace_basis=[[1, 0], [0, 1]])
+
+    rep = report(len(forms))
+    assert rep.rows_[0][2:] == (None, None) and rep.bound_slope is not None
+    assert rep == report(len(forms))
+    single = report(1)
+    assert single.bound_slope is None and single == report(1)
+
+
 def test_siegel_duplicate_forms_rejected():
     forms = [[[1, 2], [1, 2]]]
     rep = siegel_verify(forms, [10], points=[[1.5, 1.0]], taus=[1.0],

@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf, mpc
 
+from zetaforms import saddle
 from zetaforms.saddle import (
     SaddlePlane,
     angle_distance,
@@ -9,12 +10,17 @@ from zetaforms.saddle import (
     find_mu1,
     find_tau0,
     nu_of,
-    q_eval,
-    q_scaled_residual,
     r_of_a,
     reduce_angle,
 )
-from oracles import poly_eval_precise, q_expanded
+from oracles import (
+    argument_principle_count,
+    poly_eval_precise,
+    q_eval,
+    q_expanded,
+    q_prime,
+    q_scaled_residual,
+)
 
 
 def test_q_at_special_points():
@@ -161,12 +167,104 @@ def test_check_assumptions_13_2_reports_regardless():
     assert rep["cond2_nondegenerate_angles"]["pass"]
 
 
-def test_uncertified_root_is_refused():
-    # Newton stalls short of both roots here (scaled residuals 1.0); the
-    # constants must not be returned
-    a = 10**24 + 1
+def test_uncertified_root_is_refused(monkeypatch):
+    # a Newton run stopped short leaves a residual far above 10^-(dps/2);
+    # neither the root nor the constants may be returned
+    monkeypatch.setattr(saddle, "_STEP_CAP", 1)
+    with pytest.raises(ArithmeticError, match="mu1 is not certified"):
+        find_mu1(13, 2)
+    with pytest.raises(ArithmeticError, match="tau0 is not certified"):
+        find_tau0(13, 2)
     with pytest.raises(ArithmeticError, match="not certified"):
-        compute_constants(a, r_of_a(a))
+        compute_constants(13, 2)
+
+
+def _assert_certified(data):
+    half = mpf(10) ** (-(data.dps // 2))
+    for name in ("mu1", "tau0"):
+        cert = data.certificates[name]
+        assert mpf(cert["scaled_residual"]) < half, (name, cert)
+        assert 0 < cert["newton_steps"] < saddle._STEP_CAP, (name, cert)
+    assert data.mu1_residual < half and data.tau0_residual < half
+    assert all(mp.isfinite(x) for x in (data.log_eps_a, data.log_eps_pp_a,
+                                        data.omega_a, data.phi_a, data.log_eps_gap))
+    assert data.log_eps_a < 0 and data.log_eps_gap > 0     # eps'' < eps < 1
+    assert abs(data.angle_identity_residual) < mpf(10) ** -20
+    assert data.fprime_tau0_minus_ipi < half
+    assert data.mu1_offset > 0 and mp.re(data.tau0) > 0 and mp.im(data.tau0) > 0
+
+
+def test_roots_certify_at_1e24():
+    a = 10**24 + 1
+    _assert_certified(compute_constants(a, r_of_a(a)))
+
+
+@pytest.mark.parametrize("a, r", [
+    (1001, 1), (1001, 2), (1001, 3),
+    (10001, 1), (10001, 2), (10001, 3),
+    (10**8 + 1, 1), (10**8 + 1, 2), (10**8 + 1, 3),
+    (10**17 + 1, r_of_a(10**17 + 1)), (10**20 + 1, r_of_a(10**20 + 1)),
+])
+def test_roots_certify_where_product_form_newton_stalled(a, r):
+    # mu1 - c runs from 1e-41 (1001, 3) down to 1e-10034333 (1e8+1, 1),
+    # far below the resolution of c from a = 1001, r = 1 on
+    _assert_certified(compute_constants(a, r))
+
+
+def test_noise_level_steps_end_the_iteration():
+    # the root is far above c here; once converged the steps stall at
+    # rounding noise instead of shrinking, and the iteration must stop
+    mu1, cert = find_mu1(10**6 + 1, 166666)
+    assert 0 < cert["newton_steps"] < saddle._STEP_CAP
+    assert mpf(cert["scaled_residual"]) < mpf(10) ** -60
+
+
+def test_certificate_fields_and_offsets():
+    a, r = 1001, 72
+    mu1, cm = find_mu1(a, r)
+    tau0, ct = find_tau0(a, r)
+    for cert in (cm, ct):
+        assert cert["method"] == "log-offset-newton"
+        assert set(cert) == {"method", "initial_offset", "offset", "newton_steps",
+                             "last_step", "scaled_residual", "dps"}
+        assert cert["dps"] == saddle.default_dps(a)
+    data = compute_constants(a, r)
+    with mp.workdps(data.dps):
+        # the offset strings read back exactly at the working precision
+        assert mu1 == 2 * r + 1 + data.mu1_offset and tau0 == 2 * r + 1 - data.tau0_offset
+        # where c + offset is representable the product form agrees
+        half = mpf(10) ** (-(data.dps // 2))
+        assert q_scaled_residual(a, r, mu1) < half
+        assert q_scaled_residual(a, r, tau0) < half
+
+
+def test_eps_gap_where_the_constants_agree_to_working_precision():
+    # at (1001, 1) log eps - log eps'' is about 5e-100 against |log eps| of
+    # 2764 at 100 digits; the gap is taken from the offsets instead
+    data = compute_constants(1001, 1)
+    fine = compute_constants(1001, 1, 260)
+    with mp.workdps(260):
+        diff = fine.log_eps_a - fine.log_eps_pp_a
+        assert abs(data.log_eps_gap / diff - 1) < mpf(10) ** -90
+        assert abs(fine.log_eps_gap / diff - 1) < mpf(10) ** -150
+    assert mpf("4e-100") < data.log_eps_gap < mpf("6e-100")
+    assert abs(data.mu1_offset / mpf("1.0801e-100") - 1) < mpf(10) ** -4
+
+
+@pytest.mark.parametrize("a, r", [(7, 1), (13, 2), (101, 1)])
+def test_tau0_is_the_one_root_of_q_in_a_quadrant_rectangle(a, r):
+    tau0, _ = find_tau0(a, r)
+    c = 2 * r + 1
+    with mp.workdps(50):
+        left, low, high = mpf(1) / 4, mp.im(tau0) / 2, mpf(8 * c)
+        q = lambda x: q_eval(a, r, x)           # noqa: E731
+        dq = lambda x: q_prime(a, r, x)         # noqa: E731
+        quadrant = [mpc(left, low), mpc(high, low), mpc(high, high), mpc(left, high)]
+        assert argument_principle_count(q, dq, quadrant) == 1
+        assert left < mp.re(tau0) < high and low < mp.im(tau0) < high
+        # across the real axis the count picks up conj(tau0) and mu1
+        mirrored = [mpc(left, -high), mpc(high, -high), mpc(high, high), mpc(left, high)]
+        assert argument_principle_count(q, dq, mirrored) == 3
 
 
 def test_r_of_a_values_and_monotonicity():
