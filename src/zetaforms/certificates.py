@@ -10,16 +10,11 @@ import csv
 import datetime
 import json
 import platform
-from fractions import Fraction
 from pathlib import Path
 
 from mpmath import mp
 
 from . import __version__
-
-
-def frac_str(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def mpf_str(x, digits: int = 30) -> str:

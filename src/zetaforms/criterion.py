@@ -247,9 +247,6 @@ class AbstractInstance:
         return sum((Fraction(l) * self.values[(j + 1, n)] for j, l in enumerate(lambdas)),
                    Fraction(0))
 
-    def eps_table(self) -> EpsTable:
-        return EpsTable(k=self.k, eps={key: abs(v) for key, v in self.values.items()})
-
 
 @dataclass(frozen=True)
 class CoefficientBoundReport:

@@ -2,12 +2,15 @@
 
 Four layers:
 
-* Euler-Maclaurin power sums.  ``zeta_value`` and the tail sums
-  sum_{m >= T} m^{-s} carry an explicit remainder bound: for the
-  completely monotone integrand x^{-s} the Euler-Maclaurin remainder is
-  no larger than the first omitted correction term, so the loop simply
-  stops once that term is below target (doubling the expansion point if
-  the terms bottom out too early).
+* Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
+  sum_{m >= x0} m^{-s} for a range of s at one start x0; ``zeta_value``
+  is its x0 = 1 case for a single s and the Laurent tails call it at
+  x0 = T.  The direct part up to the expansion point is summed on
+  integers at the scale of the hardest tolerance.  For the completely
+  monotone integrand x^{-s} the Euler-Maclaurin remainder is no larger
+  than the first omitted correction term, so each expansion stops once
+  that term is below its tolerance (the expansion point grows if the
+  terms bottom out too early).
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and certified zeta values.  The
@@ -27,8 +30,7 @@ Four layers:
   its floor errors (a running recurrence for the term's own error, one
   unit per floor, |x| e_y + |y| e_x + e_x e_y per product), and that
   rounding bound is part of the certified error ``eval_S_direct``
-  returns.  The shared direct part of the Laurent tails' power sums is
-  summed on integers too, at the scale of its hardest tolerance.
+  returns.
 
 * Tail completion.  Either an elementary bound
   sum_{t >= T} R(t) <= A(T) (T^-D + T^{1-D}/(D-1)) when the decay
@@ -97,31 +99,6 @@ def _log10_add(x: float, y: float) -> float:
 # Euler-Maclaurin power sums
 
 
-def _em_power_tail(s: int, x0: int, tol_log10: float) -> tuple[mpf, float]:
-    """sum_{m >= x0} m^{-s} at current working precision.
-
-    Returns (value, certified log10 bound of the truncation remainder).
-    Requires integer s >= 2, integer x0 >= 1.
-    """
-    if s < 2:
-        raise ValueError("need s >= 2")
-    if x0 < 1:
-        raise ValueError("need x0 >= 1")
-    tol = mpf(10) ** tol_log10
-    extra = 0
-    needed = max(x0, int(0.46 * (-tol_log10)) + 8) if tol_log10 < 0 else x0
-    while True:
-        X = max(x0, needed + extra)
-        direct = mpf(0)
-        for m in range(x0, X):
-            direct += mpf(m) ** (-s)
-        value, bound = _em_at(s, X, tol)
-        if bound is not None:
-            blog = float(mp.log(bound, 10)) if bound > 0 else float("-inf")
-            return direct + value, blog
-        extra = max(32, 2 * (X - x0) if X > x0 else X)
-
-
 def _em_at(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
     """Euler-Maclaurin expansion of sum_{m >= X} m^{-s} at the point X.
 
@@ -168,34 +145,31 @@ def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
     if hit is not None and hit[0] >= ctx.digits:
         return hit[1]
     with mp.workdps(ctx.workdps):
-        v, _bound = _em_power_tail(s, 1, -(ctx.digits + 4))
+        v = _em_tail_range(s, s, 1, [-(ctx.digits + 4)])[0]
     _ZETA_CACHE[key] = (ctx.digits, v)
     return v
 
 
-def power_sum_tail(s: int, start: int, ctx: PrecisionContext) -> mpf:
-    """sum_{m >= start} m^{-s}, certified below 10^-digits."""
-    with mp.workdps(ctx.workdps):
-        v, _ = _em_power_tail(s, start, -(ctx.digits + 4))
-    return v
+def _em_tail_range(s_lo: int, s_hi: int, x0: int,
+                   tols_log10: Sequence[float]) -> list[mpf]:
+    """sum_{m >= x0} m^{-s} for every integer s in [s_lo, s_hi], the one
+    Euler-Maclaurin power sum behind zeta values and Laurent tails.
 
-
-def _em_tail_range(s_lo: int, s_hi: int, x0: int, tol_log10) -> list[mpf]:
-    """Power-sum tails for every integer s in [s_lo, s_hi] at one start x0.
-
-    Shares the direct part across all s values, summed on integers at the
-    scale of the hardest tolerance; the per-s expansion is the same
-    certified routine as the scalar case.  ``tol_log10`` is one
-    float or a per-s sequence (the heaviest tolerance sets the expansion
-    point, each s stops at its own).
+    ``tols_log10`` holds one log10 tolerance per s.  The direct part, m
+    from x0 to the expansion point X, is shared by all s and summed on
+    integers at the scale of the hardest tolerance; the expansion at X
+    stops each s at its own tolerance.  X starts from the hardest one and
+    grows while some expansion bottoms out above its tolerance.  Needs
+    s_lo >= 2 and x0 >= 1.
     """
+    if s_lo < 2:
+        raise ValueError("need s >= 2")
+    if x0 < 1:
+        raise ValueError("need x0 >= 1")
     count = s_hi - s_lo + 1
-    if isinstance(tol_log10, (int, float)):
-        tols = [float(tol_log10)] * count
-    else:
-        tols = [float(t) for t in tol_log10]
-        if len(tols) != count:
-            raise ValueError("one tolerance per s value required")
+    tols = [float(t) for t in tols_log10]
+    if len(tols) != count:
+        raise ValueError("one tolerance per s value required")
     hardest = min(tols)
     extra = 0
     needed = max(x0, int(0.46 * (-hardest)) + 8) if hardest < 0 else x0
@@ -337,30 +311,27 @@ class LaurentTail:
         return c_log + tail_pow
 
     def tail_value(self, kind: str, K: int, T: int, tol_log10: float) -> mpf:
-        """sum_{t >= T} W_K(t) (plain) or sum (1/2) W_K''(t) (derived)."""
+        """sum_{t >= T} W_K(t) (plain) or sum (1/2) W_K''(t) (derived).
+
+        Both are sum_i w_i sum_{t >= T} t^{-(s_i + shift)} with s_i = D + i:
+        plain has w_i = b_i and shift 0, derived w_i = b_i s_i (s_i+1)/2
+        and shift 2.  Each power sum is certified to
+        10^tol_log10 / (100 K |w_i|), so the K weighted errors sum below
+        10^(tol_log10 - 2).
+        """
         self.extend(K)
-        spread = math.log10(max(K, 1)) + 2
         if kind == PLAIN:
-            tols = [tol_log10 - (_ilog10(abs(b)) if b else 0) - spread
-                    for b in self.b[:K]]
-            tails = _em_tail_range(self.D, self.D + K - 1, T, tols)
-            out = mpf(0)
-            for i in range(K):
-                if self.b[i]:
-                    out += mpf(self.b[i]) * tails[i]
-            return out
-        tols = []
-        for i in range(K):
-            s = self.D + i
-            scale = (_ilog10(abs(self.b[i])) if self.b[i] else 0) \
-                + math.log10(s * (s + 1) / 2)
-            tols.append(tol_log10 - scale - spread)
-        tails = _em_tail_range(self.D + 2, self.D + K + 1, T, tols)
+            shift, weights = 0, self.b[:K]
+        else:
+            shift = 2
+            weights = [b * (s * (s + 1) // 2) for s, b in enumerate(self.b[:K], self.D)]
+        spread = math.log10(max(K, 1)) + 2
+        tols = [tol_log10 - (_ilog10(abs(w)) if w else 0) - spread for w in weights]
+        tails = _em_tail_range(self.D + shift, self.D + K - 1 + shift, T, tols)
         out = mpf(0)
-        for i in range(K):
-            if self.b[i]:
-                s = self.D + i
-                out += mpf(self.b[i]) * (mpf(s) * (s + 1) / 2) * tails[i]
+        for w, tail in zip(weights, tails):
+            if w:
+                out += mpf(w) * tail
         return out
 
 

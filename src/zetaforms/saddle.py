@@ -280,14 +280,6 @@ class SaddleData:
     certificates: dict = field(hash=False, default_factory=dict)
 
     @property
-    def eps_a(self) -> mpf:
-        return mp.exp(self.log_eps_a)
-
-    @property
-    def eps_pp_a(self) -> mpf:
-        return mp.exp(self.log_eps_pp_a)
-
-    @property
     def omega_signed(self) -> mpf:
         """Frequency of the signed oscillation law.
 

@@ -53,11 +53,6 @@ def entry(**coeffs) -> SymEntry:
     return out
 
 
-def rational_entry(x) -> SymEntry:
-    x = Fraction(x)
-    return {"1": x} if x else {}
-
-
 def _as_matrix(columns: Sequence[SymVector], fld: SymbolField) -> list[list[Fraction]]:
     k = len(columns[0])
     for col in columns:

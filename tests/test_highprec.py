@@ -17,7 +17,6 @@ from zetaforms.highprec import (
     eval_S_form,
     form_residual,
     measure_rates,
-    power_sum_tail,
     zeta_value,
 )
 from zetaforms.linear_forms import (FormSpec, build_summand, half_second_derivative_exact,
@@ -79,19 +78,64 @@ def test_zeta_cache_meets_each_callers_digits():
         assert abs(v - mpmath.zeta(3)) < mpf(10) ** -140
 
 
+def test_zeta_certified_at_rate_sweep_budgets():
+    # measure_rates asks for zeta values at about 150-450 digits; the
+    # direct part then runs on integers at the scale of the target
+    highprec._ZETA_CACHE.clear()
+    for digits in (300, 450):
+        ctx = PrecisionContext(digits=digits, guard=20)
+        for s in (2, 3, 5, 21, 45):
+            v = zeta_value(s, ctx)
+            with mp.workdps(digits + 50):
+                assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits
+
+
 def test_power_sum_tail_matches_mpmath_hurwitz():
+    # single-s power-sum tails sum_{m >= start} m^-s, up to s = 120,
+    # against the Hurwitz zeta function
     for s, start in ((3, 7), (9, 48), (25, 240), (120, 64)):
         with mp.workdps(CTX.workdps):
-            mine = power_sum_tail(s, start, CTX)
-            ref = mpmath.zeta(s, start)
-            assert abs(mine - ref) < mpf(10) ** -(CTX.digits - 2)
+            (mine,) = _em_tail_range(s, s, start, [-64])
+        with mp.workdps(120):
+            # the expansion and the direct part each within 10^-64
+            assert abs(mine - mpmath.zeta(s, start)) < 3 * mpf(10) ** -64
 
 
 def test_em_tail_range_consistent_with_scalar():
+    # one shared range of exponents against the Hurwitz zeta function
     with mp.workdps(80):
-        vals = _em_tail_range(9, 40, 48, -70)
-        for idx, s in enumerate(range(9, 41)):
-            assert abs(vals[idx] - mpmath.zeta(s, 48)) < mpf(10) ** -65
+        vals = _em_tail_range(9, 40, 48, [-70] * 32)
+    with mp.workdps(120):
+        for val, s in zip(vals, range(9, 41)):
+            assert abs(val - mpmath.zeta(s, 48)) < 3 * mpf(10) ** -70
+
+
+def test_em_tail_range_rejects_bad_input():
+    with pytest.raises(ValueError):
+        _em_tail_range(1, 3, 5, [-50] * 3)
+    with pytest.raises(ValueError):
+        _em_tail_range(3, 3, 0, [-50])
+    with pytest.raises(ValueError):
+        _em_tail_range(3, 5, 5, [-50])
+
+
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_laurent_tail_value_against_hurwitz_oracle(kind):
+    # (7,1,6) has Laurent coefficients up to 1e76; the tail is
+    # sum_i w_i zeta(s_i, T) with w_i = b_i (plain) or b_i s(s+1)/2 and
+    # the exponent shifted by 2 (derived)
+    lt = highprec._laurent_for(FormSpec(7, 1, 6))
+    K, T, tol = 64, 48, -100
+    with mp.workdps(110):
+        val = lt.tail_value(kind, K, T, tol)
+    shift = 0 if kind == PLAIN else 2
+    with mp.workdps(220):
+        ref = mpf(0)
+        for i, b in enumerate(lt.b[:K]):
+            s = lt.D + i
+            w = b if kind == PLAIN else b * s * (s + 1) // 2
+            ref += w * mpmath.zeta(s + shift, T)
+        assert abs(val - ref) < mpf(10) ** tol
 
 
 def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
@@ -182,12 +226,44 @@ def test_elementary_bound_is_actually_an_upper_bound():
         assert math.log10(float(chunk)) < _elementary_tail_bound_log10(spec, PLAIN, T)
 
 
-def test_residuals_at_200_digits_for_712():
+def _residual_and_sides(form, ctx, monkeypatch):
+    """form_residual with the two EvalResults it compares."""
+    sides = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            sides.append(res)
+            return res
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(highprec, "eval_S_direct", spy(highprec.eval_S_direct))
+        m.setattr(highprec, "eval_S_form", spy(highprec.eval_S_form))
+        residual = form_residual(form, ctx)
+    direct, exact = sides
+    assert exact.method == "form"
+    return residual, direct, exact
+
+
+def _assert_residuals_within_bounds(spec, route, monkeypatch):
+    # the residual is below the sum of the two sides' certified bounds
     ctx = PrecisionContext(digits=200, guard=25)
-    spec = FormSpec(a=7, r=1, n=2)
     table = table_for(spec)
-    assert form_residual(zeta_form_plain(table), ctx) < mpf(10) ** -150
-    assert form_residual(zeta_form_derived(table), ctx) < mpf(10) ** -150
+    for form in (zeta_form_plain(table), zeta_form_derived(table)):
+        residual, direct, exact = _residual_and_sides(form, ctx, monkeypatch)
+        assert direct.method == route
+        assert residual < mpf(10) ** -150
+        with mp.workdps(30):
+            assert residual < mpf(10) ** direct.tail_bound_log10 + mpf(10) ** exact.tail_bound_log10
+
+
+def test_residuals_at_200_digits_for_712(monkeypatch):
+    _assert_residuals_within_bounds(FormSpec(a=7, r=1, n=2), "direct+laurent", monkeypatch)
+
+
+def test_residuals_within_bounds_on_direct_route(monkeypatch):
+    _assert_residuals_within_bounds(FormSpec(13, 1, 5), "direct", monkeypatch)
 
 
 def test_laurent_and_direct_paths_agree():
