@@ -10,7 +10,10 @@ Four layers:
   monotone integrand x^{-s} the Euler-Maclaurin remainder is no larger
   than the first omitted correction term, so each expansion stops once
   that term is below its tolerance (the expansion point grows if the
-  terms bottom out too early).
+  terms bottom out too early).  The coefficients B_2k/(2k)! X^(1-2k) do
+  not depend on s: one table of them, kept for the last (X, mp.prec),
+  serves every s expanded at X, including consecutive zeta values at
+  one budget.  A Laurent exponent whose weight is 0 is not expanded.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and certified zeta values.  The
@@ -21,9 +24,9 @@ Four layers:
 
 * Direct summation of the defining series, the independent cross-check
   behind ``eval_S_direct`` and ``form_residual``.  Every quantity is a
-  Python integer scaled by 2^P, with P from the working precision (raised
-  once if the result misses its target).  Terms are advanced by the exact
-  integer term ratio, R <- R num // den; the double-derived summand
+  Python integer scaled by 2^P, with P from the target (raised once if
+  the rounding misses it).  Terms are advanced by the exact integer term
+  ratio, R <- R num // den; the double-derived summand
   (1/2) R''(t) is realized as R(t) (L(t)^2 + L'(t))/2 where L = R'/R is a
   sum of simple poles, each floored once as (1 << P) // x and updated in
   O(1) per step.  Beside the sum the kernel carries an integer bound on
@@ -99,24 +102,59 @@ def _log10_add(x: float, y: float) -> float:
 # Euler-Maclaurin power sums
 
 
+class _EMTable:
+    """The Euler-Maclaurin coefficients c_k = B_2k/(2k)! X^(1-2k),
+    k = 1, 2, ..., at one expansion point X.  They do not depend on s, so
+    every s expanded at X reads them from here; ``key`` is (X, mp.prec)
+    at the time the table was started, and each c_k is made at that
+    precision when first asked for."""
+
+    __slots__ = ("key", "c", "_q")
+
+    def __init__(self, X: int):
+        self.key = (X, mp.prec)
+        self.c: list[mpf] = []
+        self._q = mpf(X)                # 1/((2k)! X^(2k-1)) of the last k made
+
+    def extend(self) -> None:
+        k = len(self.c) + 1
+        X = self.key[0]
+        self._q /= (2 * k - 1) * (2 * k) * X * X
+        self.c.append(mp.bernoulli(2 * k) * self._q)
+
+
+# One table, for the last (X, mp.prec) asked for: consecutive expansions
+# share it, and a table made at another point or precision is replaced.
+_EM_TABLE: _EMTable | None = None
+
+
+def _em_table(X: int) -> _EMTable:
+    global _EM_TABLE
+    if _EM_TABLE is None or _EM_TABLE.key != (X, mp.prec):
+        _EM_TABLE = _EMTable(X)
+    return _EM_TABLE
+
+
 def _em_at(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
     """Euler-Maclaurin expansion of sum_{m >= X} m^{-s} at the point X.
 
+    Term k is c_k (s)_{2k-1} X^{-s}: c_k comes from the table shared by
+    every s expanded at X at the current precision (``_em_table``), and
+    (s)_{2k-1} X^{-s} is advanced by one integer product per term.
     Returns (value, remainder_bound) or (partial, None) if the correction
     terms bottom out above ``tol`` (caller must enlarge X).
     """
-    Xf = mpf(X)
-    head = Xf ** (1 - s) / (s - 1) + Xf ** (-s) / 2
-    acc = head
-    poch = mpf(s)                       # s (s+1) ... running rising factorial
-    xpow = Xf ** (-s - 1)
+    table = _em_table(X)
+    c = table.c
+    xs = mpf(X) ** -s
+    acc = xs * X / (s - 1) + xs / 2
+    p = s * xs                          # (s)_{2k-1} X^{-s}
     prev = None
     k = 1
     while True:
-        b = mp.bernoulli(2 * k)
-        # term = B_{2k}/(2k)! * (s)_{2k-1} * X^{-s-2k+1}
-        term = b / math.factorial(2 * k) * poch * xpow
-        xpow /= Xf * Xf
+        if k > len(c):
+            table.extend()
+        term = c[k - 1] * p
         at = abs(term)
         if at < tol:
             return acc, at
@@ -124,7 +162,7 @@ def _em_at(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
             return acc, None            # terms no longer decreasing
         acc += term
         prev = at
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
+        p *= (s + 2 * k - 1) * (s + 2 * k)
         k += 1
         if k > 4000:
             return acc, None
@@ -151,26 +189,32 @@ def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
 
 
 def _em_tail_range(s_lo: int, s_hi: int, x0: int,
-                   tols_log10: Sequence[float]) -> list[mpf]:
+                   tols_log10: Sequence[float | None]) -> list[mpf | None]:
     """sum_{m >= x0} m^{-s} for every integer s in [s_lo, s_hi], the one
     Euler-Maclaurin power sum behind zeta values and Laurent tails.
 
-    ``tols_log10`` holds one log10 tolerance per s.  The direct part, m
-    from x0 to the expansion point X, is shared by all s and summed on
-    integers at the scale of the hardest tolerance; the expansion at X
-    stops each s at its own tolerance.  X starts from the hardest one and
-    grows while some expansion bottoms out above its tolerance.  Needs
-    s_lo >= 2 and x0 >= 1.
+    ``tols_log10`` holds one log10 tolerance per s, or None for an s that
+    is not needed: it is neither expanded nor certified, and its entry of
+    the result is None.  The direct part, m from x0 to the expansion point
+    X, is shared by all s and summed on integers at the scale of the
+    hardest tolerance; the expansion at X stops each needed s at its own
+    tolerance, reading the coefficient table that all of them share
+    (``_em_table``).  X starts from the hardest tolerance and grows while
+    some expansion bottoms out above its tolerance.  Needs s_lo >= 2,
+    x0 >= 1 and at least one needed s.
     """
     if s_lo < 2:
         raise ValueError("need s >= 2")
     if x0 < 1:
         raise ValueError("need x0 >= 1")
     count = s_hi - s_lo + 1
-    tols = [float(t) for t in tols_log10]
+    tols = [None if t is None else float(t) for t in tols_log10]
     if len(tols) != count:
         raise ValueError("one tolerance per s value required")
-    hardest = min(tols)
+    needed_tols = [t for t in tols if t is not None]
+    if not needed_tols:
+        raise ValueError("no exponent is needed")
+    hardest = min(needed_tols)
     extra = 0
     needed = max(x0, int(0.46 * (-hardest)) + 8) if hardest < 0 else x0
     while True:
@@ -190,16 +234,15 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                     break
                 direct[idx] += w
                 w //= m
-        acc = [mp.ldexp(v, -P) for v in direct]
-        ok = True
-        for idx in range(count):
-            s = s_lo + idx
-            value, bound = _em_at(s, X, mpf(10) ** tols[idx])
+        acc: list[mpf | None] = [None] * count
+        for idx, tol in enumerate(tols):
+            if tol is None:
+                continue
+            value, bound = _em_at(s_lo + idx, X, mpf(10) ** tol)
             if bound is None:
-                ok = False
                 break
-            acc[idx] += value
-        if ok:
+            acc[idx] = mp.ldexp(direct[idx], -P) + value
+        else:
             return acc
         extra = max(32, 2 * extra, X)
 
@@ -315,9 +358,9 @@ class LaurentTail:
 
         Both are sum_i w_i sum_{t >= T} t^{-(s_i + shift)} with s_i = D + i:
         plain has w_i = b_i and shift 0, derived w_i = b_i s_i (s_i+1)/2
-        and shift 2.  Each power sum is certified to
+        and shift 2.  Each power sum with w_i != 0 is certified to
         10^tol_log10 / (100 K |w_i|), so the K weighted errors sum below
-        10^(tol_log10 - 2).
+        10^(tol_log10 - 2); one with w_i = 0 is not expanded at all.
         """
         self.extend(K)
         if kind == PLAIN:
@@ -326,7 +369,7 @@ class LaurentTail:
             shift = 2
             weights = [b * (s * (s + 1) // 2) for s, b in enumerate(self.b[:K], self.D)]
         spread = math.log10(max(K, 1)) + 2
-        tols = [tol_log10 - (_ilog10(abs(w)) if w else 0) - spread for w in weights]
+        tols = [tol_log10 - _ilog10(abs(w)) - spread if w else None for w in weights]
         tails = _em_tail_range(self.D + shift, self.D + K - 1 + shift, T, tols)
         out = mpf(0)
         for w, tail in zip(weights, tails):
@@ -464,12 +507,13 @@ def _head_value(spec: FormSpec, kind: str, t0: int, T: int, wdps: int,
     rounding (the kernel's floor errors plus the conversion to mpf) and
     the scale P it was summed at.
 
-    P starts at wdps digits plus guard bits.  The floor error of a term
-    grows with the terms after it, so where they rise far above the first
-    the bound can miss the target tol; the head is then summed once more
-    with P raised by the shortfall.
+    P starts from the target: the bits of tol, plus the bits of the term
+    count (each term adds floor errors of a few units), plus guard bits.
+    The floor error of a term grows with the terms after it, so where they
+    rise far above the first the bound can miss tol; the head is then
+    summed once more with P raised by the shortfall.
     """
-    P = math.ceil(wdps * _LOG2_10) + _GUARD_BITS
+    P = max(0, math.ceil(-tol * _LOG2_10)) + (T - t0).bit_length() + _GUARD_BITS
     head, err = _direct_sum(spec, kind, t0, T, P)
     shortfall = _ilog10(err) - P * _LOG10_2 - tol if err else 0.0
     if shortfall > 0:

@@ -2,9 +2,10 @@
 
 Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
-argument-principle root count, the permutation product inequality and
-Gauss-Jordan elimination in Fraction arithmetic: slow, transparent routes
-that the package's own algorithms are checked against.
+argument-principle root count, the permutation product inequality,
+Gauss-Jordan elimination in Fraction arithmetic, direct summation in mpf
+and an Euler-Maclaurin expansion built term by term: slow, transparent
+routes that the package's own algorithms are checked against.
 """
 from __future__ import annotations
 
@@ -366,3 +367,30 @@ def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
         Rt = Rt * (p ** (a + 3) * v ** 3) / (u ** 3 * q ** (a + 3))
         t += 1
     return acc / 2 if derived else acc
+
+
+def em_at_per_term(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
+    """Euler-Maclaurin expansion of sum_{m >= X} m^{-s} at the point X,
+    every term built on its own as B_2k/(2k)! (s)_{2k-1} X^{-s-2k+1} from
+    ``mp.bernoulli`` and the exact (2k)!, at the caller's precision.
+
+    Returns (value, remainder_bound) or (partial, None) if the correction
+    terms bottom out above ``tol``.
+    """
+    Xf = mpf(X)
+    acc = Xf ** (1 - s) / (s - 1) + Xf ** (-s) / 2
+    poch = mpf(s)
+    xpow = Xf ** (-s - 1)
+    prev = None
+    for k in range(1, 4001):
+        term = mp.bernoulli(2 * k) / math.factorial(2 * k) * poch * xpow
+        xpow /= Xf * Xf
+        at = abs(term)
+        if at < tol:
+            return acc, at
+        if prev is not None and at >= prev:
+            return acc, None
+        acc += term
+        prev = at
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    return acc, None

@@ -23,7 +23,7 @@ from zetaforms.linear_forms import (FormSpec, build_summand, half_second_derivat
                                    table_for, zeta_form_derived, zeta_form_plain)
 from zetaforms.saddle import compute_constants
 
-from oracles import direct_sum_mpf
+from oracles import direct_sum_mpf, em_at_per_term
 
 
 CTX = PrecisionContext(digits=60, guard=20)
@@ -117,15 +117,32 @@ def test_em_tail_range_rejects_bad_input():
         _em_tail_range(3, 3, 0, [-50])
     with pytest.raises(ValueError):
         _em_tail_range(3, 5, 5, [-50])
+    with pytest.raises(ValueError, match="no exponent"):
+        _em_tail_range(3, 5, 5, [None] * 3)
 
 
-@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
-def test_laurent_tail_value_against_hurwitz_oracle(kind):
-    # (7,1,6) has Laurent coefficients up to 1e76; the tail is
-    # sum_i w_i zeta(s_i, T) with w_i = b_i (plain) or b_i s(s+1)/2 and
-    # the exponent shifted by 2 (derived)
-    lt = highprec._laurent_for(FormSpec(7, 1, 6))
-    K, T, tol = 64, 48, -100
+def test_em_tail_range_against_per_term_oracle_at_two_precisions():
+    # x0 = 600 is above the expansion point the tolerances ask for, so
+    # both calls expand at X = 600 and have no direct part.  The 120-digit
+    # call runs first: its coefficient table, read again at 400 digits,
+    # would hold only about 120 good digits there.
+    X, lo, hi = 600, 2, 24
+    for dps in (120, 400):
+        tol = -(dps - 10)
+        with mp.workdps(dps):
+            vals = _em_tail_range(lo, hi, X, [tol] * (hi - lo + 1))
+            for s, val in zip(range(lo, hi + 1), vals):
+                ref, bound = em_at_per_term(s, X, mpf(10) ** tol)
+                assert bound is not None
+                assert abs(val - ref) < mpf(10) ** (tol - 5)
+        with mp.workdps(dps + 50):
+            for s, val in zip(range(lo, hi + 1), vals):
+                assert abs(val - mpmath.zeta(s, X)) < mpf(10) ** tol
+
+
+def _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, K, T, tol):
+    # the tail is sum_i w_i zeta(s_i, T) with w_i = b_i (plain) or
+    # b_i s(s+1)/2 and the exponent shifted by 2 (derived)
     with mp.workdps(110):
         val = lt.tail_value(kind, K, T, tol)
     shift = 0 if kind == PLAIN else 2
@@ -136,6 +153,35 @@ def test_laurent_tail_value_against_hurwitz_oracle(kind):
             w = b if kind == PLAIN else b * s * (s + 1) // 2
             ref += w * mpmath.zeta(s + shift, T)
         assert abs(val - ref) < mpf(10) ** tol
+
+
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_laurent_tail_value_against_hurwitz_oracle(kind):
+    # (7,1,6) has Laurent coefficients up to 1e76
+    lt = highprec._laurent_for(FormSpec(7, 1, 6))
+    _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, 64, 48, -100)
+
+
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_laurent_tail_value_expands_only_nonzero_weights(kind, monkeypatch):
+    # every other Laurent coefficient of (9,1,1) is 0; those exponents
+    # are neither expanded nor certified
+    lt = highprec._laurent_for(FormSpec(9, 1, 1))
+    K = 64
+    lt.extend(K)
+    shift = 0 if kind == PLAIN else 2
+    nonzero = [lt.D + i + shift for i, b in enumerate(lt.b[:K]) if b]
+    assert 0 < len(nonzero) < K
+    expanded = []
+    real = highprec._em_at
+
+    def spy(s, X, tol):
+        expanded.append(s)
+        return real(s, X, tol)
+
+    monkeypatch.setattr(highprec, "_em_at", spy)
+    _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, K, 48, -100)
+    assert expanded == nonzero
 
 
 def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
