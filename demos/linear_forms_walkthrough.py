@@ -1,8 +1,10 @@
 """Walk through the exact pipeline for one parameter triple.
 
 Builds the summand for (a, r, n) = (7, 1, 2), decomposes it into exact
-partial fractions, extracts both zeta linear forms, checks the common
-denominator, and confirms the numeric identity at 120 digits.
+partial fractions (kept as integer numerators over the known
+denominators D_k = L^k k!, L = lcm(1..(2r+2)n)), extracts both zeta
+linear forms, checks the common denominator, and confirms the numeric
+identity at 120 digits.
 
 Run:  python demos/linear_forms_walkthrough.py
 """
@@ -32,8 +34,11 @@ print(f"numerator degree {summand.numerator_degree}, "
 print(f"summand at t = 9/2: {summand.eval_exact(Fraction(9, 2))}")
 
 table = table_for(spec)
-print(f"\npartial fractions: {len(table.coeffs)} coefficients, "
+print(f"\npartial fractions: {len(table.num)} x {len(table.num[0])} integer numerators "
+      f"c_(a-k),j * D_k over D_k = L^k k!, L = {table.den[1]}; "
       f"sum_j c_1j = {table.c1_sum()}")
+print(f"c_1,0 = {table.num[spec.a - 1][spec.n]} / {table.den[spec.a - 1]} "
+      f"= {table.c(1, 0)}")
 print(f"reconstruction at 7/3 exact: "
       f"{table.reconstruct_at(Fraction(7, 3)) == summand.eval_exact(Fraction(7, 3))}")
 

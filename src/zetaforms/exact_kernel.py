@@ -47,26 +47,34 @@ def lcm_upto(k: int) -> int:
     return out
 
 
-def harmonic_prefixes(p: int, lo: int, hi: int) -> tuple[int, list[int]]:
-    """Scaled harmonic prefixes: (L, [L^p H^(p)_k for k = lo..hi]).
+def harmonic_prefixes(orders: range, lo: int, hi: int) -> tuple[int, list[list[int]]]:
+    """Scaled harmonic prefixes: (L, rows), rows[s] = [L^p H^(p)_k for
+    k = lo..hi] for the s-th of the consecutive orders p.
 
     H^(p)_k = sum_{t=1}^{k} t^{-p} and L = lcm(1, ..., hi), so each term
-    (L/t)^p is an integer and the prefixes cost hi integer additions,
-    with no gcds.  Only the window lo..hi is kept.  This is the one
+    (L/t)^p is an integer and the prefixes cost integer additions, with
+    no gcds; L/t is formed once per t and raised through the orders by
+    multiplication.  Only the window lo..hi is kept.  This is the one
     power-sum kernel: partial fractions, zeta-form constants and the
     partial-sum identity all read it.
     """
-    if not 0 <= lo <= hi:
-        raise ValueError("harmonic_prefixes needs 0 <= lo <= hi")
+    if not 0 <= lo <= hi or not orders or orders.step != 1:
+        raise ValueError("harmonic_prefixes needs 0 <= lo <= hi and consecutive orders")
     L = lcm_upto(hi) if hi else 1
-    acc = 0
-    for t in range(1, lo + 1):
-        acc += (L // t) ** p
-    row = [acc]
-    for t in range(lo + 1, hi + 1):
-        acc += (L // t) ** p
-        row.append(acc)
-    return L, row
+    acc = [0] * len(orders)
+    rows: list[list[int]] = [[] for _ in orders]
+    for t in range(hi + 1):
+        if t:
+            q = L // t
+            term = q ** orders.start
+            acc[0] += term
+            for s in range(1, len(acc)):
+                term *= q
+                acc[s] += term
+        if t >= lo:
+            for row, v in zip(rows, acc):
+                row.append(v)
+    return L, rows
 
 
 @dataclass(frozen=True)

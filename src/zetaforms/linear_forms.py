@@ -16,13 +16,16 @@ recurrence, whose inputs are harmonic prefixes; no linear solves), then
 re-indexing of the pole tails against zeta tails.  The i = 1
 coefficients sum to zero (forced by decay), which makes the harmonic
 contribution to l_0 finite.
+The table is kept as integer numerators over the known denominators
+D_k = lcm(1..(2r+2)n)^k k!, and every output (l_i, l_0, l''_0, a side of
+the partial-sum identity) is summed on integers and made one Fraction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterator
 
 from .exact_kernel import binomial, harmonic_prefixes, lcm_upto
@@ -92,15 +95,19 @@ class Summand:
         return (2 * self.spec.r + 1) * self.spec.n + 1
 
     def eval_exact(self, t) -> Fraction:
+        """R(t) at rational t = p/q: the factors (p - root q), (p - jq) and
+        q^D (D the decay exponent) multiplied on integers, then one Fraction."""
         t = Fraction(t)
-        if t.denominator == 1 and -self.spec.n <= t <= self.spec.n:
+        p, q = t.numerator, t.denominator
+        if q == 1 and -self.spec.n <= p <= self.spec.n:
             raise ValueError(f"t={t} is a pole")
-        v = Fraction(self.scale)
+        num = self.scale * q ** self.decay_exponent
         for root, mult in self.numerator_roots:
-            v *= Fraction(t - root) ** mult
+            num *= (p - root * q) ** mult
+        den = 1
         for j in self.poles:
-            v /= Fraction(t - j) ** self.pole_order
-        return v
+            den *= p - j * q
+        return Fraction(num, den ** self.pole_order)
 
 
 def build_summand(spec: FormSpec) -> Summand:
@@ -115,21 +122,49 @@ def build_summand(spec: FormSpec) -> Summand:
 
 @dataclass(frozen=True)
 class PartialFractionTable:
-    """Exact coefficients c_{i,j} with R(t) = sum c_{i,j} / (t-j)^i."""
+    """Exact coefficients c_{i,j} with R(t) = sum c_{i,j} / (t-j)^i, as
+    c_{a-k,j} = num[k][n+j] / den[k], den[k] = D_k = L^k k!, L = d_{(2r+2)n}.
+    Column sums, the zeta slots and the ``coeffs`` view of reduced
+    Fractions are built on first use and kept on the table."""
 
     spec: FormSpec
-    coeffs: dict[tuple[int, int], Fraction] = field(hash=False)
+    num: list[list[int]] = field(hash=False)
+    den: list[int] = field(hash=False)
+
+    @cached_property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        a, n = self.spec.a, self.spec.n
+        return {(a - k, j): Fraction(self.num[k][n + j], self.den[k])
+                for j in range(-n, n + 1) for k in range(a)}
 
     def c(self, i: int, j: int) -> Fraction:
         return self.coeffs[(i, j)]
 
-    def c1_sum(self) -> Fraction:
-        n = self.spec.n
-        return sum(self.coeffs[(1, j)] for j in range(-n, n + 1))
+    @cached_property
+    def column_numerators(self) -> list[int]:
+        """sum_j num[k][n+j]; column i = a - k sums to this over den[k]."""
+        return [sum(row) for row in self.num]
 
     def column_sum(self, i: int) -> Fraction:
-        n = self.spec.n
-        return sum(self.coeffs[(i, j)] for j in range(-n, n + 1))
+        k = self.spec.a - i
+        return Fraction(self.column_numerators[k], self.den[k])
+
+    def c1_sum(self) -> Fraction:
+        return self.column_sum(1)
+
+    @cached_property
+    def zeta_coeffs(self) -> dict[int, Fraction]:
+        """l_i = sum_j c_{i,j} for odd i >= 3, once the structure holds:
+        the order-1 and every even column sum to zero."""
+        a, col = self.spec.a, self.column_numerators
+        if col[a - 1]:
+            raise ArithmeticError("order-1 partial fraction coefficients do not sum to zero; "
+                                  "the series re-indexing is invalid for this input")
+        for i in range(2, a + 1, 2):
+            if col[a - i]:
+                raise ArithmeticError(f"even-order column sum c_{i},* is nonzero; "
+                                      "well-poised symmetry is broken")
+        return {i: self.column_sum(i) for i in range(3, a + 1, 2)}
 
     def reconstruct_at(self, t) -> Fraction:
         t = Fraction(t)
@@ -157,31 +192,33 @@ def partial_fractions(summand: Summand) -> PartialFractionTable:
     prefixes H^(s+1)_m with m <= (2r+2)n, and (s+1) f_{s+1} =
     sum_{i<=s} f_i g_{s-i}.  With L = d_{(2r+2)n}, the integers
     G_s = L^{s+1} g_s and Hh_k = L^k k! f_k / f0 obey
-    Hh_{s+1} = sum_i Hh_i G_{s-i} s!/i!, so the recurrence runs on ints
-    and each coefficient c_{a-k,j} = f_k is reduced once.  Every pole is
+    Hh_{s+1} = sum_i Hh_i G_{s-i} s!/i!, so the recurrence runs on ints.
+    f0 = F(0) is an integer: (2n)!^(6r) divides the cubed root offsets, two
+    products of 2rn consecutive integers.  So c_{a-k,j} = f_k is the integer
+    f0 Hh_k over D_k = L^k k!, and nothing is reduced.  Every pole is
     computed, so the symmetry c_{i,-j} = (-1)^{i+1} c_{i,j} stays a check.
     """
     spec = summand.spec
     a, r, n = spec.a, spec.r, spec.n
     w = (2 * r + 1) * n
     poles = range(-n, n + 1)
-    # G[j][s], order p = s + 1 outermost so one prefix row is held at a time
+    L, rows = harmonic_prefixes(range(1, a), 0, w + n)
+    # G[j][s], from the prefix row of order p = s + 1
     G: dict[int, list[int]] = {j: [] for j in poles}
-    for p in range(1, a):
-        L, P = harmonic_prefixes(p, 0, w + n)
-        sign = 1 if p % 2 else -1                  # (-1)^s
+    for s, P in enumerate(rows):
+        sign = -1 if s % 2 else 1                  # (-1)^s
         for j in poles:
             positive = 3 * (P[j + w] - P[j + n]) - a * P[j + n]
             negative = 3 * (P[w - j] - P[n - j]) - a * P[n - j]
             G[j].append(sign * positive - negative)
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    del rows
+    num: list[list[int]] = [[] for _ in range(a)]
+    block = math.factorial(2 * n) ** r
     for j in poles:
-        # f0 = F(0) = scale * (prod of root offsets)^3 / (prod of pole offsets)^a,
+        # f0 = (-1)^(n-j) (prod of root offsets)^3 C(2n, n+j)^a / (2n)!^(6r),
         # where n - j of the pole offsets are negative
-        roots = math.perm(w + j, w - n) * math.perm(w - j, w - n)
-        others = math.factorial(n - j) * math.factorial(n + j)
-        f0num = (-1) ** (n - j) * summand.scale * roots ** 3
-        f0den = others ** a
+        roots = (math.perm(w + j, w - n) // block) * (math.perm(w - j, w - n) // block)
+        f0 = (-1) ** (n - j) * roots ** 3 * math.comb(2 * n, n + j) ** a
         g = G.pop(j)                               # frees G as the table fills
         hh = [1]
         for s in range(a - 1):
@@ -190,11 +227,10 @@ def partial_fractions(summand: Summand) -> PartialFractionTable:
                 acc += hh[i] * g[s - i] * ratio
                 ratio *= i
             hh.append(acc)
-        scale = f0den
-        for k in range(a):
-            coeffs[(a - k, j)] = Fraction(f0num * hh[k], scale)
-            scale *= L * (k + 1)
-    return PartialFractionTable(spec=spec, coeffs=coeffs)
+        for row, h in zip(num, hh):
+            row.append(f0 * h)
+    den = [L ** k * math.factorial(k) for k in range(a)]
+    return PartialFractionTable(spec=spec, num=num, den=den)
 
 
 @lru_cache(maxsize=32)
@@ -249,38 +285,29 @@ class ZetaLinearForm:
         return out
 
 
-def _check_structure(table: PartialFractionTable) -> None:
-    if table.c1_sum() != 0:
-        raise ArithmeticError(
-            "order-1 partial fraction coefficients do not sum to zero; "
-            "the series re-indexing is invalid for this input"
-        )
-    for i in range(2, table.spec.a + 1, 2):
-        if table.column_sum(i) != 0:
-            raise ArithmeticError(
-                f"even-order column sum c_{i},* is nonzero; "
-                "well-poised symmetry is broken"
-            )
-
-
 def _harmonic_tails(table: PartialFractionTable, kind: str, T: int) -> Fraction:
     """sum_{i,j} c_{i,j} H^(i)_{T-j} for PLAIN, and
     sum_{i,j} c_{i,j} C(i+1,2) H^(i+2)_{T-j} for DOUBLE_DERIVED, exactly.
 
-    Reads one row of scaled prefixes per order, over the window
-    T-n .. T+n, from the shared harmonic kernel.
+    Reads the scaled prefix rows (scale L') over the window T-n .. T+n
+    from the shared harmonic kernel and sums on integers over the common
+    denominator D_{a-1} L'^(a+shift), in Horner form over the orders;
+    one Fraction is formed at the end.
     """
-    a, n = table.spec.a, table.spec.n
+    a, n, den = table.spec.a, table.spec.n, table.den
     shift = 0 if kind == PLAIN else 2
-    out = Fraction(0)
-    for i in range(1, a + 1):
-        p = i + shift
-        L, row = harmonic_prefixes(p, T - n, T + n)
-        col = sum(table.c(i, j) * row[n - j] for j in range(-n, n + 1))
-        if shift:
-            col *= binomial(i + 1, 2)
-        out += col / L ** p
-    return out
+    Lp, rows = harmonic_prefixes(range(1 + shift, a + 1 + shift), T - n, T + n)
+    acc = 0
+    for i, row in enumerate(rows, 1):
+        col = sum(x * y for x, y in zip(table.num[a - i], reversed(row)))
+        mult = binomial(i + 1, 2) if shift else 1
+        acc = acc * Lp + col * (mult * (den[a - 1] // den[a - i]))
+    return Fraction(acc, den[a - 1] * Lp ** (a + shift))
+
+
+def _zeta_form(table: PartialFractionTable, kind: str) -> ZetaLinearForm:
+    return ZetaLinearForm(spec=table.spec, kind=kind, zeta_coeffs=dict(table.zeta_coeffs),
+                          constant=-_harmonic_tails(table, kind, table.spec.n))
 
 
 def zeta_form_plain(table: PartialFractionTable) -> ZetaLinearForm:
@@ -291,11 +318,7 @@ def zeta_form_plain(table: PartialFractionTable) -> ZetaLinearForm:
     individual tails diverge; since sum_j c_{1,j} = 0 they telescope to
     -sum_j c_{1,j} H^(1)_{n-j}.
     """
-    _check_structure(table)
-    a, n = table.spec.a, table.spec.n
-    zc = {i: table.column_sum(i) for i in range(3, a + 1, 2)}
-    l0 = -_harmonic_tails(table, PLAIN, n)
-    return ZetaLinearForm(spec=table.spec, kind=PLAIN, constant=l0, zeta_coeffs=zc)
+    return _zeta_form(table, PLAIN)
 
 
 def zeta_form_derived(table: PartialFractionTable) -> ZetaLinearForm:
@@ -305,32 +328,34 @@ def zeta_form_derived(table: PartialFractionTable) -> ZetaLinearForm:
     shifts by two and picks up the binomial multiplier; all tails now
     converge individually (i + 2 >= 3).
     """
-    _check_structure(table)
-    a, n = table.spec.a, table.spec.n
-    zc = {i: table.column_sum(i) for i in range(3, a + 1, 2)}
-    l0pp = -_harmonic_tails(table, DOUBLE_DERIVED, n)
-    return ZetaLinearForm(spec=table.spec, kind=DOUBLE_DERIVED, constant=l0pp, zeta_coeffs=zc)
+    return _zeta_form(table, DOUBLE_DERIVED)
 
 
 def half_second_derivative_exact(table: PartialFractionTable, t) -> Fraction:
-    """(1/2) R''(t) evaluated exactly through the partial fractions."""
+    """(1/2) R''(t) evaluated exactly through the partial fractions.
+
+    With t = p/q and b = p - jq, pole j contributes
+    sum_i c_{i,j} C(i+1,2) (q/b)^(i+2), an integer over D_{a-1} b^(a+2)
+    summed in Horner form over k = a - i (multipliers D_k / D_{k-1} = L k);
+    each pole adds one Fraction.
+    """
     t = Fraction(t)
+    p, q = t.numerator, t.denominator
     a, n = table.spec.a, table.spec.n
+    L = table.den[1]                                # D_k = L^k k!
     out = Fraction(0)
-    for j in range(-n, n + 1):
-        base = t - j
-        if base == 0:
+    for j, col in zip(range(-n, n + 1), zip(*table.num)):
+        b = p - j * q
+        if b == 0:
             raise ValueError(f"t={t} is a pole")
-        inv = 1 / base
-        p = inv ** 3
-        for i in range(1, a + 1):
-            out += table.c(i, j) * binomial(i + 1, 2) * p
-            p *= inv
-    return out
+        acc = 0
+        for k, x in enumerate(col):
+            acc = acc * (L * k) + x * (binomial(a - k + 1, 2) * b ** k * q ** (a - k + 2))
+        out += Fraction(acc, b ** (a + 2))
+    return out / table.den[a - 1]
 
 
-def verify_partial_sum_identity(table: PartialFractionTable,
-                                form: ZetaLinearForm,
+def verify_partial_sum_identity(table: PartialFractionTable, form: ZetaLinearForm,
                                 upto: int) -> bool:
     """Exact finite-T identity certifying the l_0 / l''_0 bookkeeping.
 
@@ -343,12 +368,11 @@ def verify_partial_sum_identity(table: PartialFractionTable,
     R, differentiated partial fractions for R'').
     """
     n = table.spec.n
-    summand = build_summand(table.spec)
     if form.kind == PLAIN:
-        lhs = sum((summand.eval_exact(t) for t in range(n + 1, upto + 1)), Fraction(0))
+        term = build_summand(table.spec).eval_exact
     else:
-        lhs = sum((half_second_derivative_exact(table, t) for t in range(n + 1, upto + 1)),
-                  Fraction(0))
+        term = partial(half_second_derivative_exact, table)
+    lhs = sum((term(t) for t in range(n + 1, upto + 1)), Fraction(0))
     return lhs == form.constant + _harmonic_tails(table, form.kind, upto)
 
 
@@ -371,12 +395,9 @@ def denominator_check(form: ZetaLinearForm) -> DenominatorReport:
     ok = True
     items = [("l0", form.constant)] + [(f"l{i}", form.zeta_coeffs[i]) for i in sorted(form.zeta_coeffs)]
     for name, coeff in items:
-        v = coeff * mult
-        if v.denominator != 1:
-            ok = False
-            scaled[name] = 0
-        else:
-            scaled[name] = v.numerator
+        q, rem = divmod(mult, coeff.denominator)
+        scaled[name] = 0 if rem else coeff.numerator * q
+        ok = ok and not rem
     return DenominatorReport(spec=spec, kind=form.kind, exponent=spec.a + 2,
                              d2n=d2n, passed=ok, scaled=scaled)
 
@@ -388,7 +409,7 @@ def smallest_clearing_exponent(form: ZetaLinearForm) -> int | None:
     coeffs = [form.constant] + list(form.zeta_coeffs.values())
     for e in range(0, spec.a + 3):
         mult = d2n ** e
-        if all((c * mult).denominator == 1 for c in coeffs):
+        if all(mult % c.denominator == 0 for c in coeffs):
             return e
     return None
 
@@ -431,8 +452,7 @@ def _log_of_fraction(x: Fraction) -> float:
     """log |x| for possibly huge rationals, via bit lengths."""
     if x == 0:
         return float("-inf")
-    num, den = abs(x.numerator), x.denominator
-    return (_log_of_int(num)) - (_log_of_int(den))
+    return _log_of_int(abs(x.numerator)) - _log_of_int(x.denominator)
 
 
 def _log_of_int(v: int) -> float:
@@ -442,36 +462,14 @@ def _log_of_int(v: int) -> float:
     return math.log(top) + (v.bit_length() - 64) * math.log(2)
 
 
-# Canonical JSON encodings (stable field order, rationals as digit strings).
+# Canonical JSON encoding (stable field order, rationals as digit strings).
 
 def _frac_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _frac_from_json(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
-
-
 def spec_json(spec: FormSpec) -> dict:
     return {"a": spec.a, "r": spec.r, "n": spec.n}
-
-
-def table_to_json(table: PartialFractionTable) -> dict:
-    return {
-        "schema": "zetaforms/partial-fractions@1",
-        "spec": spec_json(table.spec),
-        "coefficients": [
-            {"i": i, "j": j, **_frac_json(table.coeffs[(i, j)])}
-            for (i, j) in sorted(table.coeffs)
-        ],
-    }
-
-
-def table_from_json(doc: dict) -> PartialFractionTable:
-    spec = FormSpec(**doc["spec"])
-    coeffs = {(e["i"], e["j"]): Fraction(int(e["num"]), int(e["den"]))
-              for e in doc["coefficients"]}
-    return PartialFractionTable(spec=spec, coeffs=coeffs)
 
 
 def form_to_json(form: ZetaLinearForm) -> dict:
@@ -486,10 +484,3 @@ def form_to_json(form: ZetaLinearForm) -> dict:
             for arg, i, _c in form.terms()
         ],
     }
-
-
-def form_from_json(doc: dict) -> ZetaLinearForm:
-    spec = FormSpec(**doc["spec"])
-    zc = {e["i"]: _frac_from_json(e["coefficient"]) for e in doc["zeta_coefficients"]}
-    return ZetaLinearForm(spec=spec, kind=doc["kind"],
-                          constant=_frac_from_json(doc["constant"]), zeta_coeffs=zc)

@@ -3,9 +3,11 @@
 Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
 argument-principle root count, the permutation product inequality,
-Gauss-Jordan elimination in Fraction arithmetic, direct summation in mpf
-and an Euler-Maclaurin expansion built term by term: slow, transparent
-routes that the package's own algorithms are checked against.
+Gauss-Jordan elimination in Fraction arithmetic, direct summation in mpf,
+an Euler-Maclaurin expansion built term by term, and the partial-fraction
+table and zeta forms accumulated in reduced Fractions, with the JSON
+readers of tables and forms: slow, transparent routes that the package's
+own algorithms are checked against.
 """
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ from typing import Callable, Iterable, Sequence
 from mpmath import mp, mpf
 
 from zetaforms.criterion import EpsTable, PermutationProductReport
-from zetaforms.exact_kernel import binomial, harmonic_prefixes
-from zetaforms.linear_forms import DOUBLE_DERIVED, FormSpec, build_summand
+from zetaforms.exact_kernel import binomial, harmonic_prefixes, lcm_upto
+from zetaforms.linear_forms import (DOUBLE_DERIVED, PLAIN, FormSpec, PartialFractionTable,
+                                    ZetaLinearForm, build_summand, spec_json)
 
 
 def pochhammer(alpha, k: int) -> Fraction:
@@ -37,7 +40,7 @@ def power_sum(i: int, m: int) -> Fraction:
     read from the package's harmonic prefix kernel."""
     if m < 0:
         raise ValueError("power_sum needs m >= 0")
-    L, row = harmonic_prefixes(i, m, m)
+    L, [row] = harmonic_prefixes(range(i, i + 1), m, m)
     return Fraction(row[0], L ** i)
 
 
@@ -394,3 +397,88 @@ def em_at_per_term(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
         prev = at
         poch *= (s + 2 * k - 1) * (s + 2 * k)
     return acc, None
+
+
+def fraction_table(spec: FormSpec) -> dict[tuple[int, int], Fraction]:
+    """Partial fractions c_{i,j} by the log-derivative recurrence of
+    ``linear_forms.partial_fractions``, each coefficient reduced as its own
+    Fraction over (n-j)!^a (n+j)!^a L^k k!."""
+    a, r, n = spec.a, spec.r, spec.n
+    w = (2 * r + 1) * n
+    scale = math.factorial(2 * n) ** (a - 6 * r)
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for j in range(-n, n + 1):
+        g = []
+        for p in range(1, a):
+            L, [P] = harmonic_prefixes(range(p, p + 1), 0, w + n)
+            positive = 3 * (P[j + w] - P[j + n]) - a * P[j + n]
+            negative = 3 * (P[w - j] - P[n - j]) - a * P[n - j]
+            g.append((1 if p % 2 else -1) * positive - negative)
+        roots = math.perm(w + j, w - n) * math.perm(w - j, w - n)
+        f0num = (-1) ** (n - j) * scale * roots ** 3
+        f0den = (math.factorial(n - j) * math.factorial(n + j)) ** a
+        hh = [1]
+        for s in range(a - 1):
+            hh.append(sum(hh[i] * g[s - i] * math.factorial(s) // math.factorial(i)
+                          for i in range(s + 1)))
+        for k in range(a):
+            coeffs[(a - k, j)] = Fraction(f0num * hh[k], f0den * L ** k * math.factorial(k))
+    return coeffs
+
+
+def fraction_forms(spec: FormSpec) -> tuple[ZetaLinearForm, ZetaLinearForm]:
+    """Plain and double-derived forms from ``fraction_table``: column sums
+    and l_0, l''_0 = -sum_{i,j} c_{i,j} m_i H^(i+shift)_{n-j} accumulated
+    one Fraction at a time."""
+    a, n = spec.a, spec.n
+    coeffs = fraction_table(spec)
+    zc = {i: sum(coeffs[(i, j)] for j in range(-n, n + 1)) for i in range(3, a + 1, 2)}
+    forms = []
+    for kind, shift in ((PLAIN, 0), (DOUBLE_DERIVED, 2)):
+        const = Fraction(0)
+        for i in range(1, a + 1):
+            mult = binomial(i + 1, 2) if shift else 1
+            for j in range(-n, n + 1):
+                const -= coeffs[(i, j)] * mult * power_sum(i + shift, n - j)
+        forms.append(ZetaLinearForm(spec=spec, kind=kind, constant=const, zeta_coeffs=dict(zc)))
+    return forms[0], forms[1]
+
+
+def _frac_from_json(d: dict) -> Fraction:
+    return Fraction(int(d["num"]), int(d["den"]))
+
+
+def table_to_json(table: PartialFractionTable) -> dict:
+    """The canonical ``zetaforms/partial-fractions@1`` document of a table."""
+    return {
+        "schema": "zetaforms/partial-fractions@1",
+        "spec": spec_json(table.spec),
+        "coefficients": [
+            {"i": i, "j": j, "num": str(c.numerator), "den": str(c.denominator)}
+            for (i, j), c in sorted(table.coeffs.items())
+        ],
+    }
+
+
+def table_from_json(doc: dict) -> PartialFractionTable:
+    """Integer numerators over D_k = L^k k! from the reduced
+    coefficients; raises ValueError if one is not such a numerator."""
+    spec = FormSpec(**doc["spec"])
+    a, r, n = spec.a, spec.r, spec.n
+    coeffs = {(e["i"], e["j"]): _frac_from_json(e) for e in doc["coefficients"]}
+    L = lcm_upto((2 * r + 2) * n)
+    den = [L ** k * math.factorial(k) for k in range(a)]
+    num = []
+    for k, d in enumerate(den):
+        row = [coeffs[(a - k, j)] * d for j in range(-n, n + 1)]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError(f"column {a - k} is not integral over D_{k}")
+        num.append([x.numerator for x in row])
+    return PartialFractionTable(spec=spec, num=num, den=den)
+
+
+def form_from_json(doc: dict) -> ZetaLinearForm:
+    spec = FormSpec(**doc["spec"])
+    zc = {e["i"]: _frac_from_json(e["coefficient"]) for e in doc["zeta_coefficients"]}
+    return ZetaLinearForm(spec=spec, kind=doc["kind"],
+                          constant=_frac_from_json(doc["constant"]), zeta_coeffs=zc)

@@ -113,11 +113,15 @@ def test_power_sum_values():
 
 
 def test_harmonic_prefixes_window():
-    # L = lcm(1..4) = 12; the window 2..4 holds 12^2 H^(2)_k
-    assert harmonic_prefixes(2, 2, 4) == (12, [144 + 36, 144 + 36 + 16, 144 + 36 + 16 + 9])
-    assert harmonic_prefixes(3, 0, 0) == (1, [0])
+    # L = lcm(1..4) = 12; the window 2..4 holds 12^p H^(p)_k for p = 2, 3
+    assert harmonic_prefixes(range(2, 4), 2, 4) == (12, [
+        [144 + 36, 144 + 36 + 16, 144 + 36 + 16 + 9],
+        [1728 + 216, 1728 + 216 + 64, 1728 + 216 + 64 + 27]])
+    assert harmonic_prefixes(range(3, 4), 0, 0) == (1, [[0]])
     with pytest.raises(ValueError):
-        harmonic_prefixes(2, 3, 2)
+        harmonic_prefixes(range(2, 3), 3, 2)
+    with pytest.raises(ValueError):
+        harmonic_prefixes(range(2, 2), 0, 2)
 
 
 def test_power_sum_cold_large_m():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -6,7 +7,8 @@ from math import comb
 
 import pytest
 
-from oracles import QPolynomial, numerator_poly
+from oracles import (QPolynomial, form_from_json, fraction_forms, fraction_table,
+                     numerator_poly, table_from_json, table_to_json)
 from zetaforms.exact_kernel import lcm_upto
 from zetaforms.linear_forms import (
     DOUBLE_DERIVED,
@@ -15,14 +17,11 @@ from zetaforms.linear_forms import (
     build_summand,
     coeff_growth,
     denominator_check,
-    form_from_json,
     form_to_json,
     half_second_derivative_exact,
     partial_fractions,
     smallest_clearing_exponent,
     table_for,
-    table_from_json,
-    table_to_json,
     verify_partial_sum_identity,
     zeta_form_derived,
     zeta_form_plain,
@@ -140,6 +139,36 @@ def test_partial_fraction_golden_digest(spec, digest):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("abc", [(7, 1, 1), (7, 1, 3), (9, 1, 4), (13, 2, 5), (13, 2, 20),
+                                 (41, 6, 2)])
+def test_integer_route_matches_fraction_oracle(abc):
+    # the integer numerators over D_k, their column sums and the
+    # common-denominator harmonic tails give the very Fractions that
+    # reducing every coefficient and accumulating in Fractions gives
+    spec = FormSpec(*abc)
+    table = partial_fractions(build_summand(spec))
+    plain, derived = zeta_form_plain(table), zeta_form_derived(table)
+    assert table.c1_sum() == 0
+    for form in (plain, derived):
+        assert denominator_check(form).passed
+        assert verify_partial_sum_identity(table, form, spec.n + 2)
+        form_to_json(form)
+    assert "coeffs" not in vars(table)           # none of these builds the Fraction view
+    assert table.coeffs == fraction_table(spec)
+    assert (plain, derived) == fraction_forms(spec)
+
+
+def test_form_golden_digest():
+    # SHA-256 of the canonical form JSON at (13,2,20), recorded from the
+    # Fraction-accumulating route that the integer numerators replaced
+    table = partial_fractions(build_summand(FormSpec(13, 2, 20)))
+    digests = [hashlib.sha256(json.dumps(form_to_json(form), sort_keys=True,
+                                         separators=(",", ":")).encode()).hexdigest()
+               for form in (zeta_form_plain(table), zeta_form_derived(table))]
+    assert digests == ["5536f79756f1b1a851297981f37178c312eed8a9f10328ab4dc710d3e3eff96c",
+                       "be6b4f7c387f9f3338ddd1ca7934b23cb8e3e9d0875f0efe4114c9b63a0b13dd"]
+
+
 def test_even_zeta_coefficients_vanish_exactly():
     for spec in (FormSpec(7, 1, 1), FormSpec(9, 1, 2), FormSpec(13, 2, 2)):
         table = table_for(spec)
@@ -205,14 +234,17 @@ def test_half_second_derivative_matches_log_derivative_route():
 
 
 def test_zeta_form_rejects_corrupted_table():
+    # one integer numerator of column i off by one: a nonzero c1 sum
+    # (i = 1), or a nonzero even column (i = 2)
     spec = FormSpec(a=7, r=1, n=1)
     table = table_for(spec)
-    bad = dict(table.coeffs)
-    bad[(1, 0)] += 1
-    from zetaforms.linear_forms import PartialFractionTable
-
-    with pytest.raises(ArithmeticError):
-        zeta_form_plain(PartialFractionTable(spec=spec, coeffs=bad))
+    for i, match in ((1, "order-1"), (2, "even-order")):
+        num = [list(row) for row in table.num]
+        num[spec.a - i][spec.n] += 1
+        bad = dataclasses.replace(table, num=num)
+        for build in (zeta_form_plain, zeta_form_derived):
+            with pytest.raises(ArithmeticError, match=match):
+                build(bad)
 
 
 def test_denominator_check_and_probe():
@@ -247,7 +279,7 @@ def test_coeff_growth_7_1():
 def test_json_roundtrip():
     spec = FormSpec(a=7, r=1, n=2)
     table = table_for(spec)
-    assert table_from_json(table_to_json(table)).coeffs == table.coeffs
+    assert table_from_json(table_to_json(table)) == table
     for form in (zeta_form_plain(table), zeta_form_derived(table)):
         doc = form_to_json(form)
         back = form_from_json(doc)
