@@ -5,15 +5,18 @@ Four layers:
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
   sum_{m >= x0} m^{-s} for a range of s at one start x0; ``zeta_value``
   is its x0 = 1 case for a single s and the Laurent tails call it at
-  x0 = T.  The direct part up to the expansion point is summed on
-  integers at the scale of the hardest tolerance.  For the completely
-  monotone integrand x^{-s} the Euler-Maclaurin remainder is no larger
-  than the first omitted correction term, so each expansion stops once
-  that term is below its tolerance (the expansion point grows if the
-  terms bottom out too early).  The coefficients B_2k/(2k)! X^(1-2k) do
-  not depend on s: one table of them, kept for the last (X, mp.prec),
-  serves every s expanded at X, including consecutive zeta values at
-  one budget.  A Laurent exponent whose weight is 0 is not expanded.
+  x0 = T.  The direct part up to the expansion point X is summed on
+  integers at the scale of the hardest tolerance, and X is the point of
+  least estimated cost (``_em_point``): direct steps against expansion
+  terms and the coefficients not yet made.  For the completely monotone
+  integrand x^{-s} the Euler-Maclaurin remainder is no larger than the
+  first omitted correction term, so each expansion stops once that term
+  is below its tolerance (X grows if the terms bottom out too early).
+  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s: one table of
+  them, kept for the last (X, mp.prec), serves every s expanded at X,
+  including consecutive zeta values at one budget.  B_2k comes from
+  exact integer tangent numbers, whose one table serves every precision.
+  A Laurent exponent whose weight is 0 is neither expanded nor summed.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and certified zeta values.  The
@@ -45,9 +48,10 @@ Four layers:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mpmath import mp, mpf
 
@@ -102,12 +106,39 @@ def _log10_add(x: float, y: float) -> float:
 # Euler-Maclaurin power sums
 
 
+# Tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ..., exact and so shared
+# by every precision.  Brent and Harvey (2011) make T_1..T_n in place by
+# T_j <- (j-i) T_{j-1} + (j-i+2) T_j for stages i = 2..n, j = i..n, from
+# T_j = (j-1)!.  Run one j at a time, column j after stage i is
+# h_j(i) = (j-i) h_{j-1}(i) + (j-i+2) h_j(i-1), h_j(1) = (j-1)!, and
+# T_j = h_j(j); _TANGENT_STAGES holds h_j(1..j) of the last j made.
+_TANGENT: list[int] = []
+_TANGENT_STAGES: list[int] = []
+
+
+def _tangent(k: int) -> int:
+    """The tangent number T_k, k >= 1; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    global _TANGENT_STAGES
+    while len(_TANGENT) < k:
+        j = len(_TANGENT) + 1
+        prev = _TANGENT_STAGES
+        col = [(j - 1) * prev[0] if prev else 1]
+        for i in range(2, j):
+            col.append((j - i) * prev[i - 1] + (j - i + 2) * col[-1])
+        if j > 1:
+            col.append(2 * col[-1])          # stage j: h_{j-1}(j) has factor 0
+        _TANGENT_STAGES = col
+        _TANGENT.append(col[-1])
+    return _TANGENT[k - 1]
+
+
 class _EMTable:
     """The Euler-Maclaurin coefficients c_k = B_2k/(2k)! X^(1-2k),
     k = 1, 2, ..., at one expansion point X.  They do not depend on s, so
     every s expanded at X reads them from here; ``key`` is (X, mp.prec)
     at the time the table was started, and each c_k is made at that
-    precision when first asked for."""
+    precision when first asked for, from the exact tangent number T_k
+    (``_tangent``) and a running 1/((2k)! X^(2k-1))."""
 
     __slots__ = ("key", "c", "_q")
 
@@ -120,7 +151,12 @@ class _EMTable:
         k = len(self.c) + 1
         X = self.key[0]
         self._q /= (2 * k - 1) * (2 * k) * X * X
-        self.c.append(mp.bernoulli(2 * k) * self._q)
+        # |B_2k| = 2k T_k / (4^k (4^k - 1)); 2k T_k is cut to mp.prec + 8
+        # bits first, as mpf() of a long integer is slow
+        t = 2 * k * _tangent(k)
+        cut = max(0, t.bit_length() - mp.prec - 8)
+        b = mp.ldexp(mpf(t >> cut) / (4 ** k - 1), cut - 2 * k)
+        self.c.append(b * self._q if k % 2 else -b * self._q)
 
 
 # One table, for the last (X, mp.prec) asked for: consecutive expansions
@@ -168,6 +204,135 @@ def _em_at(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
             return acc, None
 
 
+# Costs of the pieces of ``_em_tail_range`` in microseconds, as (fixed,
+# per decimal digit) pairs, fitted to timings of it and of
+# ``_EMTable.extend`` at 300-1700 digits on an x86-64 host (CPython 3.11,
+# mpmath's pure-Python backend).  Direct part, at the digits of the scale
+# 2^P: one m (the power m^s and the floor division of 2^P by it), and one
+# row at that m (an add and a floor division).  Expansion, at the digits
+# of mp.prec: one term, and one new table entry.  The j-th tangent number
+# costs about _COST_TANGENT j^2: j integer steps on numbers of j log j bits.
+_COST_M = (0.3, 0.0027)
+_COST_ROW = (0.2, 0.0012)
+_COST_TERM = (4.5, 0.031)
+_COST_ENTRY = (7.4, 0.058)
+_COST_TANGENT = 0.003
+_EM_SAMPLE = 16        # needed exponents the cost is estimated from
+_LN10 = math.log(10)
+_TWO_PI = 2 * math.pi
+
+
+def _em_terms(s: int, tol: float, X: int) -> float:
+    """Estimated count of the terms ``_em_at(s, X, 10^tol)`` forms: where
+    |B_2k|/(2k)! (s)_{2k-1} X^{1-s-2k}, with |B_2k|/(2k)! ~ 2 (2 pi)^-2k,
+    falls below 10^tol, interpolated between integers k so that the cost
+    is smooth in X.  inf if the terms stop decreasing (near
+    2k = 2 pi X - s) before that."""
+    base = math.log(2) - math.lgamma(s) + (1 - s) * math.log(X) - tol * _LN10
+    step = 2 * math.log(_TWO_PI * X)
+
+    def excess(k: int) -> float:        # log of term k over the tolerance
+        return base + math.lgamma(s + 2 * k - 1) - k * step
+
+    lo, e_lo = 1, excess(1)
+    if e_lo < 0:
+        return 1.0
+    hi = max(1, int((_TWO_PI * X - s) / 2))
+    e_hi = excess(hi)
+    if e_hi >= 0:
+        return math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        e = excess(mid)
+        if e >= 0:
+            lo, e_lo = mid, e
+        else:
+            hi, e_hi = mid, e
+    return lo + e_lo / (e_lo - e_hi)
+
+
+def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], float]:
+    """The estimated microseconds of ``_em_tail_range`` for the needed
+    (s, log10 tolerance) pairs, as a function of the expansion point X:
+    inf if some expansion is expected to bottom out above its tolerance.
+
+    Direct side: each m in [x0, X) costs one step, plus one row for every
+    needed s with m^s <= 2^P (w is floored to 0 past that).  Expansion
+    side: the terms of each needed s (``_em_terms``), and the table
+    entries and tangent numbers not yet held when it is called.  Terms
+    and rows are counted on at most _EM_SAMPLE needed s, evenly spaced
+    and with the one of the hardest tolerance, and scaled up to all.
+    """
+    hardest = min(needed, key=lambda pair: pair[1])
+    sample = sorted(set(needed[::math.ceil(len(needed) / (_EM_SAMPLE - 1))]) | {hardest})
+    scale = len(needed) / len(sample)
+    p_digits = max(0.0, -hardest[1])                        # of the scale 2^P
+    d = mp.dps
+    step_m = _COST_M[0] + _COST_M[1] * p_digits
+    step_row = scale * (_COST_ROW[0] + _COST_ROW[1] * p_digits)
+    step_term = scale * (_COST_TERM[0] + _COST_TERM[1] * d)
+    step_entry = _COST_ENTRY[0] + _COST_ENTRY[1] * d
+
+    def cost(X: int) -> float:
+        rows = terms = longest = 0.0
+        for s, tol in sample:
+            k = _em_terms(s, tol, X)
+            if k == math.inf:
+                return k
+            terms += k
+            longest = max(longest, k)
+            top = p_digits * _LOG2_10 / s                   # log2 of the last m of row s
+            rows += max(0.0, min(X, 2 ** min(top, 60) + 1) - x0)
+        table = _EM_TABLE
+        held = len(table.c) if table is not None and table.key == (X, mp.prec) else 0
+        have = len(_TANGENT)
+        return ((X - x0) * step_m + rows * step_row + terms * step_term
+                + max(0.0, longest - held) * step_entry
+                + _COST_TANGENT * max(0.0, longest ** 3 - have ** 3) / 3)
+
+    return cost
+
+
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
+    """The expansion point X >= x0 of least estimated cost (``_em_cost``).
+
+    The cost is inf where an expansion would bottom out, then falls as
+    the direct part takes over terms, then rises.  X doubles from x0 until
+    the cost rises, and a golden-section search over the last two
+    doublings finds the least cost.  The point of the held table, whose
+    entries cost nothing more, is taken if cheaper."""
+    estimate = functools.cache(_em_cost(x0, needed))
+
+    def cost(X: float) -> float:
+        return estimate(round(X))
+
+    a = b = x0
+    while True:
+        c = 2 * b
+        if cost(b) < math.inf and cost(c) >= cost(b):
+            break
+        a, b = b, c
+    b = c
+    # golden section over [a, b] (inf only left of the finite values),
+    # to within 1 % of X, where the cost is flat
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    while b - a > max(2, b / 100):
+        if cost(x1) <= cost(x2) < math.inf:
+            b, x2 = x2, x1
+            x1 = b - _GOLDEN * (b - a)
+        else:
+            a, x1 = x1, x2
+            x2 = a + _GOLDEN * (b - a)
+    best = round(min(x1, x2, key=cost))
+    table = _EM_TABLE
+    if table is not None and table.key[1] == mp.prec and table.key[0] >= x0:
+        best = min(best, table.key[0], key=cost)
+    return best
+
+
 # (s, workdps) -> (digits the value is certified to, value).  A hit must
 # also meet the caller's digits: two contexts share a workdps with
 # different digits/guard splits.
@@ -199,28 +364,34 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
     X, is shared by all s and summed on integers at the scale of the
     hardest tolerance; the expansion at X stops each needed s at its own
     tolerance, reading the coefficient table that all of them share
-    (``_em_table``).  X starts from the hardest tolerance and grows while
-    some expansion bottoms out above its tolerance.  Needs s_lo >= 2,
-    x0 >= 1 and at least one needed s.
+    (``_em_table``).  The direct loop advances only the rows of needed s,
+    and leaves each m once its term is floored to 0.  X starts at the
+    point of least estimated cost (``_em_point``) and grows while some
+    expansion bottoms out above its tolerance.  Needs s_lo >= 2, x0 >= 1
+    and at least one needed s.
     """
     if s_lo < 2:
         raise ValueError("need s >= 2")
     if x0 < 1:
         raise ValueError("need x0 >= 1")
     count = s_hi - s_lo + 1
-    tols = [None if t is None else float(t) for t in tols_log10]
-    if len(tols) != count:
+    if len(tols_log10) != count:
         raise ValueError("one tolerance per s value required")
-    needed_tols = [t for t in tols if t is not None]
-    if not needed_tols:
+    needed = [(s, float(t)) for s, t in zip(range(s_lo, s_hi + 1), tols_log10)
+              if t is not None]
+    if not needed:
         raise ValueError("no exponent is needed")
-    hardest = min(needed_tols)
+    hardest = min(t for _, t in needed)
+    # the direct loop steps w from one needed s to the next by m^gap
+    steps = [(s - s_lo, nxt - s) for (s, _), (nxt, _) in zip(needed, needed[1:] + needed[-1:])]
+    first = needed[0][0]
+    start = _em_point(x0, needed)
     extra = 0
-    needed = max(x0, int(0.46 * (-hardest)) + 8) if hardest < 0 else x0
     while True:
-        X = max(x0, needed + extra)
+        X = start + extra
         # direct part on integers scaled by 2^P, P set by the hardest
-        # tolerance: w floors once at m^-s_lo and once per later s, so each
+        # tolerance: at every needed s, w is floor(2^P / m^s) (nested
+        # floors by integers are one floor by their product), so each
         # (m, s) is within 2 units, and a w floored to 0 stays below them
         err = 2 * (X - x0)
         P = max(0, math.ceil(-hardest * _LOG2_10)) + err.bit_length() + 8
@@ -228,20 +399,19 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
         one = 1 << P
         direct = [0] * count
         for m in range(x0, X):
-            w = one // m ** s_lo
-            for idx in range(count):
+            w = one // m ** first
+            for idx, gap in steps:
+                direct[idx] += w
+                w //= m ** gap
                 if not w:
                     break
-                direct[idx] += w
-                w //= m
         acc: list[mpf | None] = [None] * count
-        for idx, tol in enumerate(tols):
-            if tol is None:
-                continue
-            value, bound = _em_at(s_lo + idx, X, mpf(10) ** tol)
+        for s, tol in needed:
+            # compared against a power of two at or below 10^tol
+            value, bound = _em_at(s, X, mp.ldexp(1, math.floor(tol * _LOG2_10)))
             if bound is None:
                 break
-            acc[idx] = mp.ldexp(direct[idx], -P) + value
+            acc[s - s_lo] = mp.ldexp(direct[s - s_lo], -P) + value
         else:
             return acc
         extra = max(32, 2 * extra, X)
@@ -360,7 +530,8 @@ class LaurentTail:
         plain has w_i = b_i and shift 0, derived w_i = b_i s_i (s_i+1)/2
         and shift 2.  Each power sum with w_i != 0 is certified to
         10^tol_log10 / (100 K |w_i|), so the K weighted errors sum below
-        10^(tol_log10 - 2); one with w_i = 0 is not expanded at all.
+        10^(tol_log10 - 2); one with w_i = 0 is neither expanded nor
+        summed.
         """
         self.extend(K)
         if kind == PLAIN:

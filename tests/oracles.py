@@ -4,10 +4,10 @@ Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
 argument-principle root count, the permutation product inequality,
 Gauss-Jordan elimination in Fraction arithmetic, direct summation in mpf,
-an Euler-Maclaurin expansion built term by term, and the partial-fraction
-table and zeta forms accumulated in reduced Fractions, with the JSON
-readers of tables and forms: slow, transparent routes that the package's
-own algorithms are checked against.
+exact Bernoulli numbers, an Euler-Maclaurin expansion built term by term,
+and the partial-fraction table and zeta forms accumulated in reduced
+Fractions, with the JSON readers of tables and forms: slow, transparent
+routes that the package's own algorithms are checked against.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
+import mpmath
 from mpmath import mp, mpf
 
 from zetaforms.criterion import EpsTable, PermutationProductReport
@@ -370,6 +371,13 @@ def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
         Rt = Rt * (p ** (a + 3) * v ** 3) / (u ** 3 * q ** (a + 3))
         t += 1
     return acc / 2 if derived else acc
+
+
+def bernoulli_exact(n: int) -> Fraction:
+    """The Bernoulli number B_n as an exact fraction, from mpmath's
+    ``bernfrac`` (a numerical value made exact by von Staudt-Clausen)."""
+    p, q = mpmath.bernfrac(n)
+    return Fraction(int(p), int(q))
 
 
 def em_at_per_term(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:

@@ -23,7 +23,7 @@ from zetaforms.linear_forms import (FormSpec, build_summand, half_second_derivat
                                    table_for, zeta_form_derived, zeta_form_plain)
 from zetaforms.saddle import compute_constants
 
-from oracles import direct_sum_mpf, em_at_per_term
+from oracles import bernoulli_exact, direct_sum_mpf, em_at_per_term
 
 
 CTX = PrecisionContext(digits=60, guard=20)
@@ -79,15 +79,89 @@ def test_zeta_cache_meets_each_callers_digits():
 
 
 def test_zeta_certified_at_rate_sweep_budgets():
-    # measure_rates asks for zeta values at about 150-450 digits; the
-    # direct part then runs on integers at the scale of the target
+    # measure_rates asks for zeta values at about 600-900 digits on the
+    # rate-sweep batch and at 1705 digits for criterion 6; the direct part
+    # runs on integers at the scale of the target
     highprec._ZETA_CACHE.clear()
-    for digits in (300, 450):
+    for digits, exponents in ((300, (2, 3, 5, 21, 45)), (450, (2, 3, 5, 21, 45)),
+                              (600, (2, 3, 5, 21, 45)), (900, (2, 3, 5, 21, 45)),
+                              (1705, (3,))):
         ctx = PrecisionContext(digits=digits, guard=20)
-        for s in (2, 3, 5, 21, 45):
+        for s in exponents:
             v = zeta_value(s, ctx)
             with mp.workdps(digits + 50):
                 assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits
+
+
+def test_tangent_bernoulli_numbers_equal_exact_oracle():
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for every 2k <= 1200
+    for k in range(1, 601):
+        b = Fraction((-1) ** (k - 1) * 2 * k * highprec._tangent(k), 4 ** k * (4 ** k - 1))
+        assert b == bernoulli_exact(2 * k), k
+
+
+def test_tangent_table_started_at_low_precision_serves_higher_ones(monkeypatch):
+    # the tangent numbers are started by a 120-digit zeta value and then
+    # read at 400 and 1705 digits; being exact, they must still give every
+    # zeta value to its own tolerance
+    monkeypatch.setattr(highprec, "_TANGENT", [])
+    monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
+    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    held = []
+    for digits in (120, 400, 1705):
+        ctx = PrecisionContext(digits=digits, guard=20)
+        v = zeta_value(5, ctx)
+        held.append(len(highprec._TANGENT))
+        with mp.workdps(digits + 50):
+            assert abs(v - mpmath.zeta(5)) < mpf(10) ** -digits
+    assert 0 < held[0] < held[1] < held[2]
+
+
+def _old_em_point(x0, needed):
+    # the fixed rule the cost estimate replaced
+    return max(x0, int(0.46 * -min(t for _, t in needed)) + 8)
+
+
+@pytest.mark.parametrize("digits", [300, 900, 1705])
+def test_em_point_costs_no_more_than_fixed_rule_for_zeta(digits, monkeypatch):
+    monkeypatch.setattr(highprec, "_EM_TABLE", None)
+    needed = [(3, -(digits + 4))]
+    with mp.workdps(digits + 20):
+        cost = highprec._em_cost(1, needed)
+        assert cost(highprec._em_point(1, needed)) <= cost(_old_em_point(1, needed))
+
+
+@pytest.mark.parametrize("abc", [(9, 1, 1), (13, 2, 5)])
+def test_em_point_costs_no_more_than_fixed_rule_for_laurent_tails(abc, monkeypatch):
+    # every expansion point chosen for the Laurent tails of criterion 1's
+    # residuals, priced against the fixed rule in the same state
+    real = highprec._em_point
+    costs = []
+
+    def spy(x0, needed):
+        X = real(x0, needed)
+        if x0 > 1:
+            cost = highprec._em_cost(x0, needed)
+            costs.append((cost(X), cost(_old_em_point(x0, needed))))
+        return X
+
+    monkeypatch.setattr(highprec, "_em_point", spy)
+    table = table_for(FormSpec(*abc))
+    for form in (zeta_form_plain(table), zeta_form_derived(table)):
+        form_residual(form, PrecisionContext(250, 25))
+    assert costs
+    for chosen, fixed in costs:
+        assert chosen <= fixed
+
+
+def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
+    # at 899 digits the fixed rule X = 423 built 555 coefficients
+    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    monkeypatch.setattr(highprec, "_EM_TABLE", None)
+    ctx = PrecisionContext(digits=899, guard=20)
+    for s in range(3, 16, 2):
+        zeta_value(s, ctx)
+    assert len(highprec._EM_TABLE.c) <= 300
 
 
 def test_power_sum_tail_matches_mpmath_hurwitz():
@@ -121,18 +195,21 @@ def test_em_tail_range_rejects_bad_input():
         _em_tail_range(3, 5, 5, [None] * 3)
 
 
-def test_em_tail_range_against_per_term_oracle_at_two_precisions():
-    # x0 = 600 is above the expansion point the tolerances ask for, so
-    # both calls expand at X = 600 and have no direct part.  The 120-digit
-    # call runs first: its coefficient table, read again at 400 digits,
-    # would hold only about 120 good digits there.
+def test_em_tail_range_against_per_term_oracle_at_two_precisions(monkeypatch):
+    # the expansion point is held at x0 = 600, so both calls expand at
+    # X = 600 and have no direct part.  The 120-digit call runs first: its
+    # coefficient table, read again at 400 digits, would hold only about
+    # 120 good digits there.
     X, lo, hi = 600, 2, 24
+    monkeypatch.setattr(highprec, "_em_point", lambda x0, needed: x0)
     for dps in (120, 400):
         tol = -(dps - 10)
         with mp.workdps(dps):
             vals = _em_tail_range(lo, hi, X, [tol] * (hi - lo + 1))
+            # the expansion stops at a power of two at or below 10^tol
+            stop = mpf(2) ** math.floor(tol * math.log2(10))
             for s, val in zip(range(lo, hi + 1), vals):
-                ref, bound = em_at_per_term(s, X, mpf(10) ** tol)
+                ref, bound = em_at_per_term(s, X, stop)
                 assert bound is not None
                 assert abs(val - ref) < mpf(10) ** (tol - 5)
         with mp.workdps(dps + 50):
