@@ -19,6 +19,7 @@ a floating-point judgement.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -130,38 +131,58 @@ class EpsTable:
 
     def _row(self, n: int, rows: dict) -> tuple[list[int], list[int]]:
         """Numerators and denominators of eps_{1,n} .. eps_{k,n}, each read
-        once through value() and kept in ``rows``."""
+        once and kept in ``rows``; the same errors as value() for an entry
+        that is missing or not positive."""
         row = rows.get(n)
         if row is None:
-            ratios = [self.value(j, n).as_integer_ratio() for j in range(1, self.k + 1)]
-            row = rows[n] = ([p for p, _q in ratios], [q for _p, q in ratios])
+            nums, dens = [], []
+            for j in range(1, self.k + 1):
+                try:
+                    p, q = self.eps[(j, n)].as_integer_ratio()
+                except KeyError:
+                    raise ValueError(f"eps_({j},{n}) is not in the table") from None
+                if p <= 0:
+                    raise ValueError(f"eps_({j},{n}) must be positive")
+                nums.append(p)
+                dens.append(q)
+            row = rows[n] = (nums, dens)
         return row
 
     def hypothesis_violations(self, phi: Callable[[int], int], rows: dict | None = None) -> list[dict]:
         """All (i, n, n') in the support with n' >= phi(n) violating
         eps_{i,n'} / eps_{i,n} <= (1/(k+1)!) eps_{i+1,n'} / eps_{i+1,n},
-        decided on the entries' integer numerators and denominators.
-        ``rows`` keeps the entries read (see _row), so that a caller checking
-        more inequalities on the same table reads each entry once."""
+        decided on the entries' integer numerators and denominators: with
+        eps_{i,n} / eps_{i+1,n} = a_i(n) / b_i(n), a violation is
+        a_i(n') (k+1)! b_i(n) > a_i(n) b_i(n').  ``rows`` keeps the entries
+        read (see _row), so that a caller checking more inequalities on the
+        same table reads each entry once."""
         rows = {} if rows is None else rows
         fact = math.factorial(self.k + 1)
         ns = self.support()
+        ratios: dict[int, list[tuple[int, int]]] = {}
+
+        def ratio(n: int) -> list[tuple[int, int]]:
+            """(a_i, b_i) for i = 1..k-1 at n."""
+            out = ratios.get(n)
+            if out is None:
+                num, den = self._row(n, rows)
+                out = ratios[n] = [(num[i] * den[i + 1], den[i] * num[i + 1])
+                                   for i in range(self.k - 1)]
+            return out
+
         bad = []
         for n in ns:
             try:
                 cut = phi(n)
             except IndexError:
                 continue                     # phi past the data: nothing to check
-            later = [npr for npr in ns if npr >= cut]
+            later = ns[bisect_left(ns, cut):]
             if not later or self.k < 2:
                 continue
-            num, den = self._row(n, rows)
+            here = ratio(n)
             for npr in later:
-                num_p, den_p = self._row(npr, rows)
-                for i in range(self.k - 1):
-                    lhs = num_p[i] * num[i + 1] * fact * den[i] * den_p[i + 1]
-                    rhs = num[i] * num_p[i + 1] * den_p[i] * den[i + 1]
-                    if lhs > rhs:
+                for i, ((a, b), (a_p, b_p)) in enumerate(zip(here, ratio(npr))):
+                    if a_p * b * fact > a * b_p:
                         bad.append({"i": i + 1, "n": n, "n_prime": npr})
         return bad
 
@@ -191,10 +212,13 @@ def permutation_product_check(table: EpsTable, phi: Callable[[int], int], n: int
     violations are reported separately; the conclusion is only asserted
     when the hypothesis holds on the table's support.
 
-    Each inequality is decided exactly by integer cross-multiplication:
-    the products of the entries' numerators and denominators along sigma
-    give lhs_num * diag_den * (k+1)! <= diag_num * lhs_den (no (k+1)! for
-    the identity).  Rows come in itertools.permutations order.
+    Each inequality is decided exactly on integers: row j, the entries
+    eps_{j, phi^{s-1}(n)}, is put over its common denominator
+    D_j = lcm of its denominators, so every product along a sigma has the
+    same denominator prod_j D_j, and sigma's row holds iff the product of
+    its numerators is at most diag // (k+1)!, diag being the identity's
+    (an integer x has (k+1)! x <= diag iff x <= diag // (k+1)!).  The
+    identity's row always holds; it is the first of itertools.permutations.
     """
     if k != table.k:
         raise ValueError("k mismatch with the table")
@@ -203,22 +227,22 @@ def permutation_product_check(table: EpsTable, phi: Callable[[int], int], n: int
     iterates = [n]
     for _ in range(k - 1):
         iterates.append(phi(iterates[-1]))
-    # nums[j][s] / dens[j][s] = eps_{j+1, phi^{s-1}(n)}; index 0 is unused so
-    # that sigma's 1-based entries index the rows directly.
     cols = [table._row(m, rows_read) for m in iterates]
-    nums = [(None, *(col[0][j] for col in cols)) for j in range(k)]
-    dens = [(None, *(col[1][j] for col in cols)) for j in range(k)]
+    # scaled[j][s] / D_j = eps_{j+1, phi^{s-1}(n)}; index 0 is unused so
+    # that sigma's 1-based entries index the rows directly.
+    scaled = []
+    for j in range(k):
+        dens = [col[1][j] for col in cols]
+        common = math.lcm(*dens)
+        scaled.append((None, *(col[0][j] * (common // d) for col, d in zip(cols, dens))))
     identity = tuple(range(1, k + 1))
-    diag_num = math.prod(map(getitem, nums, identity))
-    diag_den = math.prod(map(getitem, dens, identity))
     fact = math.factorial(k + 1)
-    diag_den_fact, eta_off = diag_den * fact, Fraction(1, fact)
-    rows = []
-    for sigma in permutations(identity):
-        is_id = sigma == identity
-        ok = (math.prod(map(getitem, nums, sigma)) * (diag_den if is_id else diag_den_fact)
-              <= diag_num * math.prod(map(getitem, dens, sigma)))
-        rows.append((sigma, ok, Fraction(1) if is_id else eta_off))
+    limit = math.prod(map(getitem, scaled, identity)) // fact
+    eta_off = Fraction(1, fact)
+    sigmas = permutations(identity)
+    rows = [(next(sigmas), True, Fraction(1))]
+    for sigma in sigmas:
+        rows.append((sigma, math.prod(map(getitem, scaled, sigma)) <= limit, eta_off))
     return PermutationProductReport(
         k=k, n=n,
         hypothesis_ok=not viol,

@@ -39,18 +39,20 @@ Four layers:
   returns.
 
 * Tail completion.  Either an elementary bound
-  sum_{t >= T} R(t) <= A(T) (T^-D + T^{1-D}/(D-1)) when the decay
-  exponent D is large enough to truncate outright, or the exact Laurent
-  expansion of R at infinity: R = sum b_s t^-s with integer b_s from
-  long division, whose truncation error is controlled exactly through
-  the division residual.  The tail then becomes a finite combination of
-  certified power-sum tails.
+  sum_{t >= T} R(t) <= A(T) (T^-D + T^{1-D}/(D-1)) after a long head,
+  where the decay exponent D lets it truncate outright, or the exact
+  Laurent expansion of R at infinity after a short one: R = sum b_s t^-s
+  with integer b_s from long division, whose truncation error is
+  controlled exactly through the division residual.  The tail then
+  becomes a finite combination of certified power-sum tails.
+  ``eval_S_direct`` takes the route of less estimated work (``_route``),
+  and builds the Laurent expansion only where it might win.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from mpmath import mp, mpf
@@ -222,12 +224,17 @@ _LN10 = math.log(10)
 _TWO_PI = 2 * math.pi
 
 
-def _em_terms(s: int, tol: float, X: int) -> float:
+def _em_terms(s: int, tol: float, X: int, guess: int = 1) -> float:
     """Estimated count of the terms ``_em_at(s, X, 10^tol)`` forms: where
     |B_2k|/(2k)! (s)_{2k-1} X^{1-s-2k}, with |B_2k|/(2k)! ~ 2 (2 pi)^-2k,
     falls below 10^tol, interpolated between integers k so that the cost
     is smooth in X.  inf if the terms stop decreasing (near
-    2k = 2 pi X - s) before that."""
+    2k = 2 pi X - s) before that.
+
+    The log of term k over the tolerance is convex in k, so on [1, hi]
+    it crosses 0 once; the search brackets that crossing by strides
+    doubling away from ``guess`` (the crossing at a nearby X), then
+    bisects.  Any guess gives the same crossing and so the same value."""
     base = math.log(2) - math.lgamma(s) + (1 - s) * math.log(X) - tol * _LN10
     step = 2 * math.log(_TWO_PI * X)
 
@@ -241,6 +248,16 @@ def _em_terms(s: int, tol: float, X: int) -> float:
     e_hi = excess(hi)
     if e_hi >= 0:
         return math.inf
+    k, stride = guess, 1
+    while lo < k < hi:
+        e = excess(k)
+        if e >= 0:
+            lo, e_lo = k, e
+            k += stride
+        else:
+            hi, e_hi = k, e
+            k -= stride
+        stride *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         e = excess(mid)
@@ -273,12 +290,15 @@ def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], fl
     step_term = scale * (_COST_TERM[0] + _COST_TERM[1] * d)
     step_entry = _COST_ENTRY[0] + _COST_ENTRY[1] * d
 
+    crossing = {s: 1 for s, _tol in sample}     # k below the crossing at the last X
+
     def cost(X: int) -> float:
         rows = terms = longest = 0.0
         for s, tol in sample:
-            k = _em_terms(s, tol, X)
+            k = _em_terms(s, tol, X, crossing[s])
             if k == math.inf:
                 return k
+            crossing[s] = int(k)
             terms += k
             longest = max(longest, k)
             top = p_digits * _LOG2_10 / s                   # log2 of the last m of row s
@@ -333,23 +353,36 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
     return best
 
 
-# (s, workdps) -> (digits the value is certified to, value).  A hit must
-# also meet the caller's digits: two contexts share a workdps with
-# different digits/guard splits.
-_ZETA_CACHE: dict[tuple[int, int], tuple[int, mpf]] = {}
+# s -> (digits, workdps, value): the value of zeta(s) held to the most
+# digits, and the working precision it was made at.
+_ZETA_CACHE: dict[int, tuple[int, int, mpf]] = {}
 
 
 def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
-    """zeta(s) for integer s >= 2, absolute error below 10^-digits."""
+    """zeta(s) for integer s >= 2, absolute error below 10^-digits.
+
+    A value held to at least the caller's digits is served, rounded to
+    the caller's workdps if it was made at more.  The bound still holds.
+    A value held to d >= digits was computed to 10^-(d+4): its direct
+    part and its expansion remainder are each below that, and its at
+    most a few thousand roundings at workdps >= d + 10, of terms below 2,
+    add less than 10^-(d+7).  So its error is below 10^-(d+3).  Rounding
+    it to the caller's workdps w >= digits + 10 adds at most half an ulp,
+    2^-prec |zeta(s)| < 2 10^-(w+1) (mpmath's prec is at least
+    (w+1) log2 10 bits, and zeta(s) < 2).  Together these stay below
+    10^-(digits+3) + 10^-(digits+10) < 10^-digits.
+    """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
-    key = (s, ctx.workdps)
-    hit = _ZETA_CACHE.get(key)
+    hit = _ZETA_CACHE.get(s)
     if hit is not None and hit[0] >= ctx.digits:
-        return hit[1]
+        if hit[1] <= ctx.workdps:
+            return hit[2]
+        with mp.workdps(ctx.workdps):
+            return +hit[2]
     with mp.workdps(ctx.workdps):
         v = _em_tail_range(s, s, 1, [-(ctx.digits + 4)])[0]
-    _ZETA_CACHE[key] = (ctx.digits, v)
+    _ZETA_CACHE[s] = (ctx.digits, ctx.workdps, v)
     return v
 
 
@@ -433,6 +466,9 @@ def _int_poly_from_roots(scale: int, roots: Iterable[tuple[int, int]]) -> list[i
     return out
 
 
+_LAURENT_DEGREE_CAP = 2000     # largest degQ = a(2n+1) expanded
+
+
 class LaurentTail:
     """Expansion R(t) = sum_{s >= D} b_s t^{-s} with exact error control.
 
@@ -450,7 +486,7 @@ class LaurentTail:
     def __init__(self, summand: Summand):
         self.summand = summand
         spec = summand.spec
-        if spec.a * (2 * spec.n + 1) > 2000:
+        if spec.a * (2 * spec.n + 1) > _LAURENT_DEGREE_CAP:
             raise ArithmeticError(
                 "Laurent tail needs the expanded denominator; its degree "
                 f"{spec.a * (2 * spec.n + 1)} is past the practical cap. "
@@ -665,11 +701,37 @@ class EvalResult:
     laurent_K: int | None = None
     zeta_digits: int | None = None   # "form": zeta values certified to 10^-zeta_digits
     work_bits: int | None = None     # direct routes: the head is summed on integers scaled by 2^work_bits
+    # direct routes: the estimated microseconds of each route the choice
+    # weighed (``_route``), None for a route it did not estimate
+    direct_cost_us: float | None = None
+    laurent_cost_us: float | None = None
 
 
 _DIRECT_TERM_CAP = 250_000
 _DIRECT_T_CAP = 1_000_000
+_LAURENT_K_CAP = 16384
 _GUARD_BITS = 64
+
+# Costs of the two routes of ``eval_S_direct`` in microseconds, fitted to
+# timings of the criterion-1 forms (250 digits, guard 25, 286-396 working
+# digits) and of Laurent tails up to (13,2,20) on an x86-64 host (CPython
+# 3.11, mpmath's pure-Python backend).  Direct: one term per bit of the
+# scale 2^P, about three times as much for the double-derived loop, which
+# makes two full P-bit products per term.  Laurent, as (fixed, per bit)
+# pairs: the construction per degQ^2 and bit of q, one step of the long
+# division per degQ and bit of b_s times bit of q, and one power sum of
+# ``tail_value`` per working digit.
+_COST_DIRECT = {PLAIN: 0.0028, DOUBLE_DERIVED: 0.0089}
+_COST_BUILD = (0.1, 2.4e-4)
+_COST_DIVISION = (0.07, 3e-7)
+_COST_POWER_SUM = 0.6
+
+
+def _head_bits(terms: int, tol: float) -> int:
+    """The scale P a head of ``terms`` terms is first summed at: the bits
+    of tol, plus the bits of the term count (each term adds floor errors
+    of a few units), plus guard bits."""
+    return max(0, math.ceil(-tol * _LOG2_10)) + terms.bit_length() + _GUARD_BITS
 
 
 def _head_value(spec: FormSpec, kind: str, t0: int, T: int, wdps: int,
@@ -678,13 +740,12 @@ def _head_value(spec: FormSpec, kind: str, t0: int, T: int, wdps: int,
     rounding (the kernel's floor errors plus the conversion to mpf) and
     the scale P it was summed at.
 
-    P starts from the target: the bits of tol, plus the bits of the term
-    count (each term adds floor errors of a few units), plus guard bits.
-    The floor error of a term grows with the terms after it, so where they
-    rise far above the first the bound can miss tol; the head is then
-    summed once more with P raised by the shortfall.
+    P starts at ``_head_bits``.  The floor error of a term grows with the
+    terms after it, so where they rise far above the first the bound can
+    miss tol; the head is then summed once more with P raised by the
+    shortfall.
     """
-    P = max(0, math.ceil(-tol * _LOG2_10)) + (T - t0).bit_length() + _GUARD_BITS
+    P = _head_bits(T - t0, tol)
     head, err = _direct_sum(spec, kind, t0, T, P)
     shortfall = _ilog10(err) - P * _LOG10_2 - tol if err else 0.0
     if shortfall > 0:
@@ -696,56 +757,159 @@ def _head_value(spec: FormSpec, kind: str, t0: int, T: int, wdps: int,
     return value, _ilog10(err) - P * _LOG10_2, P
 
 
+def _direct_split(spec: FormSpec, kind: str, t0: int, tol: float) -> int | None:
+    """The first T = max(64, 2 t0) 2^j whose elementary tail bound meets
+    tol, or None if there is none within _DIRECT_TERM_CAP terms and
+    T <= _DIRECT_T_CAP."""
+    T = max(64, 2 * t0)
+    while T <= _DIRECT_T_CAP and T - t0 <= _DIRECT_TERM_CAP:
+        if _elementary_tail_bound_log10(spec, kind, T) < tol:
+            return T
+        T *= 2
+    return None
+
+
+def _log2_factorial(m: int) -> float:
+    return math.lgamma(m + 1) / math.log(2)
+
+
+def _pole_sizes(spec: FormSpec) -> tuple[int, float, float]:
+    """degQ = a(2n+1); log2 sum|q_i| = a log2((n+1)! n!), the bits of the
+    denominator's coefficients; and log2 |c| for the leading coefficient
+    c = lim (t-n)^a R(t) = (2rn)!^3 (2(r+1)n)!^3 / (2n)!^(6r+3) of the
+    poles t = +-n, which lead b_s ~ 2 c C(s-1, a-1) n^(s-a)."""
+    a, r, n = spec.a, spec.r, spec.n
+    return (a * (2 * n + 1), a * (_log2_factorial(n + 1) + _log2_factorial(n)),
+            3 * _log2_factorial(2 * r * n) + 3 * _log2_factorial(2 * (r + 1) * n)
+            - (6 * r + 3) * _log2_factorial(2 * n))
+
+
+def _laurent_least_K(spec: FormSpec, kind: str, T: int, tol: float) -> int:
+    """The least K = 64 2^j at which the Laurent tail bound at T could
+    meet tol, from the leading part of the tail: the term
+    2 c C(s-1, a-1) n^(s-a) of b_s (``_pole_sizes``) at s = D + K, summed
+    over t >= T as T^(1-s)/(s-1), with the bound's factor 2^degQ (and for
+    the derived kind the weight s(s+1)/2 and T^-2).  The certified bound,
+    made from the whole division residual, is larger: on the criterion-1
+    forms and at (13,2,20) the search ended at this K or later."""
+    a, n = spec.a, spec.n
+    degQ, _qbits, cbits = _pole_sizes(spec)
+    D = a + 2 * n * (a - 6 * spec.r)
+    K = 64
+    while K <= _LAURENT_K_CAP:
+        s = D + K
+        est = ((1 + cbits + degQ) * _LOG10_2 + (s - a) * math.log10(n)
+               + (math.lgamma(s) - math.lgamma(a) - math.lgamma(s - a + 1)) / _LN10
+               - (s - 1) * math.log10(T) - math.log10(s - 1))
+        if kind == DOUBLE_DERIVED:
+            est += math.log10(s * (s + 1) / 2) - 2 * math.log10(T)
+        if est < tol:
+            break
+        K *= 2
+    return K
+
+
+def _laurent_cost(spec: FormSpec, K: int, wdps: int) -> float:
+    """Estimated microseconds of the Laurent route at K coefficients, not
+    counting what is already held: the construction unless the tail is
+    held, the long division past the coefficients held (b_s has about
+    log2 |c| + s log2 n bits, ``_pole_sizes``), and the K/2 power sums
+    of ``tail_value`` (the summand is even or odd in t, so every other
+    b_s is 0).  The head of a few dozen terms is left out."""
+    degQ, qbits, cbits = _pole_sizes(spec)
+    lt = _LAURENT_CACHE.get(spec)
+    held = 0 if lt is None else len(lt.b)
+    build = 0.0 if lt is not None else degQ ** 2 * (_COST_BUILD[0] + _COST_BUILD[1] * qbits)
+    steps = max(0, K - held)
+    bits = steps * cbits + math.log2(spec.n) * max(0, K * K - held * held) / 2
+    division = degQ * (steps * _COST_DIVISION[0] + _COST_DIVISION[1] * qbits * bits)
+    return build + division + _COST_POWER_SUM * wdps * K / 2
+
+
+@dataclass(frozen=True)
+class _Route:
+    """The split point T, the Laurent coefficient count K (None for the
+    direct route) and the log10 tail bound at them, with the estimates
+    in microseconds the choice weighed (None: not estimated)."""
+
+    T: int
+    K: int | None
+    bound: float
+    direct_us: float | None = None
+    laurent_us: float | None = None
+
+
+def _route(spec: FormSpec, kind: str, t0: int, tol: float, wdps: int) -> _Route:
+    """The route of least estimated cost for the series to 10^tol.
+
+    Direct: the head up to the first split whose elementary tail bound
+    meets tol (``_direct_split``), estimated as terms times the bits of
+    its scale P times a per-kind factor.  Laurent: a head up to
+    T = max(2 t0, 48) and the least K = 64 2^j whose certified
+    bound meets tol, estimated by ``_laurent_cost``.  K is learnt only by
+    building the tail, so each step of the search is first estimated at
+    its K or at the least K the search can end at
+    (``_laurent_least_K``), whichever is larger, and the search stops
+    for direct as soon as that estimate reaches direct's: where direct
+    is cheaper than Laurent at that least K, the tail is never built.
+    Direct is the only route past the Laurent degree cap, Laurent the
+    only one where direct cannot reach tol within its caps.
+    """
+    T = _direct_split(spec, kind, t0, tol)
+    direct = None
+    if T is not None:
+        direct = _Route(T, None, _elementary_tail_bound_log10(spec, kind, T),
+                        direct_us=_COST_DIRECT[kind] * (T - t0) * _head_bits(T - t0, tol))
+        if spec.a * (2 * spec.n + 1) > _LAURENT_DEGREE_CAP:
+            return direct
+    T = max(2 * t0, 48)             # 2 t0 > 2n + 2, the least T of the tail bound
+    least = _laurent_least_K(spec, kind, T, tol)
+    K = 64
+    laurent_us = None
+    while K <= _LAURENT_K_CAP:
+        laurent_us = _laurent_cost(spec, max(K, least), wdps)
+        if direct is not None and laurent_us >= direct.direct_us:
+            break
+        bound = _laurent_for(spec).tail_bound_log10(kind, K, T)
+        if bound < tol:
+            return _Route(T, K, bound, None if direct is None else direct.direct_us,
+                          laurent_us)
+        K *= 2
+    if direct is None:
+        raise ArithmeticError(
+            f"Laurent tail for {spec} does not reach 10^{tol}; "
+            "raise the split point or lower the precision target")
+    return replace(direct, laurent_us=laurent_us)
+
+
 def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
                   abs_tol_log10: float | None = None,
                   wdps: int | None = None) -> EvalResult:
     """Evaluate the defining series with a certified absolute error bound.
 
-    Picks plain truncation when the polynomial decay is steep enough to
-    reach the target within a bounded number of terms, otherwise sums a
-    short head and completes with the certified Laurent tail.  The head
-    is summed on integers scaled by 2^P (``_head_value``).
+    Takes the route of least estimated cost (``_route``): plain
+    truncation where the elementary tail bound meets the target, or a
+    short head completed by the certified Laurent tail.  The head is
+    summed on integers scaled by 2^P (``_head_value``).  The result
+    carries both routes' estimates.
     """
     if kind not in (PLAIN, DOUBLE_DERIVED):
         raise ValueError(f"unknown kind {kind!r}")
     wdps = wdps or ctx.workdps
     tol = abs_tol_log10 if abs_tol_log10 is not None else -(ctx.digits + ctx.guard // 2)
     t0 = build_summand(spec).first_nonzero_term()
-
-    T = max(64, 2 * t0)
-    chosen = None
-    while T <= _DIRECT_T_CAP:
-        if _elementary_tail_bound_log10(spec, kind, T) < tol and T - t0 <= _DIRECT_TERM_CAP:
-            chosen = T
-            break
-        T *= 2
-    if chosen is not None:
-        head, rounding, P = _head_value(spec, kind, t0, chosen, wdps, tol)
-        bound = _elementary_tail_bound_log10(spec, kind, chosen)
-        return EvalResult(value=head, method="direct", split_T=chosen,
-                          terms=chosen - t0, tail_bound_log10=_log10_add(bound, rounding),
-                          work_bits=P)
-
-    lt = _laurent_for(spec)
-    T = max(lt.min_t, 2 * t0, 48)
-    K = 64
-    while True:
-        bound = lt.tail_bound_log10(kind, K, T)
-        if bound < tol:
-            break
-        K *= 2
-        if K > 16384:
-            raise ArithmeticError(
-                f"Laurent tail for {spec} does not reach 10^{tol}; "
-                "raise the split point or lower the precision target"
-            )
-    head, rounding, P = _head_value(spec, kind, t0, T, wdps, tol)
+    route = _route(spec, kind, t0, tol, wdps)
+    head, rounding, P = _head_value(spec, kind, t0, route.T, wdps, tol)
+    common = dict(split_T=route.T, terms=route.T - t0, work_bits=P,
+                  direct_cost_us=route.direct_us, laurent_cost_us=route.laurent_us)
+    if route.K is None:
+        return EvalResult(value=head, method="direct",
+                          tail_bound_log10=_log10_add(route.bound, rounding), **common)
     with mp.workdps(wdps):
-        value = head + lt.tail_value(kind, K, T, tol)
-    return EvalResult(value=value, method="direct+laurent", split_T=T,
-                      terms=max(0, T - t0),
-                      tail_bound_log10=_log10_add(_log10_add(bound, tol), rounding),
-                      laurent_K=K, work_bits=P)
+        value = head + _laurent_for(spec).tail_value(kind, route.K, route.T, tol)
+    return EvalResult(value=value, method="direct+laurent",
+                      tail_bound_log10=_log10_add(_log10_add(route.bound, tol), rounding),
+                      laurent_K=route.K, **common)
 
 
 def _log10_abs_sum(coeffs) -> float:

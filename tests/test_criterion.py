@@ -287,6 +287,14 @@ def test_permutation_check_just_past_the_bound_fails():
     assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, 2)
 
 
+def test_permutation_check_one_unit_past_the_bound_fails():
+    # integer entries: the swapped product 2 is one unit past diag // 3! = 1
+    table = EpsTable(k=2, eps={(1, 1): 6, (2, 1): 1, (1, 2): 2, (2, 2): 1})
+    rep = permutation_product_check(table, lambda n: n + 1, 1, 2)
+    assert rep.rows == (((1, 2), True, Fraction(1)), ((2, 1), False, Fraction(1, 6)))
+    assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, 2)
+
+
 def test_permutation_check_missing_entry_is_value_error():
     table = EpsTable(k=2, eps={(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4),
                                (1, 2): Fraction(1, 8)})

@@ -68,7 +68,7 @@ def test_zeta_matches_mpmath_oracle():
             assert abs(zeta_value(s, CTX) - mpmath.zeta(s)) < mpf(10) ** -CTX.digits
 
 
-def test_zeta_cache_meets_each_callers_digits():
+def test_zeta_cache_meets_each_callers_digits(monkeypatch):
     # both contexts work at 150 digits; the 100-digit value cached by the
     # first must not be returned to the second, which asks for 140
     highprec._ZETA_CACHE.clear()
@@ -76,6 +76,29 @@ def test_zeta_cache_meets_each_callers_digits():
     v = zeta_value(3, PrecisionContext(140, 10))
     with mp.workdps(300):
         assert abs(v - mpmath.zeta(3)) < mpf(10) ** -140
+    # the 140-digit value then serves every caller asking for no more
+    # digits, rounded to the caller's workdps where that is lower, without
+    # computing again; a caller asking for more digits gets a new value
+    computed = []
+    real = highprec._em_tail_range
+
+    def spy(*args):
+        computed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(highprec, "_em_tail_range", spy)
+    for digits, guard in ((139, 10), (100, 20), (60, 10), (140, 40), (120, 60)):
+        ctx = PrecisionContext(digits, guard)
+        served = zeta_value(3, ctx)
+        with mp.workdps(ctx.workdps):
+            assert served == +v
+        with mp.workdps(300):
+            assert abs(served - mpmath.zeta(3)) < mpf(10) ** -digits
+    assert not computed
+    more = zeta_value(3, PrecisionContext(141, 10))
+    assert len(computed) == 1
+    with mp.workdps(300):
+        assert abs(more - mpmath.zeta(3)) < mpf(10) ** -141
 
 
 def test_zeta_certified_at_rate_sweep_budgets():
@@ -152,6 +175,44 @@ def test_em_point_costs_no_more_than_fixed_rule_for_laurent_tails(abc, monkeypat
     assert costs
     for chosen, fixed in costs:
         assert chosen <= fixed
+
+
+@pytest.mark.parametrize("s, tol", [(3, -304), (5, -904), (3, -1709), (60, -280), (331, -262)])
+def test_em_terms_is_the_same_from_any_guess(s, tol):
+    # the warm start only moves where the search for the crossing begins;
+    # guess 1 is the plain bisection
+    for X in (50, 199, 1024, 3000):
+        cold = highprec._em_terms(s, tol, X)
+        for guess in (1, 2, 5, 17, 100, 999, 10 ** 6):
+            assert highprec._em_terms(s, tol, X, guess) == cold
+
+
+def test_em_point_unchanged_by_warm_started_terms(monkeypatch):
+    # every expansion point taken for zeta values and for criterion 1's
+    # Laurent tails at (13,1,3), against the choice with each term count
+    # bisected from k = 1
+    needs = [(1, [(3, -(d + 4))]) for d in (300, 900, 1705)]
+    real_point = highprec._em_point
+
+    def record(x0, needed):
+        needs.append((x0, list(needed)))
+        return real_point(x0, needed)
+
+    with monkeypatch.context() as m:
+        m.setattr(highprec, "_em_point", record)
+        m.setattr(highprec, "_LAURENT_CACHE", {})
+        table = table_for(FormSpec(13, 1, 3))
+        for form in (zeta_form_plain(table), zeta_form_derived(table)):
+            form_residual(form, PrecisionContext(250, 25))
+    real_terms = highprec._em_terms
+    for x0, needed in needs:
+        monkeypatch.setattr(highprec, "_EM_TABLE", None)
+        with mp.workdps(300):
+            warm = highprec._em_point(x0, needed)
+            with monkeypatch.context() as m:
+                m.setattr(highprec, "_em_terms",
+                          lambda s, tol, X, guess=1: real_terms(s, tol, X))
+                assert highprec._em_point(x0, needed) == warm
 
 
 def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
@@ -387,6 +448,87 @@ def test_residuals_at_200_digits_for_712(monkeypatch):
 
 def test_residuals_within_bounds_on_direct_route(monkeypatch):
     _assert_residuals_within_bounds(FormSpec(13, 1, 5), "direct", monkeypatch)
+
+
+CRITERION_1 = PrecisionContext(250, 25)
+
+
+def _criterion_1_series(spec, monkeypatch):
+    """The series side of form_residual at criterion 1's precision, for the
+    plain and the derived form of spec."""
+    table = table_for(spec)
+    return [_residual_and_sides(form, CRITERION_1, monkeypatch)[1]
+            for form in (zeta_form_plain(table), zeta_form_derived(table))]
+
+
+@pytest.mark.parametrize("abc, routes", [
+    ((13, 1, 3), ("direct+laurent", "direct+laurent")),    # derived: 131k direct terms
+    ((11, 1, 5), ("direct+laurent", "direct+laurent")),
+    ((13, 1, 4), ("direct+laurent", "direct+laurent")),
+    ((13, 1, 5), ("direct", "direct")),
+    ((13, 1, 6), ("direct", "direct")),
+])
+def test_route_of_least_estimated_cost_at_criterion_1(abc, routes, monkeypatch):
+    for res, route in zip(_criterion_1_series(FormSpec(*abc), monkeypatch), routes):
+        assert res.method == route
+        assert res.laurent_cost_us is not None
+        if res.direct_cost_us is not None:
+            assert (res.direct_cost_us < res.laurent_cost_us) == (route == "direct")
+        else:
+            assert route == "direct+laurent"       # direct cannot reach the target
+
+
+def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
+    # (13,1,6) sums 4k direct terms; building its Laurent tail and finding
+    # K would cost more than that
+    built = []
+    real = highprec._laurent_for
+
+    def spy(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
+    monkeypatch.setattr(highprec, "_laurent_for", spy)
+    for res in _criterion_1_series(FormSpec(13, 1, 6), monkeypatch):
+        assert res.method == "direct"
+    assert not built and not highprec._LAURENT_CACHE
+
+
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_direct_route_kept_at_large_n(kind, monkeypatch):
+    # at (13,2,20) direct summation took 1.9 s and the Laurent tail 35 s
+    # (K = 4096, T = 202); only the choice is made here
+    monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
+    spec = FormSpec(13, 2, 20)
+    ctx = PrecisionContext(200, 25)
+    t0 = build_summand(spec).first_nonzero_term()
+    route = highprec._route(spec, kind, t0, -(ctx.digits + ctx.guard // 2), ctx.workdps)
+    assert route.K is None and route.direct_us < route.laurent_us
+    assert not highprec._LAURENT_CACHE
+
+
+@pytest.mark.parametrize("abc, kinds", [
+    ((13, 1, 3), (DOUBLE_DERIVED,)),
+    ((11, 1, 5), (PLAIN, DOUBLE_DERIVED)),
+    ((13, 1, 4), (PLAIN, DOUBLE_DERIVED)),
+    ((11, 1, 6), (PLAIN, DOUBLE_DERIVED)),
+])
+def test_moved_routes_agree_with_direct_summation(abc, kinds):
+    # the forms that went from direct summation to the Laurent tail, against
+    # the direct head they were evaluated by before
+    spec = FormSpec(*abc)
+    ctx = CRITERION_1
+    tol = -(ctx.digits + ctx.guard // 2)
+    t0 = build_summand(spec).first_nonzero_term()
+    for kind in kinds:
+        res = eval_S_direct(spec, kind, ctx)
+        assert res.method == "direct+laurent"
+        T = highprec._direct_split(spec, kind, t0, tol)
+        head, rounding, _P = highprec._head_value(spec, kind, t0, T, ctx.workdps, tol)
+        assert _elementary_tail_bound_log10(spec, kind, T) < tol and rounding < tol
+        with mp.workdps(ctx.workdps):
+            assert abs(head - res.value) < mpf(10) ** -250
 
 
 def test_laurent_and_direct_paths_agree():
