@@ -17,7 +17,8 @@ from zetaforms.diophantine import (
 golden = (1 + math.sqrt(5)) / 2
 
 rep = projective_distance_sweep(golden, tau=1.0, eps=0.2, p_max=200_000)
-print(f"projective distance on the golden line: checked {rep.checked} points, "
+print(f"projective distance on the golden line: decided {rep.checked} points "
+      f"(the convergents above the burn-in), "
       f"violations above ||P|| = {rep.norm_threshold}: {len(rep.violations)}; "
       f"tightest observed exponent {rep.best_exponent:.4f} (bound -2.2)")
 
@@ -37,7 +38,7 @@ qseq = []
 for (p0, q0), (p1, q1) in zip(cs, cs[1:]):
     forms.append([[q0, -p0], [q1, -p1]])
     qseq.append(q0)
-sg = siegel_verify(forms, qseq, points=[[float(xi), 1.0]], taus=[1.0],
+sg = siegel_verify(forms, qseq, points=[[xi, 1]], taus=[1.0],
                    subspace_basis=[[1, 0], [0, 1]])
 print(f"\nsiegel determinants (consecutive sqrt(2) convergents): "
       f"all nonzero: {all(r[1] != 0 for r in sg.rows_)}; "

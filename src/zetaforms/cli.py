@@ -218,6 +218,8 @@ def cmd_criterion(args) -> int:
                                 f"instance kind {kind!r} not supported")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         return _error_block(EXIT_INPUT_ERROR, "malformed-instance", repr(exc))
+    except ArithmeticError as exc:
+        return _error_block(EXIT_NUMERIC_ERROR, "criterion", str(exc))
     report["provenance"] = provenance("criterion", {"in": str(args.infile)})
     _emit(report, args.out, "json")
     return EXIT_OK if report.get("pass", True) else EXIT_CHECK_FAILED

@@ -3,7 +3,8 @@
 Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
 argument-principle root count, the permutation product inequality,
-Gauss-Jordan elimination in Fraction arithmetic, direct summation in mpf,
+Gauss-Jordan elimination in Fraction arithmetic, the brute-force float
+sweep of the projective distance, direct summation in mpf,
 exact Bernoulli numbers, an Euler-Maclaurin expansion built term by term,
 and the partial-fraction table and zeta forms accumulated in reduced
 Fractions, with the JSON readers of tables and forms: slow, transparent
@@ -333,6 +334,33 @@ def cofactor_det(mat: Sequence[Sequence[int]]) -> int:
         return 1
     return sum((-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in mat[1:]])
                for j, x in enumerate(mat[0]) if x)
+
+
+def distance_sweep_brute(xi: float, tau: float, eps: float, p_max: int,
+                         norm_threshold: float = 100.0) -> tuple[list, int, float]:
+    """The float sweep of Dist(P, F) >= ||P||^(-1-1/tau-eps), F = span((1, xi)):
+    every p in [1, p_max] with q in round(p xi) +- 2, points of norm at
+    least ``norm_threshold`` and Dist > 0 asserted.  Returns every
+    violating (p, q) in order of p, the number of asserted points and the
+    least log Dist / log ||P|| among them (0 if none)."""
+    expo = -1 - 1 / tau - eps
+    scale = math.sqrt(1 + xi * xi)
+    violations = []
+    checked = 0
+    best = 0.0
+    for p in range(1, p_max + 1):
+        qc = round(p * xi)
+        for q in range(qc - 2, qc + 3):
+            norm = math.hypot(p, q)
+            dist = abs(p * xi - q) / scale / norm
+            if norm < norm_threshold or dist <= 0:
+                continue
+            checked += 1
+            if dist < norm ** expo:
+                violations.append((p, q))
+            if norm > 1:
+                best = min(best, math.log(dist) / math.log(norm))
+    return violations, checked, best
 
 
 def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:

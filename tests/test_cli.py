@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 from mpmath import mp
 
+import zetaforms
 from zetaforms import saddle
 from zetaforms.cli import main
 
@@ -131,6 +135,36 @@ def test_criterion_type2_fixture(tmp_path):
     src = resources.files("zetaforms.data") / "sqrt2_type2.json"
     code = run(["criterion", "--in", str(src)])
     assert code == 0
+
+
+def test_criterion_type2_beyond_float_range_is_numeric_failure(tmp_path, capsys):
+    # the box caps Q^tau of Q = 10^400 exceed the double range
+    doc = json.loads((resources.files("zetaforms.data") / "sqrt2_type2.json").read_text())
+    doc["Q"] = 10**400
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    assert run(["criterion", "--in", str(big)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "criterion"
+
+
+def test_criterion_projective_distance_fixture(tmp_path):
+    src = resources.files("zetaforms.data") / "golden_projective_distance.json"
+    out = tmp_path / "report.json"
+    assert run(["criterion", "--in", str(src), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    # the golden convergents (55, 89) .. (832040, 1346269) are the points decided
+    assert doc["pass"] and doc["violations"] == [] and doc["checked"] == 21
+    assert -2.25 <= doc["best_exponent"] <= -1.95
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, zetaforms, zetaforms.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_criterion_oscillation_fixture():

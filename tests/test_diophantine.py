@@ -2,10 +2,10 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from mpmath import mp
 
-from oracles import cofactor_det, row_echelon, select_independent_rows
+from oracles import cofactor_det, distance_sweep_brute, row_echelon, select_independent_rows
 from zetaforms.diophantine import (
     ProjectiveInstance,
     convergents,
@@ -17,6 +17,8 @@ from zetaforms.diophantine import (
     sqrt2_convergents,
     projective_distance_sweep,
 )
+
+GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 def test_convergents_sqrt2_and_golden():
@@ -39,7 +41,7 @@ def test_convergents_of_pi_read_every_term():
 
 
 def test_projective_distance_extremes():
-    inst = ProjectiveInstance(basis=np.array([[1.0, 0.0, 0.0]]))
+    inst = ProjectiveInstance(basis=[[1.0, 0.0, 0.0]])
     assert projective_distance(inst, [3, 0, 0]) < 1e-14          # P in F
     assert abs(projective_distance(inst, [0, 2, 0]) - 1) < 1e-14  # P orthogonal
     with pytest.raises(ValueError):
@@ -53,62 +55,91 @@ def test_projective_distance_against_grid_oracle():
         c1, c2, half = 0.0, 0.0, 8.0
         best = math.inf
         for _ in range(9):
-            s = np.linspace(c1 - half, c1 + half, 61)
-            t = np.linspace(c2 - half, c2 + half, 61)
-            S, T = np.meshgrid(s, t, indexing="ij")
-            F = S[..., None] * e1 + T[..., None] * e2
-            D = np.linalg.norm(P - F, axis=-1)
-            idx = np.unravel_index(np.argmin(D), D.shape)
-            best = float(D[idx])
-            c1, c2 = float(S[idx]), float(T[idx])
+            sgrid = [c1 - half + 2 * half * i / 60 for i in range(61)]
+            tgrid = [c2 - half + 2 * half * i / 60 for i in range(61)]
+            best, c1, c2 = min(
+                (math.dist(P, [s * x + t * y for x, y in zip(e1, e2)]), s, t)
+                for s in sgrid for t in tgrid)
             half *= 4.0 / 60.0 * 2.0
         return best
 
     rng = random.Random(19)
     done = 0
     while done < 6:
-        e1 = np.array([rng.uniform(-2, 2) for _ in range(3)])
-        e2 = np.array([rng.uniform(-2, 2) for _ in range(3)])
-        if abs(np.linalg.det(np.array([e1, e2, np.cross(e1, e2)]))) < 1e-2:
+        e1 = [rng.uniform(-2, 2) for _ in range(3)]
+        e2 = [rng.uniform(-2, 2) for _ in range(3)]
+        cross = [e1[1] * e2[2] - e1[2] * e2[1], e1[2] * e2[0] - e1[0] * e2[2],
+                 e1[0] * e2[1] - e1[1] * e2[0]]
+        if sum(c * c for c in cross) < 1e-2:      # det(e1, e2, e1 x e2)
             continue
-        inst = ProjectiveInstance(basis=np.array([e1, e2]))
-        P = np.array([rng.uniform(-3, 3) for _ in range(3)])
-        if np.linalg.norm(P) < 0.5:
+        inst = ProjectiveInstance(basis=[e1, e2])
+        P = [rng.uniform(-3, 3) for _ in range(3)]
+        if math.hypot(*P) < 0.5:
             continue
         got = projective_distance(inst, P)
         best = grid_min(e1, e2, P)
-        assert abs(got - best / np.linalg.norm(P)) < 1e-6
+        assert abs(got - best / math.hypot(*P)) < 1e-6
         done += 1
 
 
 def test_projective_instance_rejects_dependent_basis():
     with pytest.raises(ValueError):
-        ProjectiveInstance(basis=np.array([[1.0, 2.0], [2.0, 4.0]]))
+        ProjectiveInstance(basis=[[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_kappa_is_coordinate_norm_bound():
     rng = random.Random(7)
-    inst = ProjectiveInstance(basis=np.array([[1.0, 0.2, -0.5], [0.3, 2.0, 0.7]]))
+    inst = ProjectiveInstance(basis=[[1.0, 0.2, -0.5], [0.3, 2.0, 0.7]])
     kappa = inst.kappa
-    B = np.asarray(inst.basis)
     for _ in range(200):
-        lam = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5)])
-        f = lam @ B
-        assert np.max(np.abs(lam)) <= kappa * np.linalg.norm(f) + 1e-12
+        lam = [rng.uniform(-5, 5), rng.uniform(-5, 5)]
+        f = [lam[0] * x + lam[1] * y for x, y in zip(*inst.basis)]
+        assert max(map(abs, lam)) <= kappa * math.hypot(*f) + 1e-12
 
 
 def test_distance_sweep_golden_line():
     golden = (1 + math.sqrt(5)) / 2
     rep = projective_distance_sweep(golden, tau=1.0, eps=0.2, p_max=10**6)
     assert rep.passed, rep.violations[:3]
-    assert rep.checked > 10**6
+    # the points decided are the convergents (55, 89) .. (832040, 1346269);
+    # no other point below p = 55 comes within the bound of the line
+    assert rep.checked == 21
     assert rep.norm_threshold == 100.0         # recorded burn-in
     assert -2.25 <= rep.best_exponent <= -1.95  # tightness probe near -2
 
 
+@pytest.mark.parametrize("xi, tau, eps, threshold, passes", [
+    (GOLDEN, 1.0, 0.2, 100.0, True),
+    (GOLDEN, 2.0, 0.1, 100.0, False),
+    (math.sqrt(2), 1.0, 0.2, 100.0, False),     # (70, 99) dips under the bound
+    (math.sqrt(2), 1.0, 0.5, 100.0, True),
+    (-math.sqrt(3), 1.0, 0.2, 10.0, False),
+    (-GOLDEN, 1.0, 0.2, 100.0, True),
+    (355 / 113 + 1e-9, 1.0, 0.2, 100.0, False),
+    # burn-in edge: the convergent (113, 355) lies under the threshold and
+    # the next one beyond p_max, while its multiples violate above it
+    (355 / 113 + 1e-9, 1.0, 0.2, 400.0, False),
+])
+def test_distance_sweep_matches_the_brute_force(xi, tau, eps, threshold, passes):
+    p_max = 20_000
+    rep = projective_distance_sweep(xi, tau=tau, eps=eps, p_max=p_max, norm_threshold=threshold)
+    brute, _checked, brute_best = distance_sweep_brute(xi, tau, eps, p_max, threshold)
+    assert rep.passed == (not brute) == passes
+    found = [(p, q) for p, q, _dist, _bound in rep.violations]
+    assert set(found) <= set(brute)
+    if brute:
+        assert found[0][0] <= brute[0][0]    # so below every brute-force violation
+    assert rep.best_exponent == pytest.approx(brute_best, rel=1e-6)   # the brute force rounds p xi - q
+
+
+def test_distance_sweep_needs_a_decaying_bound():
+    with pytest.raises(ValueError):
+        projective_distance_sweep(GOLDEN, tau=-1.0, eps=0.5, p_max=100)
+
+
 def test_integer_points_never_on_the_line():
     golden = (1 + math.sqrt(5)) / 2
-    inst = ProjectiveInstance(basis=np.array([[1.0, golden]]))
+    inst = ProjectiveInstance(basis=[[1.0, golden]])
     rng = random.Random(3)
     for _ in range(500):
         P = [rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)]
@@ -150,6 +181,22 @@ def test_siegel_sqrt2_consecutive_convergents():
     assert [row[1] for row in rep.rows_] == [(-1) ** n for n in range(1, 26)]
     # bound exponent tracks d - k - sum tau = 0
     assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.35
+
+
+def test_siegel_beyond_float_range():
+    # q_n reaches 10^325 at 850 sqrt(2) convergents
+    cs = sqrt2_convergents(851)
+    forms = [[[q0, -p0], [q1, -p1]] for (p0, q0), (p1, q1) in zip(cs, cs[1:])]
+    qseq = [q0 for _p0, q0 in cs[:-1]]
+    with mp.workdps(800):
+        xi = mp.sqrt(2)
+    rep = siegel_verify(forms, qseq, points=[[xi, 1]], taus=[1.0],
+                        subspace_basis=[[1, 0], [0, 1]])
+    assert qseq[-1] > 10**320
+    assert [row[1] for row in rep.rows_] == [(-1) ** n for n in range(1, 851)]
+    assert math.isfinite(rep.bound_slope)
+    # with sqrt(2) held to 800 digits the bound product is flat in q_n
+    assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.01
 
 
 def test_siegel_report_equals_its_recomputation():
@@ -264,6 +311,17 @@ def test_type2_box_sqrt2():
     assert rep.boxes_checked == 200            # a1 in [-100, 100] minus zero
     for sample in rep.identity_samples:
         assert sample["gap"] < 1e-6 * max(1.0, sample["lhs"])
+
+
+def test_type2_box_beyond_float_range():
+    cs = sqrt2_convergents(850)
+    with mp.workdps(800):
+        xi = mp.sqrt(2)
+    rep = type2_box_check(xis=[xi], forms=[[p, q] for p, q in cs],
+                          qseq=[q for _, q in cs], taus=[1.0], eps=0.2, Q=100)
+    assert cs[-1][1] > 10**320
+    assert rep.hypothesis_ok, rep.decay_slopes
+    assert rep.passed, rep.violations[:3]
 
 
 def test_type2_box_corrupted_forms_fail_hypothesis():
