@@ -388,17 +388,28 @@ def convex_body_emptiness(points: Sequence[Sequence[float]],
     and ||u|| <= Q_n^(-1-eps); only the origin may survive.
 
     The integer bounding box follows from ||P|| <= sum |lambda_j| ||e_j|| + 1.
-    Capped at p <= 6 and ``volume_cap`` lattice points.  The coordinates
-    lambda = M P come from M = Gram(e)^(-1) (e_1..e_k), solved exactly on
-    the points scaled to integers and rounded to floats once.
+    Capped at p <= 6 and ``volume_cap`` lattice points.  Every term
+    Q_n^(tau_j - eps) ||e_j|| is below the box half-width B, so a box
+    whose volume is past the cap by more than a factor e in logs (taken
+    of the integer Q_n) is refused before any cap is formed as a float;
+    the caps are then formed from the same log, as Q_n may be past the
+    float range.  The coordinates lambda = M P come from
+    M = Gram(e)^(-1) (e_1..e_k), solved exactly on the points scaled to
+    integers and rounded to floats once.
     """
     E = [[float(x) for x in row] for row in points]
     k, p = len(E), len(E[0])
     if p > 6:
         raise ValueError("enumeration capped at p <= 6")
-    lam_caps = [qn ** (t - eps) for t in taus]
-    u_cap = qn ** (-1 - eps)
-    B = int(math.floor(sum(c * math.hypot(*E[j]) for j, c in enumerate(lam_caps)) + 1))
+    log_qn = math.log(qn)
+    norms = [math.hypot(*e) for e in E]
+    log_widest = max(((t - eps) * log_qn + math.log(r) for t, r in zip(taus, norms) if r),
+                         default=-math.inf)
+    if p * log_widest > math.log(volume_cap) + 1:
+        raise ValueError(f"box volume exceeds cap {volume_cap}")
+    lam_caps = [math.exp((t - eps) * log_qn) for t in taus]
+    u_cap = math.exp((-1 - eps) * log_qn)
+    B = int(math.floor(sum(c * r for c, r in zip(lam_caps, norms)) + 1))
     total = (2 * B + 1) ** p
     if total > volume_cap:
         raise ValueError(f"box volume {total} exceeds cap {volume_cap}")

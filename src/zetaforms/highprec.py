@@ -1,22 +1,28 @@
 """Arbitrary-precision evaluation with certified error bounds.
 
-Four layers:
+Five layers:
+
+* Zeta values.  ``zeta_value`` sums Borwein's alternating series on
+  exact integers (``_zeta_borwein``): the coefficients d_k depend only
+  on the term count n, which the target sets, so one held table of them
+  serves every s at one budget.  Each summand is floored once at a small
+  scale 2^g, the sum stops at the first zero quotient, and the value is
+  converted to mpf once.
 
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
-  sum_{m >= x0} m^{-s} for a range of s at one start x0; ``zeta_value``
-  is its x0 = 1 case for a single s and the Laurent tails call it at
-  x0 = T.  The direct part up to the expansion point X is summed on
-  integers at the scale of the hardest tolerance, and X is the point of
-  least estimated cost (``_em_point``): direct steps against expansion
-  terms and the coefficients not yet made.  For the completely monotone
-  integrand x^{-s} the Euler-Maclaurin remainder is no larger than the
-  first omitted correction term, so each expansion stops once that term
-  is below its tolerance (X grows if the terms bottom out too early).
-  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s: one table of
-  them, kept for the last (X, mp.prec), serves every s expanded at X,
-  including consecutive zeta values at one budget.  B_2k comes from
-  exact integer tangent numbers, whose one table serves every precision.
-  A Laurent exponent whose weight is 0 is neither expanded nor summed.
+  sum_{m >= x0} m^{-s} for a range of s at one start x0; the Laurent
+  tails call it at x0 = T.  The direct part up to the expansion point X
+  is summed on integers at the scale of the hardest tolerance, and X is
+  the point of least estimated cost (``_em_point``): direct steps against
+  expansion terms and the coefficients not yet made.  For the completely
+  monotone integrand x^{-s} the Euler-Maclaurin remainder is no larger
+  than the first omitted correction term, so each expansion stops once
+  that term is below its tolerance (X grows if the terms bottom out too
+  early).  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s: one
+  table of them, kept for the last (X, mp.prec), serves every s expanded
+  at X.  B_2k comes from exact integer tangent numbers, whose one table
+  serves every precision.  A Laurent exponent whose weight is 0 is
+  neither expanded nor summed.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and certified zeta values.  The
@@ -82,6 +88,7 @@ class PrecisionContext:
 
 _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
+_LN10 = math.log(10)
 
 
 def _ilog10(v: int) -> float:
@@ -102,6 +109,116 @@ def _log10_add(x: float, y: float) -> float:
     if x == float("-inf"):
         return x
     return x + math.log10(1 + 10 ** max(y - x, -300))
+
+
+# ---------------------------------------------------------------------------
+# Zeta values
+
+
+_LN_BORWEIN = math.log(3 + math.sqrt(8))
+_LN6 = math.log(6)
+
+# d_0..d_n of Borwein's series for the last term count n asked for; they
+# depend on n alone, so every s summed to one target reads them.
+_BORWEIN_D: list[int] = []
+
+
+def _borwein_d(n: int) -> list[int]:
+    """d_k = sum_{i <= k} t_i for k = 0..n, t_i = n (n+i-1)! 4^i / ((n-i)! (2i)!).
+
+    t_i = n/(n+i) C(n+i, 2i) 4^i is the coefficient of x^i in the
+    Chebyshev polynomial T_n(1 + 2x), an integer, so the recurrence
+    t_0 = 1, t_i = t_{i-1} 4 (n+i-1)(n-i+1) / ((2i-1) 2i) divides exactly;
+    d_n = T_n(3) = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2."""
+    global _BORWEIN_D
+    if len(_BORWEIN_D) != n + 1:
+        t = d = 1
+        table = [d]
+        for i in range(1, n + 1):
+            t = t * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
+            d += t
+            table.append(d)
+        _BORWEIN_D = table
+    return _BORWEIN_D
+
+
+def _zeta_borwein(s: int, digits: int) -> mpf:
+    """zeta(s) for integer s >= 2 from Borwein's alternating series ("An
+    efficient algorithm for the Riemann zeta function", 2000):
+
+        zeta(s) = sum_{k < n} (-1)^k (d_n - d_k) / (k+1)^s / (d_n (1 - 2^(1-s)))
+                  + gamma_n(s),
+        |gamma_n(s)| <= 3 (1 + 2|t|) / ((3+sqrt 8)^n |1 - 2^(1-s)|),
+
+    with d_k from ``_borwein_d``.  For real s >= 2, t = 0 and
+    |1 - 2^(1-s)| >= 1/2, so |gamma_n(s)| <= 6 (3+sqrt 8)^-n.  The
+    truncation is below 10^-digits and the floors and the conversion add
+    less than 10^-(digits+3) together; mp.dps must be at least digits + 6.
+
+    * Truncation.  n = ceil((digits ln 10 + ln 6) / ln(3+sqrt 8)), and
+      d_n > 3 10^digits is checked on integers, so
+      (3+sqrt 8)^n > 2 d_n - 1 >= 6 10^digits and |gamma_n(s)| < 10^-digits.
+    * Floors.  The sum is taken on integers at the scale 2^g, 2^g > 1000 n,
+      as sum (-1)^k floor((d_n - d_k) 2^g / (k+1)^s).  The quotients do not
+      increase with k, so after the first zero one every later one is 0
+      and the sum stops there.  The n floors, each within one unit, move
+      the sum by less than n units, and the value by less than
+      n 2^-g / (d_n (1 - 2^(1-s))) < 2n / (1000 n 3 10^digits)
+      = (2/3) 10^-(digits+3).
+    * Conversion.  One integer division gives the floor Z of the sum's
+      value scaled by 2^(g+p), g + p >= mp.prec + 1, within 2^-(mp.prec+1);
+      mpf(Z) rounds once, by at most 2^-mp.prec relative, of a value
+      below 2.  Together these are below 2^(2-mp.prec) < 10^-(digits+5):
+      mpmath gives mp.dps = digits + 6 at least (digits + 7) log2 10 - 1
+      bits.
+    """
+    n = math.ceil((digits * _LN10 + _LN6) / _LN_BORWEIN)
+    d = _borwein_d(n)
+    top = d[n]
+    assert top > 3 * 10 ** digits
+    g = (1000 * n).bit_length()
+    total = 0
+    for k in range(n):
+        q = ((top - d[k]) << g) // (k + 1) ** s
+        if not q:
+            break
+        total += -q if k & 1 else q
+    # value = total 2^(s-1) / (2^g d_n (2^(s-1) - 1))
+    p = max(0, mp.prec + 1 - g)
+    z = (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1))
+    return mp.ldexp(mpf(z), -(g + p))
+
+
+# s -> (digits, workdps, value): the value of zeta(s) held to the most
+# digits, and the working precision it was made at.
+_ZETA_CACHE: dict[int, tuple[int, int, mpf]] = {}
+
+
+def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
+    """zeta(s) for integer s >= 2, absolute error below 10^-digits.
+
+    A value held to at least the caller's digits is served, rounded to
+    the caller's workdps if it was made at more.  The bound still holds.
+    A value held to d >= digits was computed to 10^-(d+4): its truncation
+    is below that, and its floors and its one conversion at
+    workdps >= d + 10 add less than 10^-(d+7) (``_zeta_borwein``).  So its
+    error is below 10^-(d+3).  Rounding it to the caller's workdps
+    w >= digits + 10 adds at most half an ulp, 2^-prec |zeta(s)| < 2 10^-(w+1)
+    (mpmath's prec is at least (w+1) log2 10 bits, and zeta(s) < 2).
+    Together these stay below 10^-(digits+3) + 10^-(digits+10) < 10^-digits.
+    """
+    if not isinstance(s, int) or s < 2:
+        raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
+    hit = _ZETA_CACHE.get(s)
+    if hit is not None and hit[0] >= ctx.digits:
+        if hit[1] <= ctx.workdps:
+            return hit[2]
+        with mp.workdps(ctx.workdps):
+            return +hit[2]
+    with mp.workdps(ctx.workdps):
+        v = _zeta_borwein(s, ctx.digits + 4)
+    _ZETA_CACHE[s] = (ctx.digits, ctx.workdps, v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +254,8 @@ def _tangent(k: int) -> int:
 class _EMTable:
     """The Euler-Maclaurin coefficients c_k = B_2k/(2k)! X^(1-2k),
     k = 1, 2, ..., at one expansion point X.  They do not depend on s, so
-    every s expanded at X reads them from here; ``key`` is (X, mp.prec)
+    every s expanded at X (the exponents of one Laurent tail) reads them
+    from here; ``key`` is (X, mp.prec)
     at the time the table was started, and each c_k is made at that
     precision when first asked for, from the exact tangent number T_k
     (``_tangent``) and a running 1/((2k)! X^(2k-1))."""
@@ -220,7 +338,6 @@ _COST_TERM = (4.5, 0.031)
 _COST_ENTRY = (7.4, 0.058)
 _COST_TANGENT = 0.003
 _EM_SAMPLE = 16        # needed exponents the cost is estimated from
-_LN10 = math.log(10)
 _TWO_PI = 2 * math.pi
 
 
@@ -269,9 +386,10 @@ def _em_terms(s: int, tol: float, X: int, guess: int = 1) -> float:
 
 
 def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], float]:
-    """The estimated microseconds of ``_em_tail_range`` for the needed
-    (s, log10 tolerance) pairs, as a function of the expansion point X:
-    inf if some expansion is expected to bottom out above its tolerance.
+    """The estimated microseconds of ``_em_tail_range`` from x0 (the start
+    T of a Laurent tail) for the needed (s, log10 tolerance) pairs, as a
+    function of the expansion point X: inf if some expansion is expected
+    to bottom out above its tolerance.
 
     Direct side: each m in [x0, X) costs one step, plus one row for every
     needed s with m^s <= 2^P (w is floored to 0 past that).  Expansion
@@ -317,7 +435,8 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
-    """The expansion point X >= x0 of least estimated cost (``_em_cost``).
+    """The expansion point X >= x0 of least estimated cost (``_em_cost``),
+    for a Laurent tail from x0 = T or, in the tests, a zeta value (x0 = 1).
 
     The cost is inf where an expansion would bottom out, then falls as
     the direct part takes over terms, then rises.  X doubles from x0 until
@@ -353,43 +472,11 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
     return best
 
 
-# s -> (digits, workdps, value): the value of zeta(s) held to the most
-# digits, and the working precision it was made at.
-_ZETA_CACHE: dict[int, tuple[int, int, mpf]] = {}
-
-
-def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
-    """zeta(s) for integer s >= 2, absolute error below 10^-digits.
-
-    A value held to at least the caller's digits is served, rounded to
-    the caller's workdps if it was made at more.  The bound still holds.
-    A value held to d >= digits was computed to 10^-(d+4): its direct
-    part and its expansion remainder are each below that, and its at
-    most a few thousand roundings at workdps >= d + 10, of terms below 2,
-    add less than 10^-(d+7).  So its error is below 10^-(d+3).  Rounding
-    it to the caller's workdps w >= digits + 10 adds at most half an ulp,
-    2^-prec |zeta(s)| < 2 10^-(w+1) (mpmath's prec is at least
-    (w+1) log2 10 bits, and zeta(s) < 2).  Together these stay below
-    10^-(digits+3) + 10^-(digits+10) < 10^-digits.
-    """
-    if not isinstance(s, int) or s < 2:
-        raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
-    hit = _ZETA_CACHE.get(s)
-    if hit is not None and hit[0] >= ctx.digits:
-        if hit[1] <= ctx.workdps:
-            return hit[2]
-        with mp.workdps(ctx.workdps):
-            return +hit[2]
-    with mp.workdps(ctx.workdps):
-        v = _em_tail_range(s, s, 1, [-(ctx.digits + 4)])[0]
-    _ZETA_CACHE[s] = (ctx.digits, ctx.workdps, v)
-    return v
-
-
 def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                    tols_log10: Sequence[float | None]) -> list[mpf | None]:
     """sum_{m >= x0} m^{-s} for every integer s in [s_lo, s_hi], the one
-    Euler-Maclaurin power sum behind zeta values and Laurent tails.
+    Euler-Maclaurin power sum, behind the Laurent tails (x0 = T).  Its
+    x0 = 1 case, zeta(s), is the tests' oracle for ``zeta_value``.
 
     ``tols_log10`` holds one log10 tolerance per s, or None for an s that
     is not needed: it is neither expanded nor certified, and its entry of

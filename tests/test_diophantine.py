@@ -171,8 +171,9 @@ def test_siegel_sqrt2_consecutive_convergents():
     for (p0, q0), (p1, q1) in zip(cs, cs[1:]):
         forms.append([[q0, -p0], [q1, -p1]])
         qseq.append(q0)
-    xi = math.sqrt(2)
-    rep = siegel_verify(forms, qseq, points=[[xi, 1.0]], taus=[1.0],
+    with mp.workdps(60):
+        xi = mp.sqrt(2)
+    rep = siegel_verify(forms, qseq, points=[[xi, 1]], taus=[1.0],
                         subspace_basis=[[1, 0], [0, 1]])
     assert rep.passed
     for row in rep.rows_:
@@ -180,7 +181,7 @@ def test_siegel_sqrt2_consecutive_convergents():
     assert [row[1] for row in rep.rows_] == _oracle_dets(forms, [[1, 0], [0, 1]])
     assert [row[1] for row in rep.rows_] == [(-1) ** n for n in range(1, 26)]
     # bound exponent tracks d - k - sum tau = 0
-    assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.35
+    assert abs(rep.bound_slope - rep.expected_bound_slope) < 0.01
 
 
 def test_siegel_beyond_float_range():
@@ -295,6 +296,19 @@ def test_convex_body_volume_cap():
     with pytest.raises(ValueError):
         convex_body_emptiness(points=[[1.0, 0.5, 0.25, 0.1]], taus=[2.0],
                               qn=10**4, n=3, eps=0.1, volume_cap=100)
+
+
+def test_convex_body_beyond_float_range():
+    # Q_n = 10^400 is past the float range: the box of tau = 1 is refused
+    # by its volume, and the box of tau = eps / 2 is enumerated
+    golden = (1 + math.sqrt(5)) / 2
+    with pytest.raises(ValueError, match="exceeds cap"):
+        convex_body_emptiness(points=[[1.0, golden]], taus=[1.0],
+                              qn=10**400, n=6, eps=0.1)
+    rep = convex_body_emptiness(points=[[1.0, golden]], taus=[0.05],
+                                qn=10**400, n=6, eps=0.1)
+    assert rep.passed
+    assert rep.box_bounds == (1, 1)
 
 
 def test_type2_box_sqrt2():

@@ -80,13 +80,13 @@ def test_zeta_cache_meets_each_callers_digits(monkeypatch):
     # digits, rounded to the caller's workdps where that is lower, without
     # computing again; a caller asking for more digits gets a new value
     computed = []
-    real = highprec._em_tail_range
+    real = highprec._zeta_borwein
 
     def spy(*args):
         computed.append(args)
         return real(*args)
 
-    monkeypatch.setattr(highprec, "_em_tail_range", spy)
+    monkeypatch.setattr(highprec, "_zeta_borwein", spy)
     for digits, guard in ((139, 10), (100, 20), (60, 10), (140, 40), (120, 60)):
         ctx = PrecisionContext(digits, guard)
         served = zeta_value(3, ctx)
@@ -103,17 +103,71 @@ def test_zeta_cache_meets_each_callers_digits(monkeypatch):
 
 def test_zeta_certified_at_rate_sweep_budgets():
     # measure_rates asks for zeta values at about 600-900 digits on the
-    # rate-sweep batch and at 1705 digits for criterion 6; the direct part
-    # runs on integers at the scale of the target
+    # rate-sweep batch and for zeta(3..15) at 1705 digits for criterion 6
     highprec._ZETA_CACHE.clear()
     for digits, exponents in ((300, (2, 3, 5, 21, 45)), (450, (2, 3, 5, 21, 45)),
                               (600, (2, 3, 5, 21, 45)), (900, (2, 3, 5, 21, 45)),
-                              (1705, (3,))):
+                              (1705, tuple(range(3, 16, 2)))):
         ctx = PrecisionContext(digits=digits, guard=20)
         for s in exponents:
             v = zeta_value(s, ctx)
             with mp.workdps(digits + 50):
                 assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits
+
+
+def test_borwein_d_equal_factorial_oracle():
+    # d_k = n sum_{i <= k} (n+i-1)! 4^i / ((n-i)! (2i)!), summed in Fractions
+    for n in range(1, 41):
+        d = highprec._borwein_d(n)
+        assert len(d) == n + 1
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += Fraction(n * math.factorial(n + k - 1) * 4 ** k,
+                            math.factorial(n - k) * math.factorial(2 * k))
+            assert d[k] == acc, (n, k)
+
+
+@pytest.mark.parametrize("digits", [60, 300, 600, 900, 1705])
+def test_zeta_agrees_with_mpmath_and_euler_maclaurin_oracle(digits, monkeypatch):
+    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    ctx = PrecisionContext(digits=digits, guard=20)
+    for s in (2, 3, 4, 5, 15, 21, 45, 120):
+        v = zeta_value(s, ctx)
+        with mp.workdps(ctx.workdps):
+            (em,) = _em_tail_range(s, s, 1, [-(digits + 4)])
+        with mp.workdps(digits + 50):
+            assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits, s
+            assert abs(v - em) < mpf(10) ** -digits, s
+
+
+def test_zeta_of_huge_s_stops_at_the_first_zero_quotient(monkeypatch):
+    # zeta(4000) = 1 + 2^-4000 + ...: the quotient at k = 1 is already 0,
+    # so of the table only d_0, d_1 and d_n are read
+    read = []
+    real = highprec._borwein_d
+
+    class Recorder(list):
+        def __getitem__(self, k):
+            read.append(k)
+            return list.__getitem__(self, k)
+
+    monkeypatch.setattr(highprec, "_borwein_d", lambda n: Recorder(real(n)))
+    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    v = zeta_value(4000, PrecisionContext(digits=300, guard=20))
+    n = max(read)
+    assert n > 300
+    assert sorted(set(read)) == [0, 1, n]
+    with mp.workdps(350):
+        assert abs(v - mpmath.zeta(4000)) < mpf(10) ** -300
+
+
+def test_zeta_value_leaves_precision_as_found(monkeypatch):
+    # computed, served as held, and served rounded to a lower workdps
+    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    with mp.workprec(97):
+        for digits, guard in ((200, 20), (200, 30), (100, 20)):
+            zeta_value(3, PrecisionContext(digits, guard))
+            assert mp.prec == 97
 
 
 def test_tangent_bernoulli_numbers_equal_exact_oracle():
@@ -124,16 +178,16 @@ def test_tangent_bernoulli_numbers_equal_exact_oracle():
 
 
 def test_tangent_table_started_at_low_precision_serves_higher_ones(monkeypatch):
-    # the tangent numbers are started by a 120-digit zeta value and then
-    # read at 400 and 1705 digits; being exact, they must still give every
-    # zeta value to its own tolerance
+    # the tangent numbers are started by a 120-digit zeta value from the
+    # Euler-Maclaurin routine at x0 = 1 and then read at 400 and 1705
+    # digits; being exact, they must still give every zeta value to its
+    # own tolerance
     monkeypatch.setattr(highprec, "_TANGENT", [])
     monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
-    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
     held = []
     for digits in (120, 400, 1705):
-        ctx = PrecisionContext(digits=digits, guard=20)
-        v = zeta_value(5, ctx)
+        with mp.workdps(digits + 20):
+            (v,) = _em_tail_range(5, 5, 1, [-(digits + 4)])
         held.append(len(highprec._TANGENT))
         with mp.workdps(digits + 50):
             assert abs(v - mpmath.zeta(5)) < mpf(10) ** -digits
@@ -216,12 +270,13 @@ def test_em_point_unchanged_by_warm_started_terms(monkeypatch):
 
 
 def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
-    # at 899 digits the fixed rule X = 423 built 555 coefficients
-    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    # the seven zeta values of the rate sweep at 899 digits from the
+    # Euler-Maclaurin routine at x0 = 1, where the fixed rule X = 423 built
+    # 555 coefficients
     monkeypatch.setattr(highprec, "_EM_TABLE", None)
-    ctx = PrecisionContext(digits=899, guard=20)
-    for s in range(3, 16, 2):
-        zeta_value(s, ctx)
+    with mp.workdps(899 + 20):
+        for s in range(3, 16, 2):
+            _em_tail_range(s, s, 1, [-(899 + 4)])
     assert len(highprec._EM_TABLE.c) <= 300
 
 
