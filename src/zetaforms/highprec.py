@@ -49,7 +49,8 @@ Five layers:
   where the decay exponent D lets it truncate outright, or the exact
   Laurent expansion of R at infinity after a short one: R = sum b_s t^-s
   with integer b_s from long division, whose truncation error is
-  controlled exactly through the division residual.  The tail then
+  bounded from the division residual at the split point T, where each
+  pole factor |1 - j/t| is at least 1 - n/T.  The tail then
   becomes a finite combination of certified power-sum tails.
   ``eval_S_direct`` takes the route of less estimated work (``_route``),
   and builds the Laurent expansion only where it might win.
@@ -59,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from mpmath import mp, mpf
@@ -556,18 +558,40 @@ def _int_poly_from_roots(scale: int, roots: Iterable[tuple[int, int]]) -> list[i
 _LAURENT_DEGREE_CAP = 2000     # largest degQ = a(2n+1) expanded
 
 
+def _radius_norms_log10(c: Sequence[int], T: int) -> tuple[float, float, float]:
+    """log10 of sum |c_u| T^-u, sum u |c_u| T^(1-u) and
+    sum u(u-1) |c_u| T^(2-u): bounds on |f|, |f'| and |f''| of
+    f(x) = sum c_u x^u over |x| <= 1/T.  Each is an integer over T^m,
+    m = len(c) - 1, made by Horner's rule in T; -inf for a zero norm."""
+    m = len(c) - 1
+    h0 = h1 = h2 = 0
+    for u, cu in enumerate(c):
+        v = abs(cu)
+        h0 = h0 * T + v
+        h1 = h1 * T + u * v
+        h2 = h2 * T + u * (u - 1) * v
+    lgT = math.log10(T)
+    return tuple(_ilog10(h) - (m - i) * lgT if h else float("-inf")
+                 for i, h in enumerate((h0, h1, h2)))
+
+
 class LaurentTail:
     """Expansion R(t) = sum_{s >= D} b_s t^{-s} with exact error control.
 
     Writing x = 1/t, R = x^D p(x)/q(x) with integer polynomials and
-    q(0) = 1; long division yields integer coefficients b and, after K
-    steps, an exact residual e(x) with
+    q(x) = prod_{|j| <= n} (1 - j x)^a; long division yields integer
+    coefficients b and, after K steps, an exact residual e(x) of degree
+    below degQ with
 
         R(t) - W_K(t) = t^{-D-K} e(1/t) / q(1/t).
 
-    For t >= 2n the factorized bound |q(1/t)| >= 2^-degQ turns coefficient
-    norms of e and q into fully explicit tail bounds, for the function
-    itself and for (1/2) of its second derivative.
+    For t >= T > n every factor |1 - j/t| is at least 1 - n/T, so
+    |q(1/t)| >= (1 - n/T)^degQ, and the coefficient norms of e and q at
+    radius 1/T turn the residual into explicit tail bounds, for the
+    function itself and for (1/2) of its second derivative
+    (``tail_bound_log10``).  The residual is kept at K = 0 and at every
+    K = 64 2^j the division passes, the counts the search of ``_route``
+    asks for, so a tail divided further still bounds each of them.
     """
 
     def __init__(self, summand: Summand):
@@ -578,73 +602,101 @@ class LaurentTail:
                 "Laurent tail needs the expanded denominator; its degree "
                 f"{spec.a * (2 * spec.n + 1)} is past the practical cap. "
                 "Large n has a steep decay exponent: use plain truncation.")
-        n = summand.spec.n
-        self.min_t = 2 * n + 2
+        self.n = spec.n
+        self.min_t = 2 * self.n + 2
         P = _int_poly_from_roots(summand.scale, summand.numerator_roots)
         Q = _int_poly_from_roots(1, [(j, summand.pole_order) for j in summand.poles])
         assert Q[-1] == 1
         self.D = (len(Q) - 1) - (len(P) - 1)
         self.degQ = len(Q) - 1
-        self.p_rev = P[::-1]
         self.q_rev = Q[::-1]
+        self._q_tail = self.q_rev[1:]
         self.b: list[int] = []
-        self.rem = list(self.p_rev)
-        # coefficient norms of q(x): sum |q_i|, sum i|q_i|, sum i(i-1)|q_i|
-        self.Aq = sum(abs(c) for c in self.q_rev)
-        self.Aq1 = sum(i * abs(c) for i, c in enumerate(self.q_rev))
-        self.Aq2 = sum(i * (i - 1) * abs(c) for i, c in enumerate(self.q_rev))
+        # e_0..e_{degQ-1} after len(b) steps; each step makes a new list,
+        # so the residuals kept (K -> e) are not copies
+        self._e = P[::-1] + [0] * (self.D - 1)
+        self._kept = {0: self._e}
+        # T -> log10 of 1/(1 - n/T)^degQ and of q's norms at radius 1/T
+        self._at_T: dict[int, tuple[float, float, float, float]] = {}
+
+    def _step(self, e: list[int]) -> list[int]:
+        """The residual one division step after e: e/x - e_0 q/x."""
+        c = e[0]
+        if not c:
+            return e[1:] + [0]
+        q = self._q_tail
+        out = [x - c * y for x, y in zip(islice(e, 1, None), q)]
+        out.append(-c * q[-1])
+        return out
 
     def extend(self, K: int) -> None:
-        if K <= len(self.b):
-            return
-        need_len = K + self.degQ + 1
-        if len(self.rem) < need_len:
-            self.rem.extend([0] * (need_len - len(self.rem)))
-        for s in range(len(self.b), K):
-            c = self.rem[s]
-            self.b.append(c)
-            if c:
-                for i in range(1, self.degQ + 1):
-                    self.rem[s + i] -= c * self.q_rev[i]
+        e = self._e
+        for k in range(len(self.b), K):
+            self.b.append(e[0])
+            e = self._step(e)
+            if k + 1 >= 64 and not k & (k + 1):     # k + 1 = 64 2^j
+                self._kept[k + 1] = e
+        self._e = e
 
-    def _e_norms(self, K: int) -> tuple[int, int, int]:
+    def _residual(self, K: int) -> list[int]:
+        """e after K steps: the current one, or the division redone from
+        the nearest residual kept below K."""
         self.extend(K)
-        Ae = Ae1 = Ae2 = 0
-        for u in range(self.degQ):
-            v = abs(self.rem[K + u])
-            Ae += v
-            Ae1 += u * v
-            Ae2 += u * (u - 1) * v
-        return Ae, Ae1, Ae2
+        if K == len(self.b):
+            return self._e
+        start = max(k for k in self._kept if k <= K)
+        e = self._kept[start]
+        for _ in range(start, K):
+            e = self._step(e)
+        return e
+
+    def _q_at(self, T: int) -> tuple[float, float, float, float]:
+        held = self._at_T.get(T)
+        if held is None:
+            held = self._at_T[T] = (self.degQ * math.log10(T / (T - self.n)),
+                                    *_radius_norms_log10(self.q_rev, T))
+        return held
 
     def tail_bound_log10(self, kind: str, K: int, T: int) -> float:
         """Certified log10 bound for |sum_{t >= T} (R - W_K)(t)| (plain)
-        or the same for (1/2)(R - W_K)'' (double-derived).  T >= 2n+2."""
+        or the same for (1/2)(R - W_K)'' (double-derived).  T >= 2n+2.
+
+        Proof.  Let x = 1/t <= 1/T and v = D + K, so (R - W_K)(t) =
+        x^v g(x) with g = e/q.  Every pole j has |j| <= n < T, so
+        |q(x)| = prod |1 - j x|^a >= (1 - n/T)^degQ =: m.  With
+        E_i = sum_u u!/(u-i)! |e_u| T^(i-u) and Q_i the same for q
+        (``_radius_norms_log10``), |e^(i)(x)| <= E_i and |q^(i)(x)| <= Q_i,
+        so from g' = (e'q - eq')/q^2 and g'' = ((e''q - eq'')q
+        - 2q'(e'q - eq'))/q^3:
+
+            |g| <= E_0/m,  |g'| <= (E_1 Q_0 + E_0 Q_1)/m^2,
+            |g''| <= ((E_2 Q_0 + E_0 Q_2) Q_0 + 2 Q_1 (E_1 Q_0 + E_0 Q_1))/m^3.
+
+        Plain: |(R - W_K)(t)| <= t^-v |g|.  Derived: with d/dt = -x^2 d/dx,
+        (t^-v g(1/t))'' = t^-(v+2) (v(v+1) g + (2v+2) x g' + x^2 g''), so
+        (1/2)|(R - W_K)''(t)| <= (1/2) t^-(v+2) (v(v+1)|g| + (2v+2)|g'|/T
+        + |g''|/T^2).  In both the factor of t is t^-w, w = v or v + 2,
+        and sum_{t >= T} t^-w <= T^-w + T^(1-w)/(w-1).
+        """
         if T < self.min_t:
             raise ValueError(f"T must be >= {self.min_t}")
-        Ae, Ae1, Ae2 = self._e_norms(K)
-        if Ae == 0:
-            return float("-inf")
-        lgQ2 = self.degQ * math.log10(2)
+        E0, E1, E2 = _radius_norms_log10(self._residual(K), T)
+        if E0 == float("-inf"):
+            return E0
+        lm, Q0, Q1, Q2 = self._q_at(T)
+        lgT = math.log10(T)
         v = self.D + K
         if kind == PLAIN:
-            c_log = _ilog10(Ae) + lgQ2
+            c_log = E0 + lm
             power = v
         else:
-            B0 = _ilog10(Ae) + lgQ2
-            B1 = _ilog10(Ae1 * self.Aq + Ae * self.Aq1) + 2 * lgQ2 if (Ae1 or self.Aq1) else float("-inf")
-            inner = (Ae2 * self.Aq + Ae * self.Aq2) * self.Aq + 2 * self.Aq1 * (Ae1 * self.Aq + Ae * self.Aq1)
-            B2 = _ilog10(inner) + 3 * lgQ2 if inner else float("-inf")
-            c_log = math.log10(v) + math.log10(v + 1) + B0
-            if B1 != float("-inf"):
-                c_log = _log10_add(c_log, math.log10(2 * v + 2) + B1)
-            if B2 != float("-inf"):
-                c_log = _log10_add(c_log, B2)
-            c_log -= math.log10(2)
+            g1 = _log10_add(E1 + Q0, E0 + Q1)
+            g2 = _log10_add(_log10_add(E2 + Q0, E0 + Q2) + Q0, _LOG10_2 + Q1 + g1)
+            c_log = _log10_add(math.log10(v * (v + 1)) + E0 + lm,
+                               math.log10(2 * v + 2) + g1 + 2 * lm - lgT)
+            c_log = _log10_add(c_log, g2 + 3 * lm - 2 * lgT) - _LOG10_2
             power = v + 2
-        tail_pow = _log10_add(-power * math.log10(T),
-                              (1 - power) * math.log10(T) - math.log10(power - 1))
-        return c_log + tail_pow
+        return c_log + _log10_add(-power * lgT, (1 - power) * lgT - math.log10(power - 1))
 
     def tail_value(self, kind: str, K: int, T: int, tol_log10: float) -> mpf:
         """sum_{t >= T} W_K(t) (plain) or sum (1/2) W_K''(t) (derived).
@@ -872,20 +924,22 @@ def _pole_sizes(spec: FormSpec) -> tuple[int, float, float]:
 
 
 def _laurent_least_K(spec: FormSpec, kind: str, T: int, tol: float) -> int:
-    """The least K = 64 2^j at which the Laurent tail bound at T could
-    meet tol, from the leading part of the tail: the term
+    """The least K = 64 2^j at which an estimate of the Laurent tail bound
+    at T meets tol, from the leading part of the tail: the term
     2 c C(s-1, a-1) n^(s-a) of b_s (``_pole_sizes``) at s = D + K, summed
-    over t >= T as T^(1-s)/(s-1), with the bound's factor 2^degQ (and for
-    the derived kind the weight s(s+1)/2 and T^-2).  The certified bound,
-    made from the whole division residual, is larger: on the criterion-1
-    forms and at (13,2,20) the search ended at this K or later."""
+    over t >= T as T^(1-s)/(s-1), with the bound's factor
+    (1 - n/T)^-degQ (and for the derived kind the weight s(s+1)/2 and
+    T^-2).  It is an estimate, not a bound: on the criterion-1 forms it
+    reads within 21 digits of the certified bound at K = 128..512, and
+    the search ends at this K or one doubling from it."""
     a, n = spec.a, spec.n
     degQ, _qbits, cbits = _pole_sizes(spec)
     D = a + 2 * n * (a - 6 * spec.r)
     K = 64
     while K <= _LAURENT_K_CAP:
         s = D + K
-        est = ((1 + cbits + degQ) * _LOG10_2 + (s - a) * math.log10(n)
+        est = ((1 + cbits) * _LOG10_2 + degQ * math.log10(T / (T - n))
+               + (s - a) * math.log10(n)
                + (math.lgamma(s) - math.lgamma(a) - math.lgamma(s - a + 1)) / _LN10
                - (s - 1) * math.log10(T) - math.log10(s - 1))
         if kind == DOUBLE_DERIVED:
@@ -935,10 +989,10 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float, wdps: int) -> _Route:
     T = max(2 t0, 48) and the least K = 64 2^j whose certified
     bound meets tol, estimated by ``_laurent_cost``.  K is learnt only by
     building the tail, so each step of the search is first estimated at
-    its K or at the least K the search can end at
+    its K or at the K the search is estimated to end at
     (``_laurent_least_K``), whichever is larger, and the search stops
     for direct as soon as that estimate reaches direct's: where direct
-    is cheaper than Laurent at that least K, the tail is never built.
+    is cheaper than Laurent at that K, the tail is never built.
     Direct is the only route past the Laurent degree cap, Laurent the
     only one where direct cannot reach tol within its caps.
     """
@@ -1026,19 +1080,22 @@ def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
                       zeta_digits=ctx.digits)
 
 
-def form_residual(form, ctx: PrecisionContext) -> mpf:
-    """|S_direct - linear-form value| for either kind.
-
-    The linear form combines coefficients of size up to B = max|l| that
-    cancel down to the series value, so resolving the identity to
-    10^-digits absolute needs log10(B) extra working digits on top of the
-    context; they are added automatically.
-    """
+def _residual_workdps(form, ctx: PrecisionContext) -> int:
+    """The working digits of ``form_residual``: the linear form combines
+    coefficients of size up to B = max|l| that cancel down to the series
+    value, so resolving the identity to 10^-digits absolute needs log10(B)
+    extra working digits on top of the context."""
     coeff_log10 = max(
         0.0,
         max(_log_of_fraction(c) for c in form.all_coefficients()) / math.log(10),
     )
-    wdps = ctx.workdps + int(coeff_log10) + 5
+    return ctx.workdps + int(coeff_log10) + 5
+
+
+def form_residual(form, ctx: PrecisionContext) -> mpf:
+    """|S_direct - linear-form value| for either kind, at the working
+    digits of ``_residual_workdps``."""
+    wdps = _residual_workdps(form, ctx)
     res = eval_S_direct(form.spec, form.kind, ctx, wdps=wdps)
     target = eval_S_form(form, PrecisionContext(digits=wdps - ctx.guard, guard=ctx.guard))
     with mp.workdps(wdps):

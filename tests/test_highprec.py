@@ -377,6 +377,65 @@ def test_laurent_tail_value_expands_only_nonzero_weights(kind, monkeypatch):
     assert expanded == nonzero
 
 
+def _laurent_remainder_log10(lt, kind, K, T):
+    """log10 |sum_{t >= T} (R - W_K)(t)| (plain) or the same of
+    (1/2)(R - W_K)'' (derived), from exact values of R or (1/2) R'' and of
+    W_K.  The terms fall like t^-(D+K) with D + K > 64; they are summed
+    until one is 40 digits below the first, and the rest is far below the
+    sum."""
+    if kind == PLAIN:
+        exact, weights, shift = lt.summand.eval_exact, lt.b[:K], 0
+    else:
+        exact = partial(half_second_derivative_exact, table_for(lt.summand.spec))
+        weights = [b * (s * (s + 1) // 2) for s, b in enumerate(lt.b[:K], lt.D)]
+        shift = 2
+    top = lt.D + K - 1 + shift
+    total, first, t = Fraction(0), None, T
+    while True:
+        w = 0
+        for x in weights:               # W_K(t) t^top, by Horner's rule
+            w = w * t + x
+        term = exact(t) - Fraction(w, t ** top)
+        total += term
+        if first is None:
+            first = abs(term)
+        elif abs(term) < first / 10 ** 40:
+            break
+        t += 1
+    with mp.workdps(30):
+        return float(mp.log10(abs(mpf(total.numerator) / total.denominator)))
+
+
+@pytest.mark.parametrize("abc, T, Ks", [
+    ((7, 1, 2), 48, (64, 128)),
+    ((13, 1, 4), 48, (128, 256)),
+    ((11, 1, 6), 48, (256, 512)),
+    ((13, 2, 3), 100, (128, 256)),
+])
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_laurent_tail_bound_against_the_remainder(abc, T, Ks, kind):
+    # the bound holds, and stays within 30 digits of what it bounds (a
+    # vacuous bound fails the second check)
+    lt = highprec._laurent_for(FormSpec(*abc))
+    for K in Ks:
+        bound = lt.tail_bound_log10(kind, K, T)
+        remainder = _laurent_remainder_log10(lt, kind, K, T)
+        assert remainder < bound < remainder + 30
+
+
+@pytest.mark.parametrize("abc", [(7, 1, 1), (11, 1, 6)])
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_laurent_tail_bound_unchanged_by_further_division(abc, kind):
+    # a held tail is divided as far as any caller asked; the bound at K
+    # is still that of the residual at K
+    summand = build_summand(FormSpec(*abc))
+    for K in (64, 96, 256):
+        fresh = highprec.LaurentTail(summand)
+        divided = highprec.LaurentTail(summand)
+        divided.extend(4 * K)
+        assert divided.tail_bound_log10(kind, K, 48) == fresh.tail_bound_log10(kind, K, 48)
+
+
 def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
     # Laurent coefficients up to 1e72 push the per-s tolerances to 1e-140,
     # far below the 60-digit working precision; the direct part must be
@@ -520,10 +579,14 @@ def _criterion_1_series(spec, monkeypatch):
     ((13, 1, 3), ("direct+laurent", "direct+laurent")),    # derived: 131k direct terms
     ((11, 1, 5), ("direct+laurent", "direct+laurent")),
     ((13, 1, 4), ("direct+laurent", "direct+laurent")),
-    ((13, 1, 5), ("direct", "direct")),
+    # derived: Laurent at K = 256 took 26-46 ms, the 8192 direct terms 41-71 ms
+    ((13, 1, 5), ("direct", "direct+laurent")),
     ((13, 1, 6), ("direct", "direct")),
 ])
 def test_route_of_least_estimated_cost_at_criterion_1(abc, routes, monkeypatch):
+    # as in the criterion-1 grid, no tail of spec is held yet: a held one
+    # would be priced without its construction and division
+    monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
     for res, route in zip(_criterion_1_series(FormSpec(*abc), monkeypatch), routes):
         assert res.method == route
         assert res.laurent_cost_us is not None
@@ -551,16 +614,37 @@ def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
-def test_direct_route_kept_at_large_n(kind, monkeypatch):
-    # at (13,2,20) direct summation took 1.9 s and the Laurent tail 35 s
-    # (K = 4096, T = 202); only the choice is made here
+def test_route_at_large_n(kind, monkeypatch):
+    # at (13,2,20) the derived series took 0.55-0.59 s by the Laurent tail
+    # (K = 512, T = 202) and 1.97-2.45 s by direct summation; the plain one
+    # stays direct and builds no tail.  Only the choice is made here
     monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
     spec = FormSpec(13, 2, 20)
     ctx = PrecisionContext(200, 25)
     t0 = build_summand(spec).first_nonzero_term()
     route = highprec._route(spec, kind, t0, -(ctx.digits + ctx.guard // 2), ctx.workdps)
-    assert route.K is None and route.direct_us < route.laurent_us
-    assert not highprec._LAURENT_CACHE
+    K = None if kind == PLAIN else 512
+    assert route.K == K
+    assert (route.direct_us < route.laurent_us) == (K is None)
+    assert bool(highprec._LAURENT_CACHE) == (K is not None)
+
+
+def test_least_K_within_one_doubling_of_the_search_at_criterion_1():
+    # _laurent_least_K estimates where the search for K ends: on every
+    # criterion-1 form the bound meets the target at that K or one
+    # doubling from it
+    tol = -(CRITERION_1.digits + CRITERION_1.guard // 2)
+    for a, r in ((7, 1), (9, 1), (11, 1), (13, 1), (13, 2)):
+        for n in range(1, 7):
+            spec = FormSpec(a, r, n)
+            T = max(2 * build_summand(spec).first_nonzero_term(), 48)
+            lt = highprec._laurent_for(spec)
+            for kind in (PLAIN, DOUBLE_DERIVED):
+                K = 64
+                while lt.tail_bound_log10(kind, K, T) >= tol:
+                    K *= 2
+                least = highprec._laurent_least_K(spec, kind, T, tol)
+                assert least // 2 <= K <= 2 * least
 
 
 @pytest.mark.parametrize("abc, kinds", [
