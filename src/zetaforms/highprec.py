@@ -12,17 +12,21 @@ Five layers:
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
   sum_{m >= x0} m^{-s} for a range of s at one start x0; the Laurent
   tails call it at x0 = T.  The direct part up to the expansion point X
-  is summed on integers at the scale of the hardest tolerance, and X is
-  the point of least estimated cost (``_em_point``): direct steps against
-  expansion terms and the coefficients not yet made.  For the completely
-  monotone integrand x^{-s} the Euler-Maclaurin remainder is no larger
-  than the first omitted correction term, so each expansion stops once
-  that term is below its tolerance (X grows if the terms bottom out too
-  early).  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s: one
-  table of them, kept for the last (X, mp.prec), serves every s expanded
+  and the expansion at X are both summed on Python integers at one scale
+  2^P, set by the hardest tolerance and the bits of their floor errors,
+  and converted to mpf once per s.  X is the point of least estimated
+  cost (``_em_point``): direct steps against expansion terms and the
+  coefficients not yet made, each priced per digit of 2^P.  For the
+  completely monotone integrand x^{-s} the Euler-Maclaurin remainder is
+  no larger than the first omitted correction term, so each expansion
+  stops once that term is below its tolerance (X grows if the terms
+  bottom out too early), and the kernel carries an integer bound on its
+  floor errors.  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s:
+  one table of them as integers, kept for the last X and made for the
+  bits of its scale, with no mp.prec in its key, serves every s expanded
   at X.  B_2k comes from exact integer tangent numbers, whose one table
-  serves every precision.  A Laurent exponent whose weight is 0 is
-  neither expanded nor summed.
+  serves every scale.  A Laurent exponent whose weight is 0 is neither
+  expanded nor summed.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and certified zeta values.  The
@@ -254,97 +258,167 @@ def _tangent(k: int) -> int:
 
 
 class _EMTable:
-    """The Euler-Maclaurin coefficients c_k = B_2k/(2k)! X^(1-2k),
-    k = 1, 2, ..., at one expansion point X.  They do not depend on s, so
-    every s expanded at X (the exponents of one Laurent tail) reads them
-    from here; ``key`` is (X, mp.prec)
-    at the time the table was started, and each c_k is made at that
-    precision when first asked for, from the exact tangent number T_k
-    (``_tangent``) and a running 1/((2k)! X^(2k-1))."""
+    """The Euler-Maclaurin coefficients at one expansion point X, as
+    d_k = c_k (2k-2)! = B_2k / (2k (2k-1)) X^(1-2k), k = 1, 2, ..., with
+    c_k = B_2k/(2k)! X^(1-2k): integers C_k in ``c`` and shifts R_k in
+    ``r``, C_k within 2 of d_k 2^(R_k), with 2^(bits-1) <= |C_k| < 2^(bits+2).
+    Taking (2k-2)! into the coefficient keeps the other factor of a term,
+    (s)_{2k-1} / (2k-2)! = s C(s+2k-2, 2k-2), a binomial, small.  The
+    coefficients do not depend on s, so every s expanded at X (the
+    exponents of one Laurent tail) reads them from here.  The table is
+    made for X and ``bits``, the scale 2^P of the expansions it serves
+    (``_em_at``), and holds no precision state: each C_k comes from the
+    exact tangent number T_k (``_tangent``) and the exact running X^(2k),
+    by one integer division, when first asked for."""
 
-    __slots__ = ("key", "c", "_q")
+    __slots__ = ("X", "bits", "c", "r", "_den")
 
-    def __init__(self, X: int):
-        self.key = (X, mp.prec)
-        self.c: list[mpf] = []
-        self._q = mpf(X)                # 1/((2k)! X^(2k-1)) of the last k made
+    def __init__(self, X: int, bits: int):
+        self.X, self.bits = X, bits
+        self.c: list[int] = []
+        self.r: list[int] = []
+        self._den = 1                   # X^(2k) of the last k made
 
     def extend(self) -> None:
         k = len(self.c) + 1
-        X = self.key[0]
-        self._q /= (2 * k - 1) * (2 * k) * X * X
-        # |B_2k| = 2k T_k / (4^k (4^k - 1)); 2k T_k is cut to mp.prec + 8
-        # bits first, as mpf() of a long integer is slow
-        t = 2 * k * _tangent(k)
-        cut = max(0, t.bit_length() - mp.prec - 8)
-        b = mp.ldexp(mpf(t >> cut) / (4 ** k - 1), cut - 2 * k)
-        self.c.append(b * self._q if k % 2 else -b * self._q)
+        X = self.X
+        self._den *= X * X
+        # |d_k| = T_k X / (4^k (4^k - 1) (2k-1) X^(2k)) = num / (4^k den)
+        num = _tangent(k) * X
+        den = ((1 << 2 * k) - 1) * (2 * k - 1) * self._den
+        # floor(num 2^shift / den) from the top bits + 32 bits of den:
+        # within 1 + 2^-28 of num 2^shift / den, which is in
+        # [2^bits, 2^(bits+2))
+        shift = self.bits + 1 + den.bit_length() - num.bit_length()     # R_k - 2k
+        cut = max(0, den.bit_length() - self.bits - 32)
+        top = num << (shift - cut) if shift >= cut else num >> (cut - shift)
+        q = top // (den >> cut)
+        self.c.append(q if k % 2 else -q)
+        self.r.append(shift + 2 * k)
 
 
-# One table, for the last (X, mp.prec) asked for: consecutive expansions
-# share it, and a table made at another point or precision is replaced.
+# One table, for the last expansion point asked for: consecutive
+# expansions at one X share it, and one made for another point or for
+# fewer bits is replaced.
 _EM_TABLE: _EMTable | None = None
 
 
-def _em_table(X: int) -> _EMTable:
+def _em_table(X: int, bits: int) -> _EMTable:
     global _EM_TABLE
-    if _EM_TABLE is None or _EM_TABLE.key != (X, mp.prec):
-        _EM_TABLE = _EMTable(X)
+    if _EM_TABLE is None or _EM_TABLE.X != X or _EM_TABLE.bits < bits:
+        _EM_TABLE = _EMTable(X, bits)
     return _EM_TABLE
 
 
-def _em_at(s: int, X: int, tol: mpf) -> tuple[mpf, mpf | None]:
-    """Euler-Maclaurin expansion of sum_{m >= X} m^{-s} at the point X.
+_EM_TERM_CAP = 4000
 
-    Term k is c_k (s)_{2k-1} X^{-s}: c_k comes from the table shared by
-    every s expanded at X at the current precision (``_em_table``), and
-    (s)_{2k-1} X^{-s} is advanced by one integer product per term.
-    Returns (value, remainder_bound) or (partial, None) if the correction
-    terms bottom out above ``tol`` (caller must enlarge X).
+
+def _em_at(s: int, X: int, Xs: int, P: int, F: int,
+           table: _EMTable) -> tuple[int, int] | None:
+    """Euler-Maclaurin expansion of sum_{m >= X} m^{-s} at the point X on
+    integers scaled by 2^P, stopped at the first term below 2^F units; Xs
+    is X^s.  Returns (value, err): value holds the first K - 1 terms, the
+    K-th is the first below 2^F, and the sum is within 2^F + err units of
+    value.  None if the terms stop decreasing or pass _EM_TERM_CAP first
+    (the caller must enlarge X).
+
+    With xs = floor(2^P / X^s), the pieces X^(1-s)/(s-1) and X^-s/2 are
+    floor(2^P / ((s-1) X^(s-1))) and floor(xs / 2), and term k,
+    c_k (s)_{2k-1} X^-s = d_k b_k X^-s with b_k = s C(s+2k-2, 2k-2)
+    (``_EMTable``), is floor((C_k >> j) p_k / 2^(R_k - j)) with
+    p_k = b_k xs, advanced by the exact (s+2k-1)(s+2k) / ((2k-1) 2k), and
+    j = max(0, R_k - bits(p_k) - 1): only the bits of C_k that reach the
+    unit are multiplied.
+
+    Proof of the bound.  Each piece is one floor, within one unit.  With
+    pi_k = b_k 2^P X^-s the true p_k and t_k = d_k pi_k the true term, the
+    computed t'_k is within 1 + u_k + v_k of t_k: the floor of the shift,
+    u_k = |(C_k >> j) 2^j - d_k 2^(R_k)| p_k 2^-(R_k) and
+    v_k = |d_k| (pi_k - p_k) < |d_k| b_k.  The coefficient is off by less
+    than 2^j + 2: for j >= 1 that is at most 2^(j+1), and
+    u_k < 2^(j+1+bits(p_k)-R_k) = 1; for j = 0, u_k < 2 p_k 2^-(R_k) and,
+    as |C_k| >= 2^(bits-1) and |C_k| p_k 2^-(R_k) <= |t'_k| + 1,
+    u_k < (|t'_k| + 1) / 2^(bits-2).  For xs >= 1, b_k = p_k / xs, so
+    v_k < |d_k| 2^(R_k) p_k 2^-(R_k) / xs <= (|t'_k| + 1 + u_k) / xs; for
+    xs = 0 every p_k is 0, t'_1 = 0 stops the expansion, and
+    v_1 < |d_1| s = s / (12 X).  With A = sum_{k <= K} |t'_k|, the K terms
+    are together within K + U + V units, U = K + ceil((A + K) / 2^(bits-2))
+    and V = ceil((A + K + U) / xs) (s // (12 X) + 1 at xs = 0).  For the
+    completely monotone x^-s the remainder after K - 1 terms is at most
+    |t_K| <= |t'_K| + (its share of K + U + V) with |t'_K| < 2^F, so the
+    sum is within 2^F + err units of value, err = 2 + K + U + V.
     """
-    table = _em_table(X)
-    c = table.c
-    xs = mpf(X) ** -s
-    acc = xs * X / (s - 1) + xs / 2
-    p = s * xs                          # (s)_{2k-1} X^{-s}
+    one = 1 << P
+    xs = one // Xs
+    value = one // ((s - 1) * (Xs // X)) + (xs >> 1)
+    stop = 1 << F
+    c, r = table.c, table.r
+    p = s * xs                          # s C(s+2k-2, 2k-2) xs
+    size = 0                            # A: sum of |t'_k| formed
     prev = None
-    k = 1
-    while True:
+    for k in range(1, _EM_TERM_CAP + 1):
         if k > len(c):
             table.extend()
-        term = c[k - 1] * p
+        # only the top bits of C_k that reach the unit: (C_k >> j) p_k
+        # is within 2^j p_k < 2^(R_k - 1) of C_k p_k
+        R = r[k - 1]
+        j = R - p.bit_length() - 1
+        term = (c[k - 1] >> j) * p >> (R - j) if j > 0 else c[k - 1] * p >> R
         at = abs(term)
-        if at < tol:
-            return acc, at
+        size += at
+        if at < stop:
+            break
         if prev is not None and at >= prev:
-            return acc, None            # terms no longer decreasing
-        acc += term
+            return None                 # terms no longer decreasing
+        value += term
         prev = at
-        p *= (s + 2 * k - 1) * (s + 2 * k)
-        k += 1
-        if k > 4000:
-            return acc, None
+        p = p * ((s + 2 * k - 1) * (s + 2 * k)) // ((2 * k - 1) * (2 * k))
+    else:
+        return None
+    U = k + ((size + k - 1) >> (table.bits - 2)) + 1
+    V = -(-(size + k + U) // xs) if xs else s // (12 * X) + 1
+    return value, 2 + k + U + V
+
+
+# Guard bits of the scale 2^P of ``_em_tail_range`` beyond the hardest
+# tolerance and its floor-error allowance: 20 leave every error bound
+# below 2^-20 of the stop, and 2 cover the rounding of tol log2 10 to
+# whole bits, up for P and down for the stop.
+_EM_GUARD = 22
+_EM_ALLOWANCE = 1 << 12     # expansion floor errors the first scale allows
+_EM_TOL_MARGIN = 2 ** -16   # tol log2 10 is lowered by this before its floor
+
+
+def _em_scale(hardest: float, width: int) -> int:
+    """The scale P of ``_em_tail_range`` for the hardest log10 tolerance
+    and a direct part of ``width`` m: the bits of the tolerance, of the
+    direct part's floor errors and an allowance for the expansion's, and
+    _EM_GUARD."""
+    return (max(0, math.ceil(-hardest * _LOG2_10))
+            + (2 * width + _EM_ALLOWANCE).bit_length() + _EM_GUARD)
 
 
 # Costs of the pieces of ``_em_tail_range`` in microseconds, as (fixed,
-# per decimal digit) pairs, fitted to timings of it and of
-# ``_EMTable.extend`` at 300-1700 digits on an x86-64 host (CPython 3.11,
-# mpmath's pure-Python backend).  Direct part, at the digits of the scale
-# 2^P: one m (the power m^s and the floor division of 2^P by it), and one
-# row at that m (an add and a floor division).  Expansion, at the digits
-# of mp.prec: one term, and one new table entry.  The j-th tangent number
-# costs about _COST_TANGENT j^2: j integer steps on numbers of j log j bits.
-_COST_M = (0.3, 0.0027)
-_COST_ROW = (0.2, 0.0012)
-_COST_TERM = (4.5, 0.031)
-_COST_ENTRY = (7.4, 0.058)
+# per decimal digit of its scale 2^P) pairs, least-squares fits to
+# timings at 300-1700 digits by ``demos/em_costs.py`` on an x86-64 host
+# (CPython 3.11, mpmath's pure-Python backend).  Direct part: one m (the
+# power m^s and the floor division of 2^P by it), and one row at that m
+# (an add and a floor division).  Expansion: one integer term (``_em_at``)
+# and one new table entry (``_EMTable.extend``); both cost more than
+# linearly in the digits, and their lines run through the origin.  The
+# j-th tangent number costs about _COST_TANGENT j^2: j integer steps on
+# numbers of j log j bits.
+_COST_M = (0.1, 0.0044)
+_COST_ROW = (0.03, 0.001)
+_COST_TERM = (0.0, 0.0105)
+_COST_ENTRY = (0.0, 0.042)
 _COST_TANGENT = 0.003
 _EM_SAMPLE = 16        # needed exponents the cost is estimated from
 _TWO_PI = 2 * math.pi
 
 
 def _em_terms(s: int, tol: float, X: int, guess: int = 1) -> float:
-    """Estimated count of the terms ``_em_at(s, X, 10^tol)`` forms: where
+    """Estimated count of the terms ``_em_at`` forms for s at X to 10^tol: where
     |B_2k|/(2k)! (s)_{2k-1} X^{1-s-2k}, with |B_2k|/(2k)! ~ 2 (2 pi)^-2k,
     falls below 10^tol, interpolated between integers k so that the cost
     is smooth in X.  inf if the terms stop decreasing (near
@@ -396,19 +470,21 @@ def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], fl
     Direct side: each m in [x0, X) costs one step, plus one row for every
     needed s with m^s <= 2^P (w is floored to 0 past that).  Expansion
     side: the terms of each needed s (``_em_terms``), and the table
-    entries and tangent numbers not yet held when it is called.  Terms
-    and rows are counted on at most _EM_SAMPLE needed s, evenly spaced
-    and with the one of the hardest tolerance, and scaled up to all.
+    entries and tangent numbers not yet held when it is called (a table
+    held at X for at least the bits of 2^P is read as it is).  Steps,
+    rows, terms and entries are priced per digit of the scale 2^P, the
+    size of the integers they work on.  Terms and rows are counted on at
+    most _EM_SAMPLE needed s, evenly spaced and with the one of the
+    hardest tolerance, and scaled up to all.
     """
     hardest = min(needed, key=lambda pair: pair[1])
     sample = sorted(set(needed[::math.ceil(len(needed) / (_EM_SAMPLE - 1))]) | {hardest})
     scale = len(needed) / len(sample)
     p_digits = max(0.0, -hardest[1])                        # of the scale 2^P
-    d = mp.dps
     step_m = _COST_M[0] + _COST_M[1] * p_digits
     step_row = scale * (_COST_ROW[0] + _COST_ROW[1] * p_digits)
-    step_term = scale * (_COST_TERM[0] + _COST_TERM[1] * d)
-    step_entry = _COST_ENTRY[0] + _COST_ENTRY[1] * d
+    step_term = scale * (_COST_TERM[0] + _COST_TERM[1] * p_digits)
+    step_entry = _COST_ENTRY[0] + _COST_ENTRY[1] * p_digits
 
     crossing = {s: 1 for s, _tol in sample}     # k below the crossing at the last X
 
@@ -424,7 +500,8 @@ def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], fl
             top = p_digits * _LOG2_10 / s                   # log2 of the last m of row s
             rows += max(0.0, min(X, 2 ** min(top, 60) + 1) - x0)
         table = _EM_TABLE
-        held = len(table.c) if table is not None and table.key == (X, mp.prec) else 0
+        held = (len(table.c) if table is not None and table.X == X
+                and table.bits >= _em_scale(hardest[1], X - x0) else 0)
         have = len(_TANGENT)
         return ((X - x0) * step_m + rows * step_row + terms * step_term
                 + max(0.0, longest - held) * step_entry
@@ -469,8 +546,8 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
             x2 = a + _GOLDEN * (b - a)
     best = round(min(x1, x2, key=cost))
     table = _EM_TABLE
-    if table is not None and table.key[1] == mp.prec and table.key[0] >= x0:
-        best = min(best, table.key[0], key=cost)
+    if table is not None and table.X >= x0:
+        best = min(best, table.X, key=cost)
     return best
 
 
@@ -483,14 +560,25 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
     ``tols_log10`` holds one log10 tolerance per s, or None for an s that
     is not needed: it is neither expanded nor certified, and its entry of
     the result is None.  The direct part, m from x0 to the expansion point
-    X, is shared by all s and summed on integers at the scale of the
-    hardest tolerance; the expansion at X stops each needed s at its own
-    tolerance, reading the coefficient table that all of them share
-    (``_em_table``).  The direct loop advances only the rows of needed s,
-    and leaves each m once its term is floored to 0.  X starts at the
-    point of least estimated cost (``_em_point``) and grows while some
-    expansion bottoms out above its tolerance.  Needs s_lo >= 2, x0 >= 1
-    and at least one needed s.
+    X, is shared by all s; the expansion at X stops each needed s at its
+    own tolerance, reading the coefficient table that all of them share
+    (``_em_table``).  Both are summed on integers at one scale 2^P
+    (``_em_scale``), added, and converted to mpf once per s.  The direct
+    loop advances only the rows of needed s, and leaves each m once its
+    term is floored to 0.  X starts at the point of least estimated cost
+    (``_em_point``) and grows while some expansion bottoms out above its
+    tolerance.  Needs s_lo >= 2, x0 >= 1 and at least one needed s.
+
+    Each needed s is within 10^tol of the sum before that one rounding
+    to mp.prec.  At every needed s the direct part's w is
+    floor(2^P / m^s) (nested floors by integers are one floor by their
+    product), so each (m, s) is within 2 units, and a w floored to 0
+    stays below them: d = 2 (X - x0) units in all.  The expansion is
+    stopped at 2^F units, F = P + floor(tol log2 10 - 2^-16), and is
+    within 2^F + e units (``_em_at``).  P is raised by the shortfall
+    until d + e < 2^(F-20) at every s, so the error is below
+    2^(F-P) (1 + 2^-20) < 2^(F-P) 2^(2^-16) <= 10^tol: the float rounding
+    of tol log2 10 is far below 2^-16.
     """
     if s_lo < 2:
         raise ValueError("need s >= 2")
@@ -504,20 +592,14 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
     if not needed:
         raise ValueError("no exponent is needed")
     hardest = min(t for _, t in needed)
-    # the direct loop steps w from one needed s to the next by m^gap
+    # the loops step from one needed s to the next by m^gap and X^gap
     steps = [(s - s_lo, nxt - s) for (s, _), (nxt, _) in zip(needed, needed[1:] + needed[-1:])]
     first = needed[0][0]
-    start = _em_point(x0, needed)
-    extra = 0
+    X = _em_point(x0, needed)
+    raised = 0
     while True:
-        X = start + extra
-        # direct part on integers scaled by 2^P, P set by the hardest
-        # tolerance: at every needed s, w is floor(2^P / m^s) (nested
-        # floors by integers are one floor by their product), so each
-        # (m, s) is within 2 units, and a w floored to 0 stays below them
         err = 2 * (X - x0)
-        P = max(0, math.ceil(-hardest * _LOG2_10)) + err.bit_length() + 8
-        assert err == 0 or _ilog10(err) - P * _LOG10_2 < hardest
+        P = _em_scale(hardest, X - x0) + raised
         one = 1 << P
         direct = [0] * count
         for m in range(x0, X):
@@ -527,16 +609,24 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                 w //= m ** gap
                 if not w:
                     break
+        table = _em_table(X, P)
         acc: list[mpf | None] = [None] * count
-        for s, tol in needed:
-            # compared against a power of two at or below 10^tol
-            value, bound = _em_at(s, X, mp.ldexp(1, math.floor(tol * _LOG2_10)))
-            if bound is None:
+        Xs = X ** first
+        short = 0
+        for (s, tol), (idx, gap) in zip(needed, steps):
+            F = P + math.floor(tol * _LOG2_10 - _EM_TOL_MARGIN)
+            got = _em_at(s, X, Xs, P, F, table)
+            if got is None:
+                X += max(32, X)
                 break
-            acc[s - s_lo] = mp.ldexp(direct[s - s_lo], -P) + value
+            value, e = got
+            short = max(short, (err + e).bit_length() + 20 - F)
+            acc[idx] = mp.ldexp(direct[idx] + value, -P)
+            Xs *= X ** gap
         else:
-            return acc
-        extra = max(32, 2 * extra, X)
+            if short <= 0:
+                return acc
+            raised += short
 
 
 # ---------------------------------------------------------------------------
@@ -859,11 +949,12 @@ _GUARD_BITS = 64
 # makes two full P-bit products per term.  Laurent, as (fixed, per bit)
 # pairs: the construction per degQ^2 and bit of q, one step of the long
 # division per degQ and bit of b_s times bit of q, and one power sum of
-# ``tail_value`` per working digit.
+# ``tail_value`` per working digit (``demos/em_costs.py`` prints its fit
+# on criterion-1 tails).
 _COST_DIRECT = {PLAIN: 0.0028, DOUBLE_DERIVED: 0.0089}
 _COST_BUILD = (0.1, 2.4e-4)
 _COST_DIVISION = (0.07, 3e-7)
-_COST_POWER_SUM = 0.6
+_COST_POWER_SUM = 0.4
 
 
 def _head_bits(terms: int, tol: float) -> int:
@@ -1190,6 +1281,57 @@ def _certified_value(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
         f"{_RATE_SIG_DIGITS} significant digits with zeta values to 10^-{res.zeta_digits}")
 
 
+_LOG_BITS = 128           # bits a rate's log is first taken at
+
+
+def _nearest_float(evaluate: Callable[[], tuple[mpf, mpf]]) -> float:
+    """The double nearest to a real t, where ``evaluate`` returns, at the
+    current precision, v and e with |v - t| <= e.
+
+    Tried at _LOG_BITS bits, then at twice as many while [v - 2e, v + 2e]
+    is not strictly inside the rounding cell of float(v), between the
+    midpoints to its neighbouring doubles: then every value within e of
+    t, the true value and its evaluation at any higher precision alike,
+    rounds to that float.  So a log taken here from a copy of a value
+    rounded to a few dozen digits gives the float that the same log taken
+    at the value's full working precision gives.
+    """
+    bits = _LOG_BITS
+    while bits <= 1 << 16:
+        with mp.workprec(bits):
+            v, e = evaluate()
+            f = float(v)
+            cell_lo = mp.ldexp(mp.fadd(f, math.nextafter(f, -math.inf), exact=True), -1)
+            cell_hi = mp.ldexp(mp.fadd(f, math.nextafter(f, math.inf), exact=True), -1)
+            e2 = mp.ldexp(e, 1)
+            if (mp.fsub(v, e2, exact=True) > cell_lo
+                    and mp.fadd(v, e2, exact=True) < cell_hi):
+                return f
+        bits *= 2
+    raise ArithmeticError("the value lies on a rounding boundary of the double")
+
+
+def _log_abs_error(x: mpf) -> tuple[mpf, mpf]:
+    """log|x| from a copy of x at the current precision p, and a bound
+    on its error: the copy is within 2^-p of |x| relative, which moves
+    the log by at most 2^(1-p), and the log itself is within an ulp,
+    2^(1-p) |log|; 2^(2-p) (1 + |log|) covers both."""
+    v = mp.log(abs(+x))
+    return v, mp.ldexp(1 + abs(v), 2 - mp.prec)
+
+
+def _amplitude_error(value: mpf, n: int, saddle_data, cref: float) -> tuple[mpf, mpf]:
+    """log|value| - n log eps''_a - log|cref| at the current precision p,
+    and a bound on its error: the two logs' (``_log_abs_error``), and the
+    rounding of the product and the two differences, each at most 2^-p of
+    a term or of the result's size."""
+    lv, elv = _log_abs_error(value)
+    lc, elc = _log_abs_error(mpf(cref))
+    m = n * saddle_data.log_eps_pp_a
+    v = lv - m - lc
+    return v, elv + elc + mp.ldexp(abs(lv) + 2 * abs(m) + abs(lc) + abs(v), 1 - mp.prec)
+
+
 def _rate_forms(spec: FormSpec) -> tuple[ZetaLinearForm, ZetaLinearForm]:
     """Plain and double-derived forms at spec.  The table is used once, so
     it is not put in table_for's cache; the calls go through the module so
@@ -1232,16 +1374,15 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
     for n, (plain_form, derived_form) in forms:
         plain = _certified_value(plain_form, ctx)
         derived = _certified_value(derived_form, ctx)
+        log_sn = _nearest_float(lambda: _log_abs_error(plain.value)) / n
+        log_spp = _nearest_float(lambda: _log_abs_error(derived.value)) / n
         with mp.workdps(ctx.workdps):
-            log_sn = float(mp.log(abs(plain.value))) / n
-            log_spp = float(mp.log(abs(derived.value))) / n
             cref = float(mp.cos(n * saddle_data.omega_a + saddle_data.phi_a))
             csig = float(mp.cos(n * saddle_data.omega_signed + saddle_data.phi_signed))
-            if abs(cref) >= cos_exclusion:
-                amp = float(mp.log(abs(derived.value)) - n * saddle_data.log_eps_pp_a
-                            - mp.log(abs(cref)))
-            else:
-                amp = float("nan")
+        if abs(cref) >= cos_exclusion:
+            amp = _nearest_float(lambda: _amplitude_error(derived.value, n, saddle_data, cref))
+        else:
+            amp = float("nan")
         samples.append(RateSample(
             n=n,
             log_sn_over_n=log_sn,

@@ -368,9 +368,9 @@ def test_laurent_tail_value_expands_only_nonzero_weights(kind, monkeypatch):
     expanded = []
     real = highprec._em_at
 
-    def spy(s, X, tol):
+    def spy(s, *args):
         expanded.append(s)
-        return real(s, X, tol)
+        return real(s, *args)
 
     monkeypatch.setattr(highprec, "_em_at", spy)
     _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, K, 48, -100)
@@ -453,6 +453,94 @@ def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
             ref = mpmath.zeta(s, 48)
             # the tolerance, plus the rounding of the value to wdps digits
             assert abs(val - ref) <= mpf(10) ** tol + abs(ref) * mpf(10) ** (1 - wdps)
+
+
+# (s, X, log10 tolerance) of criterion-1 Laurent tails at (250, 25): the
+# first and last needed exponents of the (7,1,1) and (11,1,6) tails and
+# points between, with X from the points those tails expand at
+EM_POINTS = [(9, 528, -280.5), (264, 528, -266.7), (73, 361, -753.7), (140, 361, -600.2),
+             (584, 266, -313.5), (71, 439, -541.9), (326, 399, -302.0), (300, 535, -700.4)]
+
+
+def _em_point_value(s, X, tol, table=None):
+    """The integer expansion at one (s, X, tol) with no direct part, at the
+    scale and stop ``_em_tail_range`` gives it: (value, err, P, F)."""
+    P = highprec._em_scale(tol, 0)
+    F = P + math.floor(tol * math.log2(10) - highprec._EM_TOL_MARGIN)
+    table = table or highprec._EMTable(X, P)
+    value, err = highprec._em_at(s, X, X ** s, P, F, table)
+    return value, err, P, F
+
+
+@pytest.mark.parametrize("s, X, tol", EM_POINTS)
+def test_integer_expansion_against_hurwitz_and_per_term_oracle(s, X, tol):
+    value, err, P, F = _em_point_value(s, X, tol)
+    digits = math.ceil(-tol) + 30
+    with mp.workdps(digits):
+        got = mp.ldexp(value, -P)
+        # the expansion is sum_{m >= X} m^-s within its tolerance
+        assert abs(got - mpmath.zeta(s, X)) < mpf(10) ** tol
+        # the same terms in mpf, stopped at the same power of two
+        ref, bound = em_at_per_term(s, X, mp.ldexp(1, F - P))
+        assert bound is not None
+        assert abs(got - ref) < mpf(10) ** (tol - 5)
+
+
+@pytest.mark.parametrize("s, X, tol", EM_POINTS)
+def test_integer_expansion_floor_error_bound(s, X, tol):
+    # the returned bound covers the floors (the distance to the same terms
+    # summed exactly, in mpf at far more digits) and stays below 2^-20 of
+    # the tolerance, as _em_tail_range requires
+    value, err, P, F = _em_point_value(s, X, tol)
+    with mp.workdps(math.ceil(-tol) + 60):
+        ref, _bound = em_at_per_term(s, X, mp.ldexp(1, F - P))
+        actual = abs(mp.ldexp(value, -P) - ref) * mpf(2) ** P
+        assert actual <= err
+    assert err.bit_length() <= F - 20
+    with mp.workdps(30):
+        assert err * mpf(2) ** (20 - P) < mpf(10) ** tol
+
+
+def test_em_tail_range_raises_the_scale_when_a_bound_misses(monkeypatch):
+    # with no guard bits and no allowance the first scale leaves the
+    # floor-error bounds above 2^-20 of their stops: the range is summed
+    # again at a larger P, and still meets every tolerance
+    monkeypatch.setattr(highprec, "_EM_GUARD", 0)
+    monkeypatch.setattr(highprec, "_EM_ALLOWANCE", 1)
+    monkeypatch.setattr(highprec, "_EM_TABLE", None)
+    scales = []
+    real = highprec._em_at
+
+    def spy(s, X, Xs, P, F, table):
+        scales.append(P)
+        return real(s, X, Xs, P, F, table)
+
+    monkeypatch.setattr(highprec, "_em_at", spy)
+    tols = [-120.0] * 32
+    with mp.workdps(140):
+        vals = _em_tail_range(9, 40, 48, tols)
+    assert len(set(scales)) == 2 and scales[-1] > scales[0]
+    with mp.workdps(200):
+        for val, s in zip(vals, range(9, 41)):
+            assert abs(val - mpmath.zeta(s, 48)) < mpf(10) ** -120
+
+def test_em_table_asked_for_more_bits_gives_the_fresh_tables_values(monkeypatch):
+    # a table made for the 1e-280 tail is replaced, not read, when the
+    # 1e-600 tail at the same X asks for more bits; one asked for fewer
+    # bits than it holds is read as it is
+    monkeypatch.setattr(highprec, "_EM_TABLE", None)
+    X = 361
+    low = highprec._em_scale(-280.5, 0)
+    high = highprec._em_scale(-600.2, 0)
+    small = highprec._em_table(X, low)
+    _em_point_value(73, X, -280.5, small)
+    held = highprec._em_table(X, high)
+    assert held is not small and held.bits == high
+    value, err, _P, _F = _em_point_value(140, X, -600.2, held)
+    fresh = highprec._EMTable(X, high)
+    assert (value, err) == _em_point_value(140, X, -600.2, fresh)[:2]
+    assert held.c == fresh.c and held.r == fresh.r
+    assert highprec._em_table(X, low) is held
 
 
 def _exact_head(spec, kind, t0, T):
@@ -581,7 +669,8 @@ def _criterion_1_series(spec, monkeypatch):
     ((13, 1, 4), ("direct+laurent", "direct+laurent")),
     # derived: Laurent at K = 256 took 26-46 ms, the 8192 direct terms 41-71 ms
     ((13, 1, 5), ("direct", "direct+laurent")),
-    ((13, 1, 6), ("direct", "direct")),
+    # derived: Laurent at K = 256 took 18-30 ms, the 4096 direct terms 22-31 ms
+    ((13, 1, 6), ("direct", "direct+laurent")),
 ])
 def test_route_of_least_estimated_cost_at_criterion_1(abc, routes, monkeypatch):
     # as in the criterion-1 grid, no tail of spec is held yet: a held one
@@ -597,8 +686,8 @@ def test_route_of_least_estimated_cost_at_criterion_1(abc, routes, monkeypatch):
 
 
 def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
-    # (13,1,6) sums 4k direct terms; building its Laurent tail and finding
-    # K would cost more than that
+    # (13,1,6) plain sums 4k direct terms; building its Laurent tail and
+    # finding K would cost more than that
     built = []
     real = highprec._laurent_for
 
@@ -608,8 +697,9 @@ def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
 
     monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
     monkeypatch.setattr(highprec, "_laurent_for", spy)
-    for res in _criterion_1_series(FormSpec(13, 1, 6), monkeypatch):
-        assert res.method == "direct"
+    plain = zeta_form_plain(table_for(FormSpec(13, 1, 6)))
+    res = _residual_and_sides(plain, CRITERION_1, monkeypatch)[1]
+    assert res.method == "direct"
     assert not built and not highprec._LAURENT_CACHE
 
 
@@ -779,3 +869,51 @@ def test_rates_raise_budget_when_target_is_too_loose(saddle_13_2, monkeypatch):
     assert raised.zeta_digits == derived[1]
     assert raised.log_sppn_over_n == good.log_sppn_over_n
     assert raised.sign_pp == good.sign_pp
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_log_float_next_to_a_rounding_boundary(side, monkeypatch):
+    # log x sits 1e-45 above or below the midpoint between two doubles:
+    # a log at 128 bits cannot tell which way it rounds, so the bits are
+    # raised, and the float is the one the log at 200 digits gives
+    f = -35.123456789
+    with mp.workdps(200):
+        mid = mp.ldexp(mp.fadd(f, math.nextafter(f, math.inf), exact=True), -1)
+        x = mp.exp(mid + side * mpf(10) ** -45)
+        full = float(mp.log(x))
+    assert full == (math.nextafter(f, math.inf) if side > 0 else f)
+    tried = []
+    real = highprec._log_abs_error
+
+    def spy(value):
+        tried.append(mp.prec)
+        return real(value)
+
+    monkeypatch.setattr(highprec, "_log_abs_error", spy)
+    assert highprec._nearest_float(lambda: highprec._log_abs_error(x)) == full
+    assert tried[0] == highprec._LOG_BITS and len(tried) > 1
+
+
+def test_rate_sweep_logs_equal_full_precision_logs(saddle_13_2, monkeypatch):
+    # the floats of a rate sweep from logs at a few dozen digits, against
+    # the same logs taken at the values' full working precision
+    values = []
+    real = highprec._certified_value
+
+    def spy(form, ctx):
+        res = real(form, ctx)
+        values.append((res.value, ctx.workdps))
+        return res
+
+    monkeypatch.setattr(highprec, "_certified_value", spy)
+    ns = range(20, 26)
+    rep = measure_rates(13, 2, ns, saddle_13_2)
+    assert len(values) == 2 * len(ns)
+    for s, (plain, wdps), (derived, _) in zip(rep.samples, values[::2], values[1::2]):
+        with mp.workdps(wdps):
+            assert s.log_sn_over_n == float(mp.log(abs(plain))) / s.n
+            assert s.log_sppn_over_n == float(mp.log(abs(derived))) / s.n
+            if not s.excluded:
+                amp = float(mp.log(abs(derived)) - s.n * saddle_13_2.log_eps_pp_a
+                            - mp.log(abs(s.cos_reference)))
+                assert s.log_amp_ratio == amp
