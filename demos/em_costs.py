@@ -17,8 +17,6 @@ Run:  python demos/em_costs.py
 import math
 import time
 
-from mpmath import mp
-
 from zetaforms import highprec
 from zetaforms.linear_forms import (DOUBLE_DERIVED, PLAIN, FormSpec, table_for,
                                     zeta_form_derived, zeta_form_plain)
@@ -122,8 +120,7 @@ def power_sum_check():
 
         def run():
             highprec._EM_TABLE = None
-            with mp.workdps(wdps):
-                lt.tail_value(kind, 256, 48, tol)
+            lt.tail_value(kind, 256, 48, tol)
 
         work = wdps * 256 / 2
         us = best_us(run, 1, repeats=2)

@@ -21,9 +21,8 @@ from zetaforms import (
     table_for,
     zeta_form_derived,
     zeta_form_plain,
-    zeta_value,
 )
-from zetaforms.highprec import DOUBLE_DERIVED, PLAIN, eval_S_direct
+from zetaforms.highprec import DOUBLE_DERIVED, PLAIN, eval_S_direct, eval_S_form
 
 spec = FormSpec(a=7, r=1, n=2)
 summand = build_summand(spec)
@@ -61,7 +60,7 @@ ctx = PrecisionContext(digits=120, guard=20)
 for form, kind in ((plain, PLAIN), (derived, DOUBLE_DERIVED)):
     direct = eval_S_direct(spec, kind, ctx)
     with mp.workdps(ctx.workdps):
-        target = form.evaluate(lambda s: zeta_value(s, ctx))
+        target = eval_S_form(form, ctx).value
         print(f"\n{form.kind}: series value  {mp.nstr(direct.value, 25)}")
         print(f"{form.kind}: form value    {mp.nstr(target, 25)}")
         print(f"residual: {mp.nstr(abs(direct.value - target), 3)} "

@@ -1,22 +1,26 @@
 """Arbitrary-precision evaluation with certified error bounds.
 
-Five layers:
+Every certified value is a Python integer at an explicit scale 2^P until
+one conversion to mpf per result, made at the precision the caller
+passes (``PrecisionContext.workdps`` or ``wdps``); the integer kernels
+read no mp.prec, and no cache holds a precision.  Five layers:
 
-* Zeta values.  ``zeta_value`` sums Borwein's alternating series on
-  exact integers (``_zeta_borwein``): the coefficients d_k depend only
-  on the term count n, which the target sets, so one held table of them
-  serves every s at one budget.  Each summand is floored once at a small
-  scale 2^g, the sum stops at the first zero quotient, and the value is
-  converted to mpf once.
+* Zeta values.  ``_zeta_borwein`` sums Borwein's alternating series on
+  exact integers: the coefficients d_k depend only on the term count n,
+  which the target sets, so one held table of them serves every s at one
+  budget.  Each summand is floored once at a small scale 2^g, the sum
+  stops at the first zero quotient, and the value is floored once at a
+  scale 2^B set by the digits asked for.  ``_ZETA_CACHE`` holds that
+  integer per s; ``zeta_value`` converts it once, at the caller's workdps.
 
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
   sum_{m >= x0} m^{-s} for a range of s at one start x0; the Laurent
   tails call it at x0 = T.  The direct part up to the expansion point X
   and the expansion at X are both summed on Python integers at one scale
   2^P, set by the hardest tolerance and the bits of their floor errors,
-  and converted to mpf once per s.  X is the point of least estimated
-  cost (``_em_point``): direct steps against expansion terms and the
-  coefficients not yet made, each priced per digit of 2^P.  For the
+  and returned as integers at that scale.  X is the point of least
+  estimated cost (``_em_point``): direct steps against expansion terms
+  and the coefficients not yet made, each priced per digit of 2^P.  For the
   completely monotone integrand x^{-s} the Euler-Maclaurin remainder is
   no larger than the first omitted correction term, so each expansion
   stops once that term is below its tolerance (X grows if the terms
@@ -29,11 +33,13 @@ Five layers:
   expanded nor summed.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
-  (or S''_n) from its exact coefficients and certified zeta values.  The
-  coefficients cancel from sum|coeff| down to the value, so the zeta
-  values must be good to 10^-digits with digits at least
-  log10 sum|coeff| minus the target; the certified error is
-  sum|coeff| 10^-digits plus rounding.  ``measure_rates`` takes this route.
+  (or S''_n) from its exact coefficients and the zeta integers, summed
+  on integers over the coefficients' common denominator at one scale and
+  divided once.  The coefficients cancel from sum|coeff| down to the
+  value, so the zeta values must be good to 10^-digits with digits at
+  least log10 sum|coeff| minus the target; the certified error is
+  sum|coeff| 10^-digits plus the one rounding.  ``measure_rates`` takes
+  this route.
 
 * Direct summation of the defining series, the independent cross-check
   behind ``eval_S_direct`` and ``form_residual``.  Every quantity is a
@@ -55,9 +61,10 @@ Five layers:
   with integer b_s from long division, whose truncation error is
   bounded from the division residual at the split point T, where each
   pole factor |1 - j/t| is at least 1 - n/T.  The tail then
-  becomes a finite combination of certified power-sum tails.
-  ``eval_S_direct`` takes the route of less estimated work (``_route``),
-  and builds the Laurent expansion only where it might win.
+  becomes a finite combination of certified power-sum tails, an exact
+  integer sum.  ``eval_S_direct`` takes the route of less estimated work
+  (``_route``), and builds the Laurent expansion only where it might win;
+  it adds the head and the tail by exact shifts and converts once.
 """
 from __future__ import annotations
 
@@ -95,17 +102,6 @@ class PrecisionContext:
 _LOG2_10 = math.log2(10)
 _LOG10_2 = math.log10(2)
 _LN10 = math.log(10)
-
-
-def _ilog10(v: int) -> float:
-    """log10 of a positive int without overflow."""
-    if v <= 0:
-        raise ValueError("need positive value")
-    bl = v.bit_length()
-    if bl <= 900:
-        return math.log10(v)
-    top = v >> (bl - 64)
-    return math.log10(top) + (bl - 64) * math.log10(2)
 
 
 def _log10_add(x: float, y: float) -> float:
@@ -148,7 +144,7 @@ def _borwein_d(n: int) -> list[int]:
     return _BORWEIN_D
 
 
-def _zeta_borwein(s: int, digits: int) -> mpf:
+def _zeta_borwein(s: int, digits: int) -> tuple[int, int]:
     """zeta(s) for integer s >= 2 from Borwein's alternating series ("An
     efficient algorithm for the Riemann zeta function", 2000):
 
@@ -157,9 +153,9 @@ def _zeta_borwein(s: int, digits: int) -> mpf:
         |gamma_n(s)| <= 3 (1 + 2|t|) / ((3+sqrt 8)^n |1 - 2^(1-s)|),
 
     with d_k from ``_borwein_d``.  For real s >= 2, t = 0 and
-    |1 - 2^(1-s)| >= 1/2, so |gamma_n(s)| <= 6 (3+sqrt 8)^-n.  The
-    truncation is below 10^-digits and the floors and the conversion add
-    less than 10^-(digits+3) together; mp.dps must be at least digits + 6.
+    |1 - 2^(1-s)| >= 1/2, so |gamma_n(s)| <= 6 (3+sqrt 8)^-n.  Returns
+    (z, B): z 2^-B is within 10^-digits + 10^-(digits+3) of zeta(s), the
+    truncation below the first and the floors below the second.
 
     * Truncation.  n = ceil((digits ln 10 + ln 6) / ln(3+sqrt 8)), and
       d_n > 3 10^digits is checked on integers, so
@@ -170,13 +166,10 @@ def _zeta_borwein(s: int, digits: int) -> mpf:
       and the sum stops there.  The n floors, each within one unit, move
       the sum by less than n units, and the value by less than
       n 2^-g / (d_n (1 - 2^(1-s))) < 2n / (1000 n 3 10^digits)
-      = (2/3) 10^-(digits+3).
-    * Conversion.  One integer division gives the floor Z of the sum's
-      value scaled by 2^(g+p), g + p >= mp.prec + 1, within 2^-(mp.prec+1);
-      mpf(Z) rounds once, by at most 2^-mp.prec relative, of a value
-      below 2.  Together these are below 2^(2-mp.prec) < 10^-(digits+5):
-      mpmath gives mp.dps = digits + 6 at least (digits + 7) log2 10 - 1
-      bits.
+      = (2/3) 10^-(digits+3).  One integer division then gives z, the
+      floor of the sum's value scaled by 2^B, B = max(g, ceil((digits+4)
+      log2 10)), within 2^-B <= 10^-(digits+4) (the float rounding of
+      (digits+4) log2 10 is far inside the margin left).
     """
     n = math.ceil((digits * _LN10 + _LN6) / _LN_BORWEIN)
     d = _borwein_d(n)
@@ -190,41 +183,42 @@ def _zeta_borwein(s: int, digits: int) -> mpf:
             break
         total += -q if k & 1 else q
     # value = total 2^(s-1) / (2^g d_n (2^(s-1) - 1))
-    p = max(0, mp.prec + 1 - g)
+    p = max(0, math.ceil((digits + 4) * _LOG2_10) - g)
     z = (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1))
-    return mp.ldexp(mpf(z), -(g + p))
+    return z, g + p
 
 
-# s -> (digits, workdps, value): the value of zeta(s) held to the most
-# digits, and the working precision it was made at.
-_ZETA_CACHE: dict[int, tuple[int, int, mpf]] = {}
+# s -> (digits, z, B): zeta(s) for the most digits asked for, as the
+# floor z of its value at the scale 2^B (``_zeta_borwein``)
+_ZETA_CACHE: dict[int, tuple[int, int, int]] = {}
+
+
+def _zeta_scaled(s: int, digits: int) -> tuple[int, int]:
+    """(z, B) with z 2^-B within 10^-(digits+3) of zeta(s): the held value
+    if it was made for at least digits, else a new one, then held.  A value
+    for d >= digits comes from ``_zeta_borwein`` at d + 4, so it is within
+    10^-(d+4) + 10^-(d+7) < 10^-(digits+3)."""
+    hit = _ZETA_CACHE.get(s)
+    if hit is None or hit[0] < digits:
+        hit = _ZETA_CACHE[s] = (digits, *_zeta_borwein(s, digits + 4))
+    return hit[1], hit[2]
 
 
 def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
-    """zeta(s) for integer s >= 2, absolute error below 10^-digits.
+    """zeta(s) for integer s >= 2, absolute error below 10^-digits, as
+    one conversion of the integer of ``_zeta_scaled`` to mpf at workdps.
 
-    A value held to at least the caller's digits is served, rounded to
-    the caller's workdps if it was made at more.  The bound still holds.
-    A value held to d >= digits was computed to 10^-(d+4): its truncation
-    is below that, and its floors and its one conversion at
-    workdps >= d + 10 add less than 10^-(d+7) (``_zeta_borwein``).  So its
-    error is below 10^-(d+3).  Rounding it to the caller's workdps
-    w >= digits + 10 adds at most half an ulp, 2^-prec |zeta(s)| < 2 10^-(w+1)
-    (mpmath's prec is at least (w+1) log2 10 bits, and zeta(s) < 2).
-    Together these stay below 10^-(digits+3) + 10^-(digits+10) < 10^-digits.
+    That integer is within 10^-(digits+3) of zeta(s) at its scale.  The
+    conversion at w = workdps >= digits + 10 rounds once, by at most
+    2^-prec of a value below 2, where mpmath's prec is at least
+    (w+1) log2 10 - 1/2 bits: below 3 10^-(w+2).  Together these stay
+    below 10^-(digits+3) + 10^-(digits+11) < 10^-digits.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
-    hit = _ZETA_CACHE.get(s)
-    if hit is not None and hit[0] >= ctx.digits:
-        if hit[1] <= ctx.workdps:
-            return hit[2]
-        with mp.workdps(ctx.workdps):
-            return +hit[2]
+    z, B = _zeta_scaled(s, ctx.digits)
     with mp.workdps(ctx.workdps):
-        v = _zeta_borwein(s, ctx.digits + 4)
-    _ZETA_CACHE[s] = (ctx.digits, ctx.workdps, v)
-    return v
+        return mp.ldexp(mpf(z), -B)
 
 
 # ---------------------------------------------------------------------------
@@ -552,31 +546,32 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
 
 
 def _em_tail_range(s_lo: int, s_hi: int, x0: int,
-                   tols_log10: Sequence[float | None]) -> list[mpf | None]:
+                   tols_log10: Sequence[float | None]) -> tuple[int, list[int | None]]:
     """sum_{m >= x0} m^{-s} for every integer s in [s_lo, s_hi], the one
     Euler-Maclaurin power sum, behind the Laurent tails (x0 = T).  Its
     x0 = 1 case, zeta(s), is the tests' oracle for ``zeta_value``.
 
+    Returns (P, sums): each sum an integer, the power sum scaled by 2^P.
     ``tols_log10`` holds one log10 tolerance per s, or None for an s that
     is not needed: it is neither expanded nor certified, and its entry of
-    the result is None.  The direct part, m from x0 to the expansion point
+    the sums is None.  The direct part, m from x0 to the expansion point
     X, is shared by all s; the expansion at X stops each needed s at its
     own tolerance, reading the coefficient table that all of them share
     (``_em_table``).  Both are summed on integers at one scale 2^P
-    (``_em_scale``), added, and converted to mpf once per s.  The direct
-    loop advances only the rows of needed s, and leaves each m once its
-    term is floored to 0.  X starts at the point of least estimated cost
+    (``_em_scale``) and added; nothing is converted.  The direct loop
+    advances only the rows of needed s, and leaves each m once its term
+    is floored to 0.  X starts at the point of least estimated cost
     (``_em_point``) and grows while some expansion bottoms out above its
     tolerance.  Needs s_lo >= 2, x0 >= 1 and at least one needed s.
 
-    Each needed s is within 10^tol of the sum before that one rounding
-    to mp.prec.  At every needed s the direct part's w is
+    Each needed sum is within 10^tol 2^P units of the power sum scaled by
+    2^P.  At every needed s the direct part's w is
     floor(2^P / m^s) (nested floors by integers are one floor by their
     product), so each (m, s) is within 2 units, and a w floored to 0
     stays below them: d = 2 (X - x0) units in all.  The expansion is
     stopped at 2^F units, F = P + floor(tol log2 10 - 2^-16), and is
     within 2^F + e units (``_em_at``).  P is raised by the shortfall
-    until d + e < 2^(F-20) at every s, so the error is below
+    until d + e < 2^(F-20) at every s, so sum 2^-P is within
     2^(F-P) (1 + 2^-20) < 2^(F-P) 2^(2^-16) <= 10^tol: the float rounding
     of tol log2 10 is far below 2^-16.
     """
@@ -610,7 +605,7 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                 if not w:
                     break
         table = _em_table(X, P)
-        acc: list[mpf | None] = [None] * count
+        acc: list[int | None] = [None] * count
         Xs = X ** first
         short = 0
         for (s, tol), (idx, gap) in zip(needed, steps):
@@ -621,11 +616,11 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                 break
             value, e = got
             short = max(short, (err + e).bit_length() + 20 - F)
-            acc[idx] = mp.ldexp(direct[idx] + value, -P)
+            acc[idx] = direct[idx] + value
             Xs *= X ** gap
         else:
             if short <= 0:
-                return acc
+                return P, acc
             raised += short
 
 
@@ -661,7 +656,7 @@ def _radius_norms_log10(c: Sequence[int], T: int) -> tuple[float, float, float]:
         h1 = h1 * T + u * v
         h2 = h2 * T + u * (u - 1) * v
     lgT = math.log10(T)
-    return tuple(_ilog10(h) - (m - i) * lgT if h else float("-inf")
+    return tuple(math.log10(h) - (m - i) * lgT if h else float("-inf")
                  for i, h in enumerate((h0, h1, h2)))
 
 
@@ -788,15 +783,17 @@ class LaurentTail:
             power = v + 2
         return c_log + _log10_add(-power * lgT, (1 - power) * lgT - math.log10(power - 1))
 
-    def tail_value(self, kind: str, K: int, T: int, tol_log10: float) -> mpf:
-        """sum_{t >= T} W_K(t) (plain) or sum (1/2) W_K''(t) (derived).
+    def tail_value(self, kind: str, K: int, T: int, tol_log10: float) -> tuple[int, int]:
+        """sum_{t >= T} W_K(t) (plain) or sum (1/2) W_K''(t) (derived), as
+        (Y, P): Y is the tail scaled by 2^P, an exact integer sum.
 
         Both are sum_i w_i sum_{t >= T} t^{-(s_i + shift)} with s_i = D + i:
         plain has w_i = b_i and shift 0, derived w_i = b_i s_i (s_i+1)/2
-        and shift 2.  Each power sum with w_i != 0 is certified to
-        10^tol_log10 / (100 K |w_i|), so the K weighted errors sum below
-        10^(tol_log10 - 2); one with w_i = 0 is neither expanded nor
-        summed.
+        and shift 2.  Each power sum with w_i != 0 is an integer Z_i at
+        the scale 2^P (``_em_tail_range``) certified to
+        10^tol_log10 / (100 K |w_i|), so Y = sum w_i Z_i is within
+        10^(tol_log10 - 2) 2^P units of the tail; one with w_i = 0 is
+        neither expanded nor summed.
         """
         self.extend(K)
         if kind == PLAIN:
@@ -805,13 +802,9 @@ class LaurentTail:
             shift = 2
             weights = [b * (s * (s + 1) // 2) for s, b in enumerate(self.b[:K], self.D)]
         spread = math.log10(max(K, 1)) + 2
-        tols = [tol_log10 - _ilog10(abs(w)) - spread if w else None for w in weights]
-        tails = _em_tail_range(self.D + shift, self.D + K - 1 + shift, T, tols)
-        out = mpf(0)
-        for w, tail in zip(weights, tails):
-            if w:
-                out += mpf(w) * tail
-        return out
+        tols = [tol_log10 - math.log10(abs(w)) - spread if w else None for w in weights]
+        P, tails = _em_tail_range(self.D + shift, self.D + K - 1 + shift, T, tols)
+        return sum(w * z for w, z in zip(weights, tails) if w), P
 
 
 _LAURENT_CACHE: dict[FormSpec, LaurentTail] = {}
@@ -964,27 +957,23 @@ def _head_bits(terms: int, tol: float) -> int:
     return max(0, math.ceil(-tol * _LOG2_10)) + terms.bit_length() + _GUARD_BITS
 
 
-def _head_value(spec: FormSpec, kind: str, t0: int, T: int, wdps: int,
-                tol: float) -> tuple[mpf, float, int]:
-    """The head over [t0, T) at wdps digits, the log10 bound of its
-    rounding (the kernel's floor errors plus the conversion to mpf) and
-    the scale P it was summed at.
+def _head_value(spec: FormSpec, kind: str, t0: int, T: int,
+                tol: float) -> tuple[int, int, int]:
+    """The head over [t0, T) as (head, err, P) from ``_direct_sum``: the
+    sum scaled by 2^P is within err units of head.
 
-    P starts at ``_head_bits``.  The floor error of a term grows with the
-    terms after it, so where they rise far above the first the bound can
-    miss tol; the head is then summed once more with P raised by the
-    shortfall.
+    P starts at ``_head_bits``.  The floor errors of the terms grow with
+    their size, and P does not see how far the terms rise above the first,
+    so there the bound can miss tol; the head is then summed once more
+    with P raised by the shortfall.
     """
     P = _head_bits(T - t0, tol)
     head, err = _direct_sum(spec, kind, t0, T, P)
-    shortfall = _ilog10(err) - P * _LOG10_2 - tol if err else 0.0
+    shortfall = math.log10(err) - P * _LOG10_2 - tol if err else 0.0
     if shortfall > 0:
         P += math.ceil(shortfall * _LOG2_10) + _GUARD_BITS
         head, err = _direct_sum(spec, kind, t0, T, P)
-    with mp.workdps(wdps):
-        value = mp.ldexp(head, -P)
-        err += 1 << max(0, abs(head).bit_length() - mp.prec)
-    return value, _ilog10(err) - P * _LOG10_2, P
+    return head, err, P
 
 
 def _direct_split(spec: FormSpec, kind: str, t0: int, tol: float) -> int | None:
@@ -1122,8 +1111,12 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
     Takes the route of least estimated cost (``_route``): plain
     truncation where the elementary tail bound meets the target, or a
     short head completed by the certified Laurent tail.  The head is
-    summed on integers scaled by 2^P (``_head_value``).  The result
-    carries both routes' estimates.
+    summed on integers scaled by 2^P (``_head_value``) and the tail on
+    integers scaled by 2^P' (``LaurentTail.tail_value``); both are brought
+    to the larger scale by exact shifts and added, and the sum is
+    converted to mpf once, at wdps.  That rounding is at most 2^(b - prec)
+    units of a b-bit sum, and joins the head's floor errors in the bound.
+    The result carries both routes' estimates.
     """
     if kind not in (PLAIN, DOUBLE_DERIVED):
         raise ValueError(f"unknown kind {kind!r}")
@@ -1131,17 +1124,22 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
     tol = abs_tol_log10 if abs_tol_log10 is not None else -(ctx.digits + ctx.guard // 2)
     t0 = build_summand(spec).first_nonzero_term()
     route = _route(spec, kind, t0, tol, wdps)
-    head, rounding, P = _head_value(spec, kind, t0, route.T, wdps, tol)
-    common = dict(split_T=route.T, terms=route.T - t0, work_bits=P,
-                  direct_cost_us=route.direct_us, laurent_cost_us=route.laurent_us)
-    if route.K is None:
-        return EvalResult(value=head, method="direct",
-                          tail_bound_log10=_log10_add(route.bound, rounding), **common)
+    total, err, P = _head_value(spec, kind, t0, route.T, tol)
+    scale, bound = P, route.bound
+    if route.K is not None:
+        tail, tail_P = _laurent_for(spec).tail_value(kind, route.K, route.T, tol)
+        scale = max(P, tail_P)
+        total = (total << (scale - P)) + (tail << (scale - tail_P))
+        err <<= scale - P
+        bound = _log10_add(bound, tol)
     with mp.workdps(wdps):
-        value = head + _laurent_for(spec).tail_value(kind, route.K, route.T, tol)
-    return EvalResult(value=value, method="direct+laurent",
-                      tail_bound_log10=_log10_add(_log10_add(route.bound, tol), rounding),
-                      laurent_K=route.K, **common)
+        value = mp.ldexp(mpf(total), -scale)
+        err += 1 << max(0, abs(total).bit_length() - mp.prec)
+    return EvalResult(value=value, method="direct" if route.K is None else "direct+laurent",
+                      split_T=route.T, terms=route.T - t0,
+                      tail_bound_log10=_log10_add(bound, math.log10(err) - scale * _LOG10_2),
+                      laurent_K=route.K, work_bits=P,
+                      direct_cost_us=route.direct_us, laurent_cost_us=route.laurent_us)
 
 
 def _log10_abs_sum(coeffs) -> float:
@@ -1156,16 +1154,25 @@ def _log10_abs_sum(coeffs) -> float:
 def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
     """S_n or S''_n as l_0 + sum l_i zeta(.) from the exact form.
 
-    The zeta values are certified below 10^-digits and the sum runs at
-    workdps, so the error is at most sum|coeff| 10^-digits from the zeta
-    values plus the rounding of k+1 coefficients, k products and k sums,
-    below 4 (k+4) sum|coeff| 10^-workdps (every zeta(s) here is below 2).
-    Callers pick digits at least log10 sum|coeff| minus their target.
+    The sum is taken on integers: each zeta(s) is an integer z_s at the
+    scale 2^(B_s) within 10^-(digits+3) of it (``_zeta_scaled``), and with
+    the coefficients as N_i / D over their common denominator and B the
+    largest B_s, N_0 2^B + sum N_i z_i 2^(B - B_i) over D 2^B is within
+    sum|coeff| 10^-(digits+3) of the value.  It is divided once, rounded
+    to workdps: at most 2^-prec of a quotient below 2 sum|coeff| (every
+    zeta(s) is below 2), prec >= (workdps+1) log2 10 - 1/2 bits, so below
+    sum|coeff| 10^-workdps.  Callers pick digits at least log10 sum|coeff|
+    minus their target.
     """
     size = _log10_abs_sum(form.all_coefficients())
+    coeffs = [(c, _zeta_scaled(s, ctx.digits)) for s, _i, c in form.terms()]
+    D = math.lcm(form.constant.denominator, *(c.denominator for c, _z in coeffs))
+    B = max(b for _c, (_z, b) in coeffs)
+    num = (form.constant.numerator * (D // form.constant.denominator) << B) + sum(
+        c.numerator * (D // c.denominator) * z << (B - b) for c, (z, b) in coeffs)
     with mp.workdps(ctx.workdps):
-        value = form.evaluate(lambda s: zeta_value(s, ctx))
-    rounding = size + math.log10(4 * (len(form.zeta_coeffs) + 4)) - ctx.workdps
+        value = mp.ldexp(mp.fdiv(num, D), -B)
+    rounding = size - ctx.workdps
     return EvalResult(value=value, method="form", split_T=0, terms=0,
                       tail_bound_log10=_log10_add(size - ctx.digits, rounding),
                       zeta_digits=ctx.digits)

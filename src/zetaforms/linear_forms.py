@@ -167,19 +167,8 @@ class PartialFractionTable:
         return {i: self.column_sum(i) for i in range(3, a + 1, 2)}
 
     def reconstruct_at(self, t) -> Fraction:
-        t = Fraction(t)
-        a, n = self.spec.a, self.spec.n
-        out = Fraction(0)
-        for j in range(-n, n + 1):
-            base = t - j
-            if base == 0:
-                raise ValueError(f"t={t} is a pole")
-            inv = 1 / base
-            p = inv
-            for i in range(1, a + 1):
-                out += self.coeffs[(i, j)] * p
-                p *= inv
-        return out
+        """R(t) = sum c_{i,j} (t-j)^-i, exactly (``_pole_sum``)."""
+        return _pole_sum(self, t, 0)
 
 
 def partial_fractions(summand: Summand) -> PartialFractionTable:
@@ -272,18 +261,6 @@ class ZetaLinearForm:
     def all_coefficients(self) -> list[Fraction]:
         return [self.constant] + [c for _, _, c in self.terms()]
 
-    def evaluate(self, zeta_fn):
-        """Numeric value at the caller's working precision.
-
-        ``zeta_fn(s)`` must return zeta(s) as an mpf.
-        """
-        from mpmath import mpf
-
-        out = mpf(self.constant.numerator) / self.constant.denominator
-        for arg, _i, c in self.terms():
-            out += (mpf(c.numerator) / c.denominator) * zeta_fn(arg)
-        return out
-
 
 def _harmonic_tails(table: PartialFractionTable, kind: str, T: int) -> Fraction:
     """sum_{i,j} c_{i,j} H^(i)_{T-j} for PLAIN, and
@@ -331,13 +308,14 @@ def zeta_form_derived(table: PartialFractionTable) -> ZetaLinearForm:
     return _zeta_form(table, DOUBLE_DERIVED)
 
 
-def half_second_derivative_exact(table: PartialFractionTable, t) -> Fraction:
-    """(1/2) R''(t) evaluated exactly through the partial fractions.
+def _pole_sum(table: PartialFractionTable, t, shift: int) -> Fraction:
+    """sum_{i,j} c_{i,j} (t-j)^-i (shift 0, R itself) or
+    sum_{i,j} c_{i,j} C(i+1,2) (t-j)^-(i+2) (shift 2, (1/2) R''), exactly.
 
     With t = p/q and b = p - jq, pole j contributes
-    sum_i c_{i,j} C(i+1,2) (q/b)^(i+2), an integer over D_{a-1} b^(a+2)
-    summed in Horner form over k = a - i (multipliers D_k / D_{k-1} = L k);
-    each pole adds one Fraction.
+    sum_i c_{i,j} m_i (q/b)^(i+shift), m_i = 1 or C(i+1,2), an integer over
+    D_{a-1} b^(a+shift) summed in Horner form over k = a - i (multipliers
+    D_k / D_{k-1} = L k); each pole adds one Fraction.
     """
     t = Fraction(t)
     p, q = t.numerator, t.denominator
@@ -350,9 +328,16 @@ def half_second_derivative_exact(table: PartialFractionTable, t) -> Fraction:
             raise ValueError(f"t={t} is a pole")
         acc = 0
         for k, x in enumerate(col):
-            acc = acc * (L * k) + x * (binomial(a - k + 1, 2) * b ** k * q ** (a - k + 2))
-        out += Fraction(acc, b ** (a + 2))
+            mult = binomial(a - k + 1, 2) if shift else 1
+            acc = acc * (L * k) + x * (mult * b ** k * q ** (a - k + shift))
+        out += Fraction(acc, b ** (a + shift))
     return out / table.den[a - 1]
+
+
+def half_second_derivative_exact(table: PartialFractionTable, t) -> Fraction:
+    """(1/2) R''(t) evaluated exactly through the partial fractions
+    (``_pole_sum``)."""
+    return _pole_sum(table, t, 2)
 
 
 def verify_partial_sum_identity(table: PartialFractionTable, form: ZetaLinearForm,
@@ -449,17 +434,10 @@ def coeff_growth(a: int, r: int, n_values, slack: float = 0.5) -> GrowthReport:
 
 
 def _log_of_fraction(x: Fraction) -> float:
-    """log |x| for possibly huge rationals, via bit lengths."""
+    """log |x|; math.log takes ints of any size."""
     if x == 0:
         return float("-inf")
-    return _log_of_int(abs(x.numerator)) - _log_of_int(x.denominator)
-
-
-def _log_of_int(v: int) -> float:
-    if v.bit_length() <= 900:
-        return math.log(v)
-    top = v >> (v.bit_length() - 64)
-    return math.log(top) + (v.bit_length() - 64) * math.log(2)
+    return math.log(abs(x.numerator)) - math.log(x.denominator)
 
 
 # Canonical JSON encoding (stable field order, rationals as digit strings).

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from mpmath import mp
 
 import zetaforms
-from zetaforms import saddle
+from zetaforms import linear_forms, saddle
 from zetaforms.cli import main
 
 
@@ -48,6 +50,39 @@ def test_forms_residual_digits_below_50_is_input_error(capsys):
     assert run(["forms", "--a", "7", "--r", "1", "--n", "1", "--residual-digits", "30"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "invalid-digits"
+
+
+def test_forms_broken_structure_is_a_failed_check(monkeypatch, capsys):
+    # one unit more in the order-1 column at the pole j = 0: the column no
+    # longer sums to 0, and no zeta form can be made from the table
+    spec = linear_forms.FormSpec(7, 1, 2)
+    held = linear_forms.table_for(spec)
+    num = [row[:] for row in held.num]
+    num[spec.a - 1][spec.n] += 1
+    broken = linear_forms.PartialFractionTable(spec=spec, num=num, den=held.den)
+    monkeypatch.setattr(linear_forms, "table_for", lambda _spec: broken)
+    assert run(["forms", "--a", "7", "--r", "1", "--n", "2"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "structure"
+
+
+def test_forms_residual_check_fails_on_a_shifted_constant(monkeypatch, tmp_path):
+    # the plain form's constant moved by an exact 10^-120: its residual
+    # against the series reads 1e-120, above the 1e-125 threshold
+    real = linear_forms.zeta_form_plain
+
+    def shifted(table):
+        form = real(table)
+        return replace(form, constant=form.constant + Fraction(1, 10 ** 120))
+
+    monkeypatch.setattr(linear_forms, "zeta_form_plain", shifted)
+    out = tmp_path / "forms.json"
+    assert run(["forms", "--a", "7", "--r", "1", "--n", "1", "--residual-digits", "250",
+                "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert abs(float(doc["residuals"]["plain"]) - 1e-120) < 1e-125
+    assert float(doc["residuals"]["double_derived"]) < 1e-125
 
 
 def test_forms_residual_out_of_reach_is_numeric_failure(capsys):

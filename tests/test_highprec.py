@@ -29,6 +29,18 @@ from oracles import bernoulli_exact, direct_sum_mpf, em_at_per_term
 CTX = PrecisionContext(digits=60, guard=20)
 
 
+def _em_values(s_lo, s_hi, x0, tols):
+    """``_em_tail_range`` read as exact mpf values (None where not needed)."""
+    P, sums = _em_tail_range(s_lo, s_hi, x0, tols)
+    return [None if z is None else mp.ldexp(z, -P) for z in sums]
+
+
+def _tail_value(lt, kind, K, T, tol):
+    """``LaurentTail.tail_value`` read as an exact mpf value."""
+    Y, P = lt.tail_value(kind, K, T, tol)
+    return mp.ldexp(Y, -P)
+
+
 def test_precision_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(digits=40)
@@ -77,8 +89,9 @@ def test_zeta_cache_meets_each_callers_digits(monkeypatch):
     with mp.workdps(300):
         assert abs(v - mpmath.zeta(3)) < mpf(10) ** -140
     # the 140-digit value then serves every caller asking for no more
-    # digits, rounded to the caller's workdps where that is lower, without
-    # computing again; a caller asking for more digits gets a new value
+    # digits, converted once at the caller's workdps, without computing
+    # again; a caller asking for more digits gets a new value
+    _digits, z, B = highprec._ZETA_CACHE[3]
     computed = []
     real = highprec._zeta_borwein
 
@@ -91,7 +104,7 @@ def test_zeta_cache_meets_each_callers_digits(monkeypatch):
         ctx = PrecisionContext(digits, guard)
         served = zeta_value(3, ctx)
         with mp.workdps(ctx.workdps):
-            assert served == +v
+            assert served == mp.ldexp(mpf(z), -B)
         with mp.workdps(300):
             assert abs(served - mpmath.zeta(3)) < mpf(10) ** -digits
     assert not computed
@@ -134,7 +147,7 @@ def test_zeta_agrees_with_mpmath_and_euler_maclaurin_oracle(digits, monkeypatch)
     for s in (2, 3, 4, 5, 15, 21, 45, 120):
         v = zeta_value(s, ctx)
         with mp.workdps(ctx.workdps):
-            (em,) = _em_tail_range(s, s, 1, [-(digits + 4)])
+            (em,) = _em_values(s, s, 1, [-(digits + 4)])
         with mp.workdps(digits + 50):
             assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits, s
             assert abs(v - em) < mpf(10) ** -digits, s
@@ -187,7 +200,7 @@ def test_tangent_table_started_at_low_precision_serves_higher_ones(monkeypatch):
     held = []
     for digits in (120, 400, 1705):
         with mp.workdps(digits + 20):
-            (v,) = _em_tail_range(5, 5, 1, [-(digits + 4)])
+            (v,) = _em_values(5, 5, 1, [-(digits + 4)])
         held.append(len(highprec._TANGENT))
         with mp.workdps(digits + 50):
             assert abs(v - mpmath.zeta(5)) < mpf(10) ** -digits
@@ -285,7 +298,7 @@ def test_power_sum_tail_matches_mpmath_hurwitz():
     # against the Hurwitz zeta function
     for s, start in ((3, 7), (9, 48), (25, 240), (120, 64)):
         with mp.workdps(CTX.workdps):
-            (mine,) = _em_tail_range(s, s, start, [-64])
+            (mine,) = _em_values(s, s, start, [-64])
         with mp.workdps(120):
             # the expansion and the direct part each within 10^-64
             assert abs(mine - mpmath.zeta(s, start)) < 3 * mpf(10) ** -64
@@ -294,7 +307,7 @@ def test_power_sum_tail_matches_mpmath_hurwitz():
 def test_em_tail_range_consistent_with_scalar():
     # one shared range of exponents against the Hurwitz zeta function
     with mp.workdps(80):
-        vals = _em_tail_range(9, 40, 48, [-70] * 32)
+        vals = _em_values(9, 40, 48, [-70] * 32)
     with mp.workdps(120):
         for val, s in zip(vals, range(9, 41)):
             assert abs(val - mpmath.zeta(s, 48)) < 3 * mpf(10) ** -70
@@ -321,7 +334,7 @@ def test_em_tail_range_against_per_term_oracle_at_two_precisions(monkeypatch):
     for dps in (120, 400):
         tol = -(dps - 10)
         with mp.workdps(dps):
-            vals = _em_tail_range(lo, hi, X, [tol] * (hi - lo + 1))
+            vals = _em_values(lo, hi, X, [tol] * (hi - lo + 1))
             # the expansion stops at a power of two at or below 10^tol
             stop = mpf(2) ** math.floor(tol * math.log2(10))
             for s, val in zip(range(lo, hi + 1), vals):
@@ -337,7 +350,7 @@ def _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, K, T, tol):
     # the tail is sum_i w_i zeta(s_i, T) with w_i = b_i (plain) or
     # b_i s(s+1)/2 and the exponent shifted by 2 (derived)
     with mp.workdps(110):
-        val = lt.tail_value(kind, K, T, tol)
+        val = _tail_value(lt, kind, K, T, tol)
     shift = 0 if kind == PLAIN else 2
     with mp.workdps(220):
         ref = mpf(0)
@@ -444,10 +457,10 @@ def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
     K, wdps = 64, 60
     lt.extend(K)
     spread = math.log10(K) + 2
-    tols = [-wdps - (highprec._ilog10(abs(b)) if b else 0) - spread for b in lt.b[:K]]
+    tols = [-wdps - (math.log10(abs(b)) if b else 0) - spread for b in lt.b[:K]]
     assert min(tols) < -2 * wdps
     with mp.workdps(wdps):
-        vals = _em_tail_range(lt.D, lt.D + K - 1, 48, tols)
+        vals = _em_values(lt.D, lt.D + K - 1, 48, tols)
     with mp.workdps(3 * wdps):
         for val, s, tol in zip(vals, range(lt.D, lt.D + K), tols):
             ref = mpmath.zeta(s, 48)
@@ -518,7 +531,7 @@ def test_em_tail_range_raises_the_scale_when_a_bound_misses(monkeypatch):
     monkeypatch.setattr(highprec, "_em_at", spy)
     tols = [-120.0] * 32
     with mp.workdps(140):
-        vals = _em_tail_range(9, 40, 48, tols)
+        vals = _em_values(9, 40, 48, tols)
     assert len(set(scales)) == 2 and scales[-1] > scales[0]
     with mp.workdps(200):
         for val, s in zip(vals, range(9, 41)):
@@ -565,6 +578,64 @@ def test_direct_sum_certificate_against_exact_sum(abc, kind):
         head, err = highprec._direct_sum(spec, kind, t0, T, P)
         assert abs(Fraction(head, 1 << P) - exact) <= Fraction(err, 1 << P)
         assert err < 2 ** 13
+
+
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_head_first_pass_bound_follows_the_error(kind):
+    # the 101-term head of (13,2,20) before its Laurent tail at
+    # PrecisionContext(200, 20): the first pass's floor-error bound is at
+    # least the true error (from the head summed again 600 bits finer)
+    # and at most 2 digits above it.  It misses the target because the
+    # terms rise far above the first, which P does not see, so the second
+    # pass of _head_value is needed, not an artefact of a loose bound
+    spec = FormSpec(13, 2, 20)
+    ctx = PrecisionContext(200, 20)
+    tol = -(ctx.digits + ctx.guard // 2)
+    t0 = build_summand(spec).first_nonzero_term()
+    T = 2 * t0
+    P = highprec._head_bits(T - t0, tol)
+    head, err = highprec._direct_sum(spec, kind, t0, T, P)
+    fine, fine_err = highprec._direct_sum(spec, kind, t0, T, P + 600)
+    gap = abs((head << 600) - fine)
+    assert gap + fine_err <= err << 600
+    bound = math.log10(err) - P * math.log10(2)
+    true = math.log10(gap - fine_err) - (P + 600) * math.log10(2)
+    assert true <= bound <= true + 2
+    assert bound > tol
+
+
+def test_certified_values_do_not_depend_on_the_callers_precision(monkeypatch):
+    # zeta values, exact forms and both series routes, from empty caches
+    # under a 53-bit and under a 3000-digit context: the same values and
+    # bounds, and the same integers from the power sums and the tail
+    ctx = PrecisionContext(100, 20)
+    table = table_for(FormSpec(7, 1, 2))
+
+    def run():
+        monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+        monkeypatch.setattr(highprec, "_EM_TABLE", None)
+        monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
+        # the expansion point prices the tangent numbers not yet held
+        monkeypatch.setattr(highprec, "_TANGENT", [])
+        monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
+        out = [zeta_value(s, ctx) for s in (2, 3, 21)]
+        for form in (zeta_form_plain(table), zeta_form_derived(table)):
+            res = eval_S_form(form, ctx)
+            out += [res.value, res.tail_bound_log10]
+        laurent = eval_S_direct(FormSpec(7, 1, 2), PLAIN, ctx)
+        direct = eval_S_direct(FormSpec(13, 1, 6), PLAIN, ctx)
+        assert (laurent.method, direct.method) == ("direct+laurent", "direct")
+        for res in (laurent, direct):
+            out += [res.value, res.tail_bound_log10, res.work_bits, res.laurent_K]
+        out.append(_em_tail_range(9, 40, 48, [-70] * 32))
+        out.append(highprec._laurent_for(FormSpec(7, 1, 6)).tail_value(PLAIN, 64, 48, -100))
+        return out
+
+    with mp.workprec(53):
+        low = run()
+    with mp.workdps(3000):
+        high = run()
+    assert low == high
 
 
 @pytest.mark.parametrize("abc", [(13, 1, 6), (7, 1, 1), (7, 1, 2), (7, 1, 3)])
@@ -754,10 +825,11 @@ def test_moved_routes_agree_with_direct_summation(abc, kinds):
         res = eval_S_direct(spec, kind, ctx)
         assert res.method == "direct+laurent"
         T = highprec._direct_split(spec, kind, t0, tol)
-        head, rounding, _P = highprec._head_value(spec, kind, t0, T, ctx.workdps, tol)
+        head, err, P = highprec._head_value(spec, kind, t0, T, tol)
+        rounding = math.log10(err) - P * math.log10(2)
         assert _elementary_tail_bound_log10(spec, kind, T) < tol and rounding < tol
         with mp.workdps(ctx.workdps):
-            assert abs(head - res.value) < mpf(10) ** -250
+            assert abs(mp.ldexp(head, -P) - res.value) < mpf(10) ** -250
 
 
 def test_laurent_and_direct_paths_agree():
@@ -780,7 +852,7 @@ def test_laurent_and_direct_paths_agree():
         K = 96
         while lt.tail_bound_log10(PLAIN, K, 64) > -100:
             K *= 2
-        tail = lt.tail_value(PLAIN, K, 64, -100)
+        tail = _tail_value(lt, PLAIN, K, 64, -100)
         lt_res = head + tail
     assert abs(direct.value - lt_res) < mpf(10) ** -75
 
@@ -794,7 +866,7 @@ def test_derived_eval_uses_no_numerical_differentiation():
     d = zeta_form_derived(table)
     res = eval_S_direct(spec, DOUBLE_DERIVED, ctx)
     with mp.workdps(ctx.workdps):
-        target = d.evaluate(lambda s: zeta_value(s, ctx))
+        target = eval_S_form(d, ctx).value
         assert abs(res.value - target) < mpf(10) ** -100
 
 
