@@ -48,6 +48,48 @@ def _error_block(code: int, kind: str, message: str, **extra) -> int:
     return code
 
 
+class _InputError(Exception):
+    """An argument that no computation can accept: exit 2 with its kind."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _checked_r(a: int, r: int) -> int:
+    """r, or r_of_a(a) for r = 0, for odd a >= 3 with 6r <= a."""
+    from .saddle import r_of_a
+
+    if a % 2 == 0 or a < 3:
+        raise _InputError("invalid-a", f"a must be odd and >= 3, got {a}")
+    if r < 0:
+        raise _InputError("invalid-r", f"r must be >= 1 (0 takes r(a)), got {r}")
+    if r == 0:
+        r = r_of_a(a)
+        if 6 * r > a:
+            raise _InputError(
+                "no-admissible-r",
+                f"a={a} admits no r with 6r <= a; the oscillation law needs odd a >= 7 "
+                "and is an asymptotic statement (outside its regime here)")
+    elif 6 * r > a:
+        raise _InputError("invalid-r", f"need 6r <= a, got a={a}, r={r}")
+    return r
+
+
+def _checked_digits(given: int) -> int:
+    """The digits option, else the ZETAFORMS_DIGITS environment variable,
+    else 0 (the default); a negative or unreadable value is an input error."""
+    text = os.environ.get(ENV_DIGITS) or "0"
+    try:
+        digits = given or int(text)
+    except ValueError:
+        raise _InputError("invalid-digits", f"{ENV_DIGITS}={text!r} is not an integer")
+    if digits < 0:
+        raise _InputError("invalid-digits",
+                          f"digits must be >= 0 (0 takes the default), got {digits}")
+    return digits
+
+
 def cmd_forms(args) -> int:
     from .highprec import PrecisionContext, form_residual
     from .linear_forms import (FormSpec, denominator_check, smallest_clearing_exponent,
@@ -110,20 +152,13 @@ def cmd_forms(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    from .saddle import check_assumptions, compute_constants, r_of_a
+    from .saddle import check_assumptions, compute_constants
 
-    if args.a % 2 == 0 or args.a < 3:
-        return _error_block(EXIT_INPUT_ERROR, "invalid-a", "a must be odd and >= 3")
-    r = args.r if args.r else r_of_a(args.a)
-    if 6 * r > args.a:
-        return _error_block(
-            EXIT_INPUT_ERROR, "no-admissible-r",
-            f"a={args.a} admits no r with 6r <= a; the oscillation law needs odd a >= 7 "
-            "and is an asymptotic statement (outside its regime here)")
-    warnings = []
-    if args.a < 7:
-        warnings.append("a below 7: the oscillation law is outside its asymptotic regime")
-    dps = args.dps or int(os.environ.get(ENV_DIGITS, "0") or 0) or None
+    try:
+        r = _checked_r(args.a, args.r)
+        dps = _checked_digits(args.dps) or None
+    except _InputError as exc:
+        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     try:
         data = compute_constants(args.a, r, dps)
     except ArithmeticError as exc:
@@ -131,8 +166,6 @@ def cmd_asymptotics(args) -> int:
     assumptions = check_assumptions(args.a, r, data)
     doc = saddle_json(data, assumptions)
     doc["provenance"] = provenance("asymptotics", {"a": args.a, "r": r}, data.dps)
-    if warnings:
-        doc["warnings"] = warnings
     asserted = bool(data.log_eps_gap > 0 and data.log_eps_a < 0)
     doc["pass"] = asserted
     _emit(doc, args.out, "json")
@@ -159,23 +192,27 @@ def cmd_rank_bound(args) -> int:
 
 
 def _parse_range(text: str) -> range:
+    """LO..HI as the range of n from LO to HI, with 1 <= LO <= HI."""
     lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    try:
+        nrange = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise _InputError("invalid-range", f"cannot parse n-range {text!r}; expected LO..HI")
+    if not nrange or nrange[0] < 1:
+        raise _InputError("invalid-range", f"n-range {text!r} must satisfy 1 <= LO <= HI")
+    return nrange
 
 
 def cmd_rates(args) -> int:
     from .highprec import measure_rates
-    from .saddle import compute_constants, r_of_a
+    from .saddle import compute_constants
 
-    if args.a % 2 == 0:
-        return _error_block(EXIT_INPUT_ERROR, "invalid-a", "a must be odd")
-    r = args.r if args.r else r_of_a(args.a)
     try:
+        r = _checked_r(args.a, args.r)
         nrange = _parse_range(args.n_range)
-    except ValueError:
-        return _error_block(EXIT_INPUT_ERROR, "invalid-range",
-                            f"cannot parse n-range {args.n_range!r}; expected LO..HI")
-    min_digits = args.digits or int(os.environ.get(ENV_DIGITS, "0") or 0)
+        min_digits = _checked_digits(args.digits)
+    except _InputError as exc:
+        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     try:
         data = compute_constants(args.a, r)
         report = measure_rates(args.a, r, list(nrange), data, min_digits=min_digits)

@@ -7,11 +7,14 @@ read no mp.prec, and no cache holds a precision.  Five layers:
 
 * Zeta values.  ``_zeta_borwein`` sums Borwein's alternating series on
   exact integers: the coefficients d_k depend only on the term count n,
-  which the target sets, so one held table of them serves every s at one
-  budget.  Each summand is floored once at a small scale 2^g, the sum
-  stops at the first zero quotient, and the value is floored once at a
-  scale 2^B set by the digits asked for.  ``_ZETA_CACHE`` holds that
-  integer per s; ``zeta_value`` converts it once, at the caller's workdps.
+  which the target sets, so one held table of them and one pass over k
+  serve every s a call asks for.  At each k the smallest exponent's
+  summand is floored once at a small scale 2^g and each larger one is the
+  previous one floored by (k+1)^gap; an exponent leaves the pass at its
+  first zero quotient, and each value is floored once at a scale 2^B set
+  by the digits asked for.  ``_ZETA_CACHE`` holds that integer per s, and
+  ``_zeta_scaled`` makes every missing one of a call in one pass;
+  ``zeta_value`` converts one once, at the caller's workdps.
 
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
   sum_{m >= x0} m^{-s} for a range of s at one start x0; the Laurent
@@ -39,7 +42,7 @@ read no mp.prec, and no cache holds a precision.  Five layers:
   value, so the zeta values must be good to 10^-digits with digits at
   least log10 sum|coeff| minus the target; the certified error is
   sum|coeff| 10^-digits plus the one rounding.  ``measure_rates`` takes
-  this route.
+  this route, and asks for the zeta values of all its forms at once.
 
 * Direct summation of the defining series, the independent cross-check
   behind ``eval_S_direct`` and ``form_residual``.  Every quantity is a
@@ -144,9 +147,10 @@ def _borwein_d(n: int) -> list[int]:
     return _BORWEIN_D
 
 
-def _zeta_borwein(s: int, digits: int) -> tuple[int, int]:
-    """zeta(s) for integer s >= 2 from Borwein's alternating series ("An
-    efficient algorithm for the Riemann zeta function", 2000):
+def _zeta_borwein(exponents: Iterable[int], digits: int) -> dict[int, tuple[int, int]]:
+    """zeta(s) for every integer s >= 2 in ``exponents`` from Borwein's
+    alternating series ("An efficient algorithm for the Riemann zeta
+    function", 2000), summed for all of them in one pass over k:
 
         zeta(s) = sum_{k < n} (-1)^k (d_n - d_k) / (k+1)^s / (d_n (1 - 2^(1-s)))
                   + gamma_n(s),
@@ -154,38 +158,56 @@ def _zeta_borwein(s: int, digits: int) -> tuple[int, int]:
 
     with d_k from ``_borwein_d``.  For real s >= 2, t = 0 and
     |1 - 2^(1-s)| >= 1/2, so |gamma_n(s)| <= 6 (3+sqrt 8)^-n.  Returns
-    (z, B): z 2^-B is within 10^-digits + 10^-(digits+3) of zeta(s), the
-    truncation below the first and the floors below the second.
+    {s: (z, B)}: z 2^-B is within 10^-digits + 10^-(digits+3) of zeta(s),
+    the truncation below the first and the floors below the second.
 
     * Truncation.  n = ceil((digits ln 10 + ln 6) / ln(3+sqrt 8)), and
       d_n > 3 10^digits is checked on integers, so
       (3+sqrt 8)^n > 2 d_n - 1 >= 6 10^digits and |gamma_n(s)| < 10^-digits.
+      n does not depend on s, so every exponent shares n, d and g.
     * Floors.  The sum is taken on integers at the scale 2^g, 2^g > 1000 n,
-      as sum (-1)^k floor((d_n - d_k) 2^g / (k+1)^s).  The quotients do not
-      increase with k, so after the first zero one every later one is 0
-      and the sum stops there.  The n floors, each within one unit, move
-      the sum by less than n units, and the value by less than
+      as sum (-1)^k floor((d_n - d_k) 2^g / (k+1)^s).  At each k the
+      smallest exponent's quotient is one such floor, and each next one is
+      the previous quotient floored by (k+1)^gap; nested floors by positive
+      integers are one floor by their product, so every quotient is the
+      floor of its own exponent.  The quotients do not increase with k nor
+      with s, so after the first zero of an exponent every later one of it
+      and of every larger exponent is 0, and those leave the pass there.
+      The n floors, each within one unit, move the sum by less than n
+      units, and the value by less than
       n 2^-g / (d_n (1 - 2^(1-s))) < 2n / (1000 n 3 10^digits)
       = (2/3) 10^-(digits+3).  One integer division then gives z, the
       floor of the sum's value scaled by 2^B, B = max(g, ceil((digits+4)
       log2 10)), within 2^-B <= 10^-(digits+4) (the float rounding of
       (digits+4) log2 10 is far inside the margin left).
     """
+    order = sorted(set(exponents))
     n = math.ceil((digits * _LN10 + _LN6) / _LN_BORWEIN)
     d = _borwein_d(n)
     top = d[n]
     assert top > 3 * 10 ** digits
     g = (1000 * n).bit_length()
-    total = 0
+    first, gaps = order[0], [b - a for a, b in zip(order, order[1:])]
+    totals = [0] * len(order)
+    live = len(order)                   # exponents whose quotients are not yet 0
     for k in range(n):
-        q = ((top - d[k]) << g) // (k + 1) ** s
-        if not q:
+        m = k + 1
+        mm = m * m
+        q = ((top - d[k]) << g) // m ** first
+        for i in range(live):
+            if i:
+                gap = gaps[i - 1]
+                q //= mm if gap == 2 else m ** gap
+            if not q:
+                live = i
+                break
+            totals[i] += -q if k & 1 else q
+        if not live:
             break
-        total += -q if k & 1 else q
     # value = total 2^(s-1) / (2^g d_n (2^(s-1) - 1))
     p = max(0, math.ceil((digits + 4) * _LOG2_10) - g)
-    z = (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1))
-    return z, g + p
+    return {s: ((total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1)), g + p)
+            for s, total in zip(order, totals)}
 
 
 # s -> (digits, z, B): zeta(s) for the most digits asked for, as the
@@ -193,15 +215,18 @@ def _zeta_borwein(s: int, digits: int) -> tuple[int, int]:
 _ZETA_CACHE: dict[int, tuple[int, int, int]] = {}
 
 
-def _zeta_scaled(s: int, digits: int) -> tuple[int, int]:
-    """(z, B) with z 2^-B within 10^-(digits+3) of zeta(s): the held value
-    if it was made for at least digits, else a new one, then held.  A value
-    for d >= digits comes from ``_zeta_borwein`` at d + 4, so it is within
-    10^-(d+4) + 10^-(d+7) < 10^-(digits+3)."""
-    hit = _ZETA_CACHE.get(s)
-    if hit is None or hit[0] < digits:
-        hit = _ZETA_CACHE[s] = (digits, *_zeta_borwein(s, digits + 4))
-    return hit[1], hit[2]
+def _zeta_scaled(exponents: Iterable[int], digits: int) -> dict[int, tuple[int, int]]:
+    """{s: (z, B)} with z 2^-B within 10^-(digits+3) of zeta(s) for every s
+    in ``exponents``: the held value of each s made for at least digits,
+    and every other one from a single pass of ``_zeta_borwein``, then held.
+    A value for d >= digits comes from ``_zeta_borwein`` at d + 4, so it is
+    within 10^-(d+4) + 10^-(d+7) < 10^-(digits+3)."""
+    wanted = set(exponents)
+    missing = sorted(s for s in wanted if s not in _ZETA_CACHE or _ZETA_CACHE[s][0] < digits)
+    if missing:
+        for s, zB in _zeta_borwein(missing, digits + 4).items():
+            _ZETA_CACHE[s] = (digits, *zB)
+    return {s: _ZETA_CACHE[s][1:] for s in wanted}
 
 
 def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
@@ -216,7 +241,7 @@ def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
-    z, B = _zeta_scaled(s, ctx.digits)
+    z, B = _zeta_scaled([s], ctx.digits)[s]
     with mp.workdps(ctx.workdps):
         return mp.ldexp(mpf(z), -B)
 
@@ -599,9 +624,10 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
         direct = [0] * count
         for m in range(x0, X):
             w = one // m ** first
+            mm = m * m                  # the gap between exponents of one parity
             for idx, gap in steps:
                 direct[idx] += w
-                w //= m ** gap
+                w //= mm if gap == 2 else m ** gap
                 if not w:
                     break
         table = _em_table(X, P)
@@ -1155,7 +1181,8 @@ def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
     """S_n or S''_n as l_0 + sum l_i zeta(.) from the exact form.
 
     The sum is taken on integers: each zeta(s) is an integer z_s at the
-    scale 2^(B_s) within 10^-(digits+3) of it (``_zeta_scaled``), and with
+    scale 2^(B_s) within 10^-(digits+3) of it (``_zeta_scaled``, asked
+    once for all the form's exponents), and with
     the coefficients as N_i / D over their common denominator and B the
     largest B_s, N_0 2^B + sum N_i z_i 2^(B - B_i) over D 2^B is within
     sum|coeff| 10^-(digits+3) of the value.  It is divided once, rounded
@@ -1165,7 +1192,8 @@ def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
     minus their target.
     """
     size = _log10_abs_sum(form.all_coefficients())
-    coeffs = [(c, _zeta_scaled(s, ctx.digits)) for s, _i, c in form.terms()]
+    zetas = _zeta_scaled([s for s, _i, _c in form.terms()], ctx.digits)
+    coeffs = [(c, zetas[s]) for s, _i, c in form.terms()]
     D = math.lcm(form.constant.denominator, *(c.denominator for c, _z in coeffs))
     B = max(b for _c, (_z, b) in coeffs)
     num = (form.constant.numerator * (D // form.constant.denominator) << B) + sum(
@@ -1356,10 +1384,11 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
     at n the zeta values need log10 sum|coeff| - tol_n digits plus a guard,
     with target tol_n = n log10 eps''_a - 34.  One budget, the largest over
     the n values and at least ``min_digits``, serves the whole call, so
-    each zeta(s) is computed once.  Each value is then certified to 20
-    significant digits (bound < log10|value| - 20); the target ignores the
-    amplitude of S''_n, so a value that misses is evaluated again with the
-    budget raised by the shortfall.
+    the zeta values of both forms are made in one pass (``_zeta_scaled``).
+    Each value is then certified to 20 significant digits
+    (bound < log10|value| - 20); the target ignores the amplitude of S''_n,
+    so a value that misses is evaluated again with the budget raised by
+    the shortfall.
     """
     if (saddle_data.a, saddle_data.r) != (a, r):
         raise ValueError("saddle data does not match (a, r)")
@@ -1377,6 +1406,9 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
             digits = max(digits, math.ceil(need))
         forms.append((n, pair))
     ctx = PrecisionContext(digits=digits, guard=20)
+    # every zeta value of both forms at the one budget, in one pass
+    _zeta_scaled({s for _n, pair in forms for form in pair for s, _i, _c in form.terms()},
+                 digits)
     samples = []
     for n, (plain_form, derived_form) in forms:
         plain = _certified_value(plain_form, ctx)

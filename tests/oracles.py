@@ -4,11 +4,12 @@ Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
 argument-principle root count, the permutation product inequality,
 Gauss-Jordan elimination in Fraction arithmetic, the brute-force float
-sweep of the projective distance, direct summation in mpf,
-exact Bernoulli numbers, an Euler-Maclaurin expansion built term by term,
-and the partial-fraction table and zeta forms accumulated in reduced
-Fractions, with the JSON readers of tables and forms: slow, transparent
-routes that the package's own algorithms are checked against.
+sweep of the projective distance, direct summation in mpf, Borwein's
+zeta series summed for one exponent at a time, exact Bernoulli numbers,
+an Euler-Maclaurin expansion built term by term, and the partial-fraction
+table and zeta forms accumulated in reduced Fractions, with the JSON
+readers of tables and forms: slow, transparent routes that the package's
+own algorithms are checked against.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 import mpmath
 from mpmath import mp, mpf
 
+from zetaforms import highprec
 from zetaforms.criterion import EpsTable, PermutationProductReport
 from zetaforms.exact_kernel import binomial, harmonic_prefixes, lcm_upto
 from zetaforms.linear_forms import (DOUBLE_DERIVED, PLAIN, FormSpec, PartialFractionTable,
@@ -399,6 +401,25 @@ def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
         Rt = Rt * (p ** (a + 3) * v ** 3) / (u ** 3 * q ** (a + 3))
         t += 1
     return acc / 2 if derived else acc
+
+
+def zeta_borwein_per_s(s: int, digits: int) -> tuple[int, int]:
+    """(z, B) of ``highprec._zeta_borwein`` for the one exponent s, from
+    its own pass over k: every quotient floor((d_n - d_k) 2^g / (k+1)^s)
+    is one division, and the pass stops at the first zero quotient.  The
+    term count n, the scale 2^g and the final division are the kernel's."""
+    n = math.ceil((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8)))
+    d = highprec._borwein_d(n)
+    top = d[n]
+    g = (1000 * n).bit_length()
+    total = 0
+    for k in range(n):
+        q = ((top - d[k]) << g) // (k + 1) ** s
+        if not q:
+            break
+        total += -q if k & 1 else q
+    p = max(0, math.ceil((digits + 4) * math.log2(10)) - g)
+    return (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1)), g + p
 
 
 def bernoulli_exact(n: int) -> Fraction:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from mpmath import mp
 
 import zetaforms
@@ -234,6 +235,35 @@ def test_criterion_unknown_kind(tmp_path):
     f = tmp_path / "u.json"
     f.write_text(json.dumps({"kind": "mystery"}))
     assert run(["criterion", "--in", str(f)]) == 2
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["rates", "--a", "1", "--n-range", "1..2"], "invalid-a"),
+    (["rates", "--a", "5", "--n-range", "1..2"], "no-admissible-r"),
+    (["rates", "--a", "13", "--r", "3", "--n-range", "1..2"], "invalid-r"),
+    (["rates", "--a", "13", "--n-range", "0..2"], "invalid-range"),
+    (["rates", "--a", "13", "--n-range", "5..3"], "invalid-range"),
+    (["rates", "--a", "13", "--r", "-2", "--n-range", "1..2"], "invalid-r"),
+    (["asymptotics", "--a", "13", "--r", "-1"], "invalid-r"),
+    (["asymptotics", "--a", "13", "--dps", "-5"], "invalid-digits"),
+], ids=["rates-a1", "rates-a5", "rates-r3", "rates-n0", "rates-empty-range", "rates-r-2",
+        "asymptotics-r-1", "asymptotics-dps-5"])
+def test_input_errors_exit_2_before_computing(argv, kind, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the input was checked")
+
+    monkeypatch.setattr(saddle, "compute_constants", refuse)
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
+    assert not out.exists()
+
+
+def test_unreadable_digits_variable_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("ZETAFORMS_DIGITS", "abc")
+    for argv in (["asymptotics", "--a", "13"], ["rates", "--a", "13", "--n-range", "20..20"]):
+        assert run(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid-digits"
 
 
 def test_rates_csv(tmp_path):

@@ -23,7 +23,7 @@ from zetaforms.linear_forms import (FormSpec, build_summand, half_second_derivat
                                    table_for, zeta_form_derived, zeta_form_plain)
 from zetaforms.saddle import compute_constants
 
-from oracles import bernoulli_exact, direct_sum_mpf, em_at_per_term
+from oracles import bernoulli_exact, direct_sum_mpf, em_at_per_term, zeta_borwein_per_s
 
 
 CTX = PrecisionContext(digits=60, guard=20)
@@ -172,6 +172,16 @@ def test_zeta_of_huge_s_stops_at_the_first_zero_quotient(monkeypatch):
     assert sorted(set(read)) == [0, 1, n]
     with mp.workdps(350):
         assert abs(v - mpmath.zeta(4000)) < mpf(10) ** -300
+
+
+@pytest.mark.parametrize("digits", [60, 300, 598, 903, 1705])
+def test_one_pass_equals_the_per_exponent_oracle(digits):
+    # gaps 1, 2, 16 and 24, the odd exponents of the rate sweep, a gap of
+    # 3997 whose larger exponent leaves the pass at k = 1, and single ones
+    for exponents in ((2, 3, 5, 21, 45), tuple(range(3, 16, 2)), (3, 4000),
+                      (2,), (3,), (15,), (4000,)):
+        got = highprec._zeta_borwein(exponents, digits)
+        assert got == {s: zeta_borwein_per_s(s, digits) for s in exponents}, exponents
 
 
 def test_zeta_value_leaves_precision_as_found(monkeypatch):
@@ -873,6 +883,35 @@ def test_derived_eval_uses_no_numerical_differentiation():
 @pytest.fixture(scope="module")
 def saddle_13_2():
     return compute_constants(13, 2)
+
+
+def test_zeta_passes_through_the_cache(saddle_13_2, monkeypatch):
+    # one pass for all the exponents of both forms at measure_rates' budget,
+    # then held values served and only missing or too short ones made
+    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+    calls = []
+    real = highprec._zeta_borwein
+
+    def spy(exponents, digits):
+        calls.append((sorted(exponents), digits))
+        return real(exponents, digits)
+
+    monkeypatch.setattr(highprec, "_zeta_borwein", spy)
+    report = measure_rates(13, 2, [20, 21], saddle_13_2)
+    odd = list(range(3, 16, 2))
+    assert [exponents for exponents, _d in calls] == [odd]
+    digits = report.samples[0].zeta_digits
+    assert calls[0][1] == digits + 4
+    calls.clear()
+    ctx = PrecisionContext(digits, 20)
+    for s in odd:
+        zeta_value(s, ctx)
+    assert calls == []
+    highprec._zeta_scaled(odd + [17], digits)
+    assert calls == [([17], digits + 4)]
+    calls.clear()
+    highprec._zeta_scaled(odd + [17], digits + 1)
+    assert calls == [(odd + [17], digits + 5)]
 
 
 @pytest.mark.parametrize("n", [20, 21])
