@@ -6,10 +6,9 @@ of 2^P by it), one row at that m (an add and a floor division by m^2),
 one integer expansion term (``_em_at`` on a held coefficient table) and
 one new table entry (``_EMTable.extend``, tangent numbers already held),
 and prints each as a fitted (fixed, per digit) pair of microseconds
-beside the constant ``highprec`` holds.  Then times the tangent numbers
-T_1..T_J against _COST_TANGENT J^3 / 3, and ``LaurentTail.tail_value`` on
-criterion-1 tails against _COST_POWER_SUM per power sum and working
-digit.  Timings are the least of a few repeats, so they read the
+beside the constant ``highprec`` holds.  Then times
+``LaurentTail.tail_value`` on criterion-1 tails against _COST_POWER_SUM
+per power sum and working digit.  Timings are the least of a few repeats, so they read the
 machine's fast state; on a shared host, run it more than once.
 
 Run:  python demos/em_costs.py
@@ -88,20 +87,6 @@ def expansion_pieces(P):
     return term, best_us(entries, K)
 
 
-def tangent_check():
-    """(J, us / (J^3 / 3)) for making T_1..T_J from nothing; the j-th costs
-    about _COST_TANGENT j^2, so all J about _COST_TANGENT J^3 / 3."""
-    held = highprec._TANGENT, highprec._TANGENT_STAGES
-    out = []
-    for J in (150, 300):
-        highprec._TANGENT, highprec._TANGENT_STAGES = [], []
-        t = time.perf_counter()
-        highprec._tangent(J)
-        out.append((J, (time.perf_counter() - t) * 1e6 / (J ** 3 / 3)))
-    highprec._TANGENT, highprec._TANGENT_STAGES = held
-    return out
-
-
 def power_sum_check():
     """(tail, us per power sum and working digit) of ``tail_value`` on
     criterion-1 tails at their route's K, and the least-squares value
@@ -117,13 +102,8 @@ def power_sum_check():
         wdps = highprec._residual_workdps(form, ctx)
         lt = highprec._laurent_for(spec)
         lt.extend(256)
-
-        def run():
-            highprec._EM_TABLE = None
-            lt.tail_value(kind, 256, 48, tol)
-
         work = wdps * 256 / 2
-        us = best_us(run, 1, repeats=2)
+        us = best_us(lambda: lt.tail_value(kind, 256, 48, tol), 1, repeats=2)
         rows.append((abc, kind, us / work))
         xy += work * us
         xx += work * work
@@ -147,8 +127,6 @@ for name, col, points, held in (
         ("_COST_ENTRY", 2, expansion, highprec._COST_ENTRY)):
     fixed, per = fit([(p[0], p[col]) for p in points])
     print(f"{name:12s} fitted ({fixed:.2f}, {per:.5f}), held {held}")
-for J, us in tangent_check():
-    print(f"tangent numbers 1..{J}: {us:.4f} us / (J^3/3), _COST_TANGENT {highprec._COST_TANGENT}")
 rows, fitted = power_sum_check()
 for abc, kind, us in rows:
     print(f"tail_value {abc} {kind}, K = 256: {us:.3f} us per power sum and digit")

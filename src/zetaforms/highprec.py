@@ -3,7 +3,10 @@
 Every certified value is a Python integer at an explicit scale 2^P until
 one conversion to mpf per result, made at the precision the caller
 passes (``PrecisionContext.workdps`` or ``wdps``); the integer kernels
-read no mp.prec, and no cache holds a precision.  Five layers:
+read no mp.prec, and no cache holds a precision.  Every decision (the
+route of a series, its split point and K, an expansion point) is a
+function of its call's arguments: the caches hold exact data only, and
+no estimate reads a cache.  Five layers:
 
 * Zeta values.  ``_zeta_borwein`` sums Borwein's alternating series on
   exact integers: the coefficients d_k depend only on the term count n,
@@ -23,17 +26,16 @@ read no mp.prec, and no cache holds a precision.  Five layers:
   2^P, set by the hardest tolerance and the bits of their floor errors,
   and returned as integers at that scale.  X is the point of least
   estimated cost (``_em_point``): direct steps against expansion terms
-  and the coefficients not yet made, each priced per digit of 2^P.  For the
+  and coefficient-table entries, each priced per digit of 2^P.  For the
   completely monotone integrand x^{-s} the Euler-Maclaurin remainder is
   no larger than the first omitted correction term, so each expansion
   stops once that term is below its tolerance (X grows if the terms
   bottom out too early), and the kernel carries an integer bound on its
   floor errors.  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s:
-  one table of them as integers, kept for the last X and made for the
-  bits of its scale, with no mp.prec in its key, serves every s expanded
-  at X.  B_2k comes from exact integer tangent numbers, whose one table
-  serves every scale.  A Laurent exponent whose weight is 0 is neither
-  expanded nor summed.
+  one table of them as integers, made by the call for X and the bits of
+  its scale, serves every s it expands at X.  B_2k comes from exact
+  integer tangent numbers, whose one table serves every scale.  A
+  Laurent exponent whose weight is 0 is neither expanded nor summed.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and the zeta integers, summed
@@ -284,11 +286,12 @@ class _EMTable:
     Taking (2k-2)! into the coefficient keeps the other factor of a term,
     (s)_{2k-1} / (2k-2)! = s C(s+2k-2, 2k-2), a binomial, small.  The
     coefficients do not depend on s, so every s expanded at X (the
-    exponents of one Laurent tail) reads them from here.  The table is
-    made for X and ``bits``, the scale 2^P of the expansions it serves
-    (``_em_at``), and holds no precision state: each C_k comes from the
-    exact tangent number T_k (``_tangent``) and the exact running X^(2k),
-    by one integer division, when first asked for."""
+    exponents of one Laurent tail) reads them from here.  Each
+    ``_em_tail_range`` call makes its own table for X and ``bits``, the
+    scale 2^P of the expansions it serves (``_em_at``); it holds no
+    precision state: each C_k comes from the exact tangent number T_k
+    (``_tangent``) and the exact running X^(2k), by one integer
+    division, when first asked for."""
 
     __slots__ = ("X", "bits", "c", "r", "_den")
 
@@ -314,19 +317,6 @@ class _EMTable:
         q = top // (den >> cut)
         self.c.append(q if k % 2 else -q)
         self.r.append(shift + 2 * k)
-
-
-# One table, for the last expansion point asked for: consecutive
-# expansions at one X share it, and one made for another point or for
-# fewer bits is replaced.
-_EM_TABLE: _EMTable | None = None
-
-
-def _em_table(X: int, bits: int) -> _EMTable:
-    global _EM_TABLE
-    if _EM_TABLE is None or _EM_TABLE.X != X or _EM_TABLE.bits < bits:
-        _EM_TABLE = _EMTable(X, bits)
-    return _EM_TABLE
 
 
 _EM_TERM_CAP = 4000
@@ -424,14 +414,11 @@ def _em_scale(hardest: float, width: int) -> int:
 # power m^s and the floor division of 2^P by it), and one row at that m
 # (an add and a floor division).  Expansion: one integer term (``_em_at``)
 # and one new table entry (``_EMTable.extend``); both cost more than
-# linearly in the digits, and their lines run through the origin.  The
-# j-th tangent number costs about _COST_TANGENT j^2: j integer steps on
-# numbers of j log j bits.
+# linearly in the digits, and their lines run through the origin.
 _COST_M = (0.1, 0.0044)
 _COST_ROW = (0.03, 0.001)
 _COST_TERM = (0.0, 0.0105)
 _COST_ENTRY = (0.0, 0.042)
-_COST_TANGENT = 0.003
 _EM_SAMPLE = 16        # needed exponents the cost is estimated from
 _TWO_PI = 2 * math.pi
 
@@ -488,13 +475,13 @@ def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], fl
 
     Direct side: each m in [x0, X) costs one step, plus one row for every
     needed s with m^s <= 2^P (w is floored to 0 past that).  Expansion
-    side: the terms of each needed s (``_em_terms``), and the table
-    entries and tangent numbers not yet held when it is called (a table
-    held at X for at least the bits of 2^P is read as it is).  Steps,
+    side: the terms of each needed s (``_em_terms``), and one table entry
+    per term of the longest expansion, all made by the call.  Steps,
     rows, terms and entries are priced per digit of the scale 2^P, the
     size of the integers they work on.  Terms and rows are counted on at
     most _EM_SAMPLE needed s, evenly spaced and with the one of the
-    hardest tolerance, and scaled up to all.
+    hardest tolerance, and scaled up to all.  The estimate reads only
+    its arguments: nothing held, a table or tangent numbers, lowers it.
     """
     hardest = min(needed, key=lambda pair: pair[1])
     sample = sorted(set(needed[::math.ceil(len(needed) / (_EM_SAMPLE - 1))]) | {hardest})
@@ -518,13 +505,8 @@ def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], fl
             longest = max(longest, k)
             top = p_digits * _LOG2_10 / s                   # log2 of the last m of row s
             rows += max(0.0, min(X, 2 ** min(top, 60) + 1) - x0)
-        table = _EM_TABLE
-        held = (len(table.c) if table is not None and table.X == X
-                and table.bits >= _em_scale(hardest[1], X - x0) else 0)
-        have = len(_TANGENT)
         return ((X - x0) * step_m + rows * step_row + terms * step_term
-                + max(0.0, longest - held) * step_entry
-                + _COST_TANGENT * max(0.0, longest ** 3 - have ** 3) / 3)
+                + longest * step_entry)
 
     return cost
 
@@ -539,8 +521,7 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
     The cost is inf where an expansion would bottom out, then falls as
     the direct part takes over terms, then rises.  X doubles from x0 until
     the cost rises, and a golden-section search over the last two
-    doublings finds the least cost.  The point of the held table, whose
-    entries cost nothing more, is taken if cheaper."""
+    doublings finds the least cost.  X depends on x0 and needed alone."""
     estimate = functools.cache(_em_cost(x0, needed))
 
     def cost(X: float) -> float:
@@ -563,11 +544,7 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
         else:
             a, x1 = x1, x2
             x2 = a + _GOLDEN * (b - a)
-    best = round(min(x1, x2, key=cost))
-    table = _EM_TABLE
-    if table is not None and table.X >= x0:
-        best = min(best, table.X, key=cost)
-    return best
+    return round(min(x1, x2, key=cost))
 
 
 def _em_tail_range(s_lo: int, s_hi: int, x0: int,
@@ -582,8 +559,8 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
     the sums is None.  The direct part, m from x0 to the expansion point
     X, is shared by all s; the expansion at X stops each needed s at its
     own tolerance, reading the coefficient table that all of them share
-    (``_em_table``).  Both are summed on integers at one scale 2^P
-    (``_em_scale``) and added; nothing is converted.  The direct loop
+    (``_EMTable``, made here for X and 2^P).  Both are summed on integers
+    at one scale 2^P (``_em_scale``) and added; nothing is converted.  The direct loop
     advances only the rows of needed s, and leaves each m once its term
     is floored to 0.  X starts at the point of least estimated cost
     (``_em_point``) and grows while some expansion bottoms out above its
@@ -630,7 +607,7 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                 w //= mm if gap == 2 else m ** gap
                 if not w:
                     break
-        table = _em_table(X, P)
+        table = _EMTable(X, P)
         acc: list[int | None] = [None] * count
         Xs = X ** first
         short = 0
@@ -833,6 +810,8 @@ class LaurentTail:
         return sum(w * z for w, z in zip(weights, tails) if w), P
 
 
+# spec -> its Laurent tail: exact b_s and kept residuals, read for values
+# and bounds but never priced (``_laurent_cost``)
 _LAURENT_CACHE: dict[FormSpec, LaurentTail] = {}
 
 
@@ -1057,19 +1036,17 @@ def _laurent_least_K(spec: FormSpec, kind: str, T: int, tol: float) -> int:
 
 
 def _laurent_cost(spec: FormSpec, K: int, wdps: int) -> float:
-    """Estimated microseconds of the Laurent route at K coefficients, not
-    counting what is already held: the construction unless the tail is
-    held, the long division past the coefficients held (b_s has about
+    """Estimated microseconds of the Laurent route at K coefficients: the
+    construction, the long division to K (b_s has about
     log2 |c| + s log2 n bits, ``_pole_sizes``), and the K/2 power sums
     of ``tail_value`` (the summand is even or odd in t, so every other
-    b_s is 0).  The head of a few dozen terms is left out."""
+    b_s is 0).  The head of a few dozen terms is left out.  A tail held
+    in ``_LAURENT_CACHE`` is priced as if it were not, so the estimate
+    depends on its arguments alone."""
     degQ, qbits, cbits = _pole_sizes(spec)
-    lt = _LAURENT_CACHE.get(spec)
-    held = 0 if lt is None else len(lt.b)
-    build = 0.0 if lt is not None else degQ ** 2 * (_COST_BUILD[0] + _COST_BUILD[1] * qbits)
-    steps = max(0, K - held)
-    bits = steps * cbits + math.log2(spec.n) * max(0, K * K - held * held) / 2
-    division = degQ * (steps * _COST_DIVISION[0] + _COST_DIVISION[1] * qbits * bits)
+    build = degQ ** 2 * (_COST_BUILD[0] + _COST_BUILD[1] * qbits)
+    bits = K * cbits + math.log2(spec.n) * K * K / 2
+    division = degQ * (K * _COST_DIVISION[0] + _COST_DIVISION[1] * qbits * bits)
     return build + division + _COST_POWER_SUM * wdps * K / 2
 
 
@@ -1100,7 +1077,11 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float, wdps: int) -> _Route:
     for direct as soon as that estimate reaches direct's: where direct
     is cheaper than Laurent at that K, the tail is never built.
     Direct is the only route past the Laurent degree cap, Laurent the
-    only one where direct cannot reach tol within its caps.
+    only one where direct cannot reach tol within its caps.  Both
+    estimates read only the arguments, and a certified bound at K is the
+    same from a held tail divided further (its residual at K is kept), so
+    the route does not depend on what earlier calls left in
+    ``_LAURENT_CACHE``.
     """
     T = _direct_split(spec, kind, t0, tol)
     direct = None

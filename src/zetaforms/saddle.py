@@ -157,11 +157,13 @@ def angle_distance(x, target, modulus) -> mpf:
 
 
 def _certify_root(name: str, resid, dps: int) -> None:
-    """Refuse a root whose scaled residual is not below 10^-(dps/2).
+    """Refuse a root whose scaled residual is not below 10^-max(dps/2, 10).
 
     A converged Newton iterate leaves a residual near 10^-dps; anything
-    above the half-precision mark means the iteration stopped short."""
-    if not resid < mpf(10) ** (-(dps // 2)):
+    above the half-precision mark means the iteration stopped short.  At
+    a low dps that mark is too coarse to tell a root (at 1 digit it is
+    1), so it is never above 10^-10."""
+    if not resid < mpf(10) ** -max(dps // 2, 10):
         raise ArithmeticError(f"{name} is not certified: scaled residual "
                               f"{mp.nstr(resid, 3)} at {dps} digits")
 

@@ -147,6 +147,20 @@ def test_asymptotics_uncertified_root_is_numeric_failure(monkeypatch, capsys):
     assert "not certified" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("dps, code", [("1", 3), ("10", 3), ("20", 0), (None, 0)])
+def test_asymptotics_low_precision_root_is_refused(dps, code, capsys):
+    # at 1 and 10 digits the iteration stops at mu1 = 7.875 and 11.64441
+    # (true 11.64471), with scaled residuals 0.355 and 9.9e-6, each below
+    # 10^-(dps//2) but far from a root
+    argv = ["asymptotics", "--a", "13"] + ([] if dps is None else ["--dps", dps])
+    assert run(argv) == code
+    if code:
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "root-finding"
+    else:
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_asymptotics_root_below_the_resolution_of_c(tmp_path):
     # mu1 - c is about 1.08e-100 at 100 digits, so mu1 itself rounds to c
     out = tmp_path / "saddle.json"
@@ -206,6 +220,21 @@ def test_import_leaves_numpy_out():
 def test_criterion_oscillation_fixture():
     src = resources.files("zetaforms.data") / "golden_oscillation.json"
     assert run(["criterion", "--in", str(src)]) == 0
+
+
+@pytest.mark.parametrize("fixture, field, change", [
+    ("gutnik_log2_zeta.json", "expected_rank", lambda rank: rank + 1),
+    ("sqrt2_type2.json", "tau", lambda taus: [t + 0.5 for t in taus]),
+    ("golden_projective_distance.json", "norm_threshold", lambda _threshold: 1.0),
+], ids=["rank", "type2", "projective-distance"])
+def test_criterion_fails_on_a_changed_fixture(fixture, field, change, tmp_path):
+    # a shipped instance with one field changed: the check it reports fails
+    doc = json.loads((resources.files("zetaforms.data") / fixture).read_text())
+    doc[field] = change(doc[field])
+    src, out = tmp_path / fixture, tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    assert run(["criterion", "--in", str(src), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["pass"] is False
 
 
 def test_criterion_malformed_json(tmp_path, capsys):

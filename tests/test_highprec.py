@@ -223,8 +223,7 @@ def _old_em_point(x0, needed):
 
 
 @pytest.mark.parametrize("digits", [300, 900, 1705])
-def test_em_point_costs_no_more_than_fixed_rule_for_zeta(digits, monkeypatch):
-    monkeypatch.setattr(highprec, "_EM_TABLE", None)
+def test_em_point_costs_no_more_than_fixed_rule_for_zeta(digits):
     needed = [(3, -(digits + 4))]
     with mp.workdps(digits + 20):
         cost = highprec._em_cost(1, needed)
@@ -234,7 +233,7 @@ def test_em_point_costs_no_more_than_fixed_rule_for_zeta(digits, monkeypatch):
 @pytest.mark.parametrize("abc", [(9, 1, 1), (13, 2, 5)])
 def test_em_point_costs_no_more_than_fixed_rule_for_laurent_tails(abc, monkeypatch):
     # every expansion point chosen for the Laurent tails of criterion 1's
-    # residuals, priced against the fixed rule in the same state
+    # residuals, priced against the fixed rule
     real = highprec._em_point
     costs = []
 
@@ -277,13 +276,11 @@ def test_em_point_unchanged_by_warm_started_terms(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(highprec, "_em_point", record)
-        m.setattr(highprec, "_LAURENT_CACHE", {})
         table = table_for(FormSpec(13, 1, 3))
         for form in (zeta_form_plain(table), zeta_form_derived(table)):
             form_residual(form, PrecisionContext(250, 25))
     real_terms = highprec._em_terms
     for x0, needed in needs:
-        monkeypatch.setattr(highprec, "_EM_TABLE", None)
         with mp.workdps(300):
             warm = highprec._em_point(x0, needed)
             with monkeypatch.context() as m:
@@ -296,11 +293,18 @@ def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
     # the seven zeta values of the rate sweep at 899 digits from the
     # Euler-Maclaurin routine at x0 = 1, where the fixed rule X = 423 built
     # 555 coefficients
-    monkeypatch.setattr(highprec, "_EM_TABLE", None)
+    entries = {}
+    real = highprec._EMTable.extend
+
+    def spy(table):
+        entries[table] = entries.get(table, 0) + 1
+        real(table)
+
+    monkeypatch.setattr(highprec._EMTable, "extend", spy)
     with mp.workdps(899 + 20):
         for s in range(3, 16, 2):
             _em_tail_range(s, s, 1, [-(899 + 4)])
-    assert len(highprec._EM_TABLE.c) <= 300
+    assert entries and max(entries.values()) <= 300
 
 
 def test_power_sum_tail_matches_mpmath_hurwitz():
@@ -336,9 +340,9 @@ def test_em_tail_range_rejects_bad_input():
 
 def test_em_tail_range_against_per_term_oracle_at_two_precisions(monkeypatch):
     # the expansion point is held at x0 = 600, so both calls expand at
-    # X = 600 and have no direct part.  The 120-digit call runs first: its
-    # coefficient table, read again at 400 digits, would hold only about
-    # 120 good digits there.
+    # X = 600 and have no direct part.  The 120-digit call runs first: a
+    # coefficient table kept from it would hold only about 120 good digits
+    # at 400.
     X, lo, hi = 600, 2, 24
     monkeypatch.setattr(highprec, "_em_point", lambda x0, needed: x0)
     for dps in (120, 400):
@@ -485,13 +489,12 @@ EM_POINTS = [(9, 528, -280.5), (264, 528, -266.7), (73, 361, -753.7), (140, 361,
              (584, 266, -313.5), (71, 439, -541.9), (326, 399, -302.0), (300, 535, -700.4)]
 
 
-def _em_point_value(s, X, tol, table=None):
+def _em_point_value(s, X, tol):
     """The integer expansion at one (s, X, tol) with no direct part, at the
     scale and stop ``_em_tail_range`` gives it: (value, err, P, F)."""
     P = highprec._em_scale(tol, 0)
     F = P + math.floor(tol * math.log2(10) - highprec._EM_TOL_MARGIN)
-    table = table or highprec._EMTable(X, P)
-    value, err = highprec._em_at(s, X, X ** s, P, F, table)
+    value, err = highprec._em_at(s, X, X ** s, P, F, highprec._EMTable(X, P))
     return value, err, P, F
 
 
@@ -530,7 +533,6 @@ def test_em_tail_range_raises_the_scale_when_a_bound_misses(monkeypatch):
     # again at a larger P, and still meets every tolerance
     monkeypatch.setattr(highprec, "_EM_GUARD", 0)
     monkeypatch.setattr(highprec, "_EM_ALLOWANCE", 1)
-    monkeypatch.setattr(highprec, "_EM_TABLE", None)
     scales = []
     real = highprec._em_at
 
@@ -546,25 +548,6 @@ def test_em_tail_range_raises_the_scale_when_a_bound_misses(monkeypatch):
     with mp.workdps(200):
         for val, s in zip(vals, range(9, 41)):
             assert abs(val - mpmath.zeta(s, 48)) < mpf(10) ** -120
-
-def test_em_table_asked_for_more_bits_gives_the_fresh_tables_values(monkeypatch):
-    # a table made for the 1e-280 tail is replaced, not read, when the
-    # 1e-600 tail at the same X asks for more bits; one asked for fewer
-    # bits than it holds is read as it is
-    monkeypatch.setattr(highprec, "_EM_TABLE", None)
-    X = 361
-    low = highprec._em_scale(-280.5, 0)
-    high = highprec._em_scale(-600.2, 0)
-    small = highprec._em_table(X, low)
-    _em_point_value(73, X, -280.5, small)
-    held = highprec._em_table(X, high)
-    assert held is not small and held.bits == high
-    value, err, _P, _F = _em_point_value(140, X, -600.2, held)
-    fresh = highprec._EMTable(X, high)
-    assert (value, err) == _em_point_value(140, X, -600.2, fresh)[:2]
-    assert held.c == fresh.c and held.r == fresh.r
-    assert highprec._em_table(X, low) is held
-
 
 def _exact_head(spec, kind, t0, T):
     if kind == PLAIN:
@@ -615,19 +598,14 @@ def test_head_first_pass_bound_follows_the_error(kind):
 
 
 def test_certified_values_do_not_depend_on_the_callers_precision(monkeypatch):
-    # zeta values, exact forms and both series routes, from empty caches
-    # under a 53-bit and under a 3000-digit context: the same values and
-    # bounds, and the same integers from the power sums and the tail
+    # zeta values, exact forms and both series routes, from an empty zeta
+    # cache under a 53-bit and under a 3000-digit context: the same values
+    # and bounds, and the same integers from the power sums and the tail
     ctx = PrecisionContext(100, 20)
     table = table_for(FormSpec(7, 1, 2))
 
     def run():
         monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
-        monkeypatch.setattr(highprec, "_EM_TABLE", None)
-        monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
-        # the expansion point prices the tangent numbers not yet held
-        monkeypatch.setattr(highprec, "_TANGENT", [])
-        monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
         out = [zeta_value(s, ctx) for s in (2, 3, 21)]
         for form in (zeta_form_plain(table), zeta_form_derived(table)):
             res = eval_S_form(form, ctx)
@@ -754,9 +732,6 @@ def _criterion_1_series(spec, monkeypatch):
     ((13, 1, 6), ("direct", "direct+laurent")),
 ])
 def test_route_of_least_estimated_cost_at_criterion_1(abc, routes, monkeypatch):
-    # as in the criterion-1 grid, no tail of spec is held yet: a held one
-    # would be priced without its construction and division
-    monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
     for res, route in zip(_criterion_1_series(FormSpec(*abc), monkeypatch), routes):
         assert res.method == route
         assert res.laurent_cost_us is not None
@@ -798,6 +773,57 @@ def test_route_at_large_n(kind, monkeypatch):
     assert route.K == K
     assert (route.direct_us < route.laurent_us) == (K is None)
     assert bool(highprec._LAURENT_CACHE) == (K is not None)
+
+
+def _criterion_1_grid():
+    """(spec, kind, t0, wdps) of the 60 criterion-1 forms in grid order,
+    with the working digits ``form_residual`` gives their series."""
+    grid = []
+    for a, r in ((7, 1), (9, 1), (11, 1), (13, 1), (13, 2)):
+        for n in range(1, 7):
+            spec = FormSpec(a, r, n)
+            t0 = build_summand(spec).first_nonzero_term()
+            table = table_for(spec)
+            for form in (zeta_form_plain(table), zeta_form_derived(table)):
+                grid.append((spec, form.kind, t0,
+                             highprec._residual_workdps(form, CRITERION_1)))
+    return grid
+
+
+def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
+    # every decision of highprec is a function of its call's arguments:
+    # two series values, a range of power sums and the routes of all 60
+    # criterion-1 forms are the same from emptied caches, after the
+    # tangent numbers are made far ahead, after two tails are divided
+    # far past their routes' K, and with the grid in reverse order
+    grid = _criterion_1_grid()
+    tol = -(CRITERION_1.digits + CRITERION_1.guard // 2)
+    derived_wdps = next(w for spec, kind, _t0, w in grid
+                        if spec == FormSpec(13, 1, 6) and kind == DOUBLE_DERIVED)
+
+    def run(order, before=lambda: None):
+        monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+        monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
+        monkeypatch.setattr(highprec, "_TANGENT", [])
+        monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
+        before()
+        routes = {(spec, kind): highprec._route(spec, kind, t0, tol, wdps)
+                  for spec, kind, t0, wdps in order}
+        return [eval_S_direct(FormSpec(7, 1, 2), PLAIN, PrecisionContext(100, 20)),
+                eval_S_direct(FormSpec(13, 1, 6), DOUBLE_DERIVED, CRITERION_1,
+                              wdps=derived_wdps),
+                _em_tail_range(9, 40, 48, [-70] * 32),
+                routes]
+
+    def divide_tails():
+        for abc in ((13, 1, 4), (13, 1, 6)):
+            highprec._laurent_for(FormSpec(*abc)).extend(1024)
+
+    fresh = run(grid)
+    assert fresh[0].method == "direct+laurent"
+    assert run(grid, lambda: highprec._tangent(700)) == fresh
+    assert run(grid, divide_tails) == fresh
+    assert run(grid[::-1]) == fresh
 
 
 def test_least_K_within_one_doubling_of_the_search_at_criterion_1():
