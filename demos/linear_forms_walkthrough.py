@@ -36,8 +36,8 @@ table = table_for(spec)
 print(f"\npartial fractions: {len(table.num)} x {len(table.num[0])} integer numerators "
       f"c_(a-k),j * D_k over D_k = L^k k!, L = {table.den[1]}; "
       f"sum_j c_1j = {table.c1_sum()}")
-print(f"c_1,0 = {table.num[spec.a - 1][spec.n]} / {table.den[spec.a - 1]} "
-      f"= {table.c(1, 0)}")
+num, den = table.num[spec.a - 1][spec.n], table.den[spec.a - 1]
+print(f"c_1,0 = {num} / {den} = {Fraction(num, den)}")
 print(f"reconstruction at 7/3 exact: "
       f"{table.reconstruct_at(Fraction(7, 3)) == summand.eval_exact(Fraction(7, 3))}")
 

@@ -143,7 +143,6 @@ def cmd_forms(args) -> int:
         "schema": "zetaforms/forms-certificate@1",
         "provenance": provenance("forms", {"a": args.a, "r": args.r, "n": args.n}),
         "forms": payload_forms,
-        "structure": {"c1_sum_zero": table.c1_sum() == 0},
         "residuals": residual_digits,
         "pass": all(checks),
     }

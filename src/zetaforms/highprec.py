@@ -3,21 +3,22 @@
 Every certified value is a Python integer at an explicit scale 2^P until
 one conversion to mpf per result, made at the precision the caller
 passes (``PrecisionContext.workdps`` or ``wdps``); the integer kernels
-read no mp.prec, and no cache holds a precision.  Every decision (the
-route of a series, its split point and K, an expansion point) is a
-function of its call's arguments: the caches hold exact data only, and
-no estimate reads a cache.  Five layers:
+read no mp.prec, and no cache holds a precision.  Every value and every
+decision (the route of a series, its split point and K, an expansion
+point) is a function of its call's arguments: the caches hold exact data
+only, and no estimate reads a cache.  Five layers:
 
 * Zeta values.  ``_zeta_borwein`` sums Borwein's alternating series on
   exact integers: the coefficients d_k depend only on the term count n,
-  which the target sets, so one held table of them and one pass over k
-  serve every s a call asks for.  At each k the smallest exponent's
-  summand is floored once at a small scale 2^g and each larger one is the
-  previous one floored by (k+1)^gap; an exponent leaves the pass at its
-  first zero quotient, and each value is floored once at a scale 2^B set
-  by the digits asked for.  ``_ZETA_CACHE`` holds that integer per s, and
-  ``_zeta_scaled`` makes every missing one of a call in one pass;
-  ``zeta_value`` converts one once, at the caller's workdps.
+  which the target sets, so one table of them and one pass over k serve
+  every s a call asks for.  At each k the smallest exponent's summand is
+  floored once at a small scale 2^g and each larger one is the previous
+  one floored by (k+1)^gap; an exponent leaves the pass at its first zero
+  quotient, and each value is floored once at a scale 2^B set by the
+  digits asked for.  No zeta value is held: each call that reads them
+  makes them (``zeta_value`` one, ``eval_S_form`` its form's, and
+  ``measure_rates`` all of its forms' in one pass), and ``zeta_value``
+  converts its one once, at the caller's workdps.
 
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
   sum_{m >= x0} m^{-s} for a range of s at one start x0; the Laurent
@@ -44,7 +45,7 @@ no estimate reads a cache.  Five layers:
   value, so the zeta values must be good to 10^-digits with digits at
   least log10 sum|coeff| minus the target; the certified error is
   sum|coeff| 10^-digits plus the one rounding.  ``measure_rates`` takes
-  this route, and asks for the zeta values of all its forms at once.
+  this route, and makes the zeta values of all its forms at once.
 
 * Direct summation of the defining series, the independent cross-check
   behind ``eval_S_direct`` and ``form_residual``.  Every quantity is a
@@ -125,10 +126,6 @@ def _log10_add(x: float, y: float) -> float:
 _LN_BORWEIN = math.log(3 + math.sqrt(8))
 _LN6 = math.log(6)
 
-# d_0..d_n of Borwein's series for the last term count n asked for; they
-# depend on n alone, so every s summed to one target reads them.
-_BORWEIN_D: list[int] = []
-
 
 def _borwein_d(n: int) -> list[int]:
     """d_k = sum_{i <= k} t_i for k = 0..n, t_i = n (n+i-1)! 4^i / ((n-i)! (2i)!).
@@ -137,16 +134,13 @@ def _borwein_d(n: int) -> list[int]:
     Chebyshev polynomial T_n(1 + 2x), an integer, so the recurrence
     t_0 = 1, t_i = t_{i-1} 4 (n+i-1)(n-i+1) / ((2i-1) 2i) divides exactly;
     d_n = T_n(3) = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2."""
-    global _BORWEIN_D
-    if len(_BORWEIN_D) != n + 1:
-        t = d = 1
-        table = [d]
-        for i in range(1, n + 1):
-            t = t * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
-            d += t
-            table.append(d)
-        _BORWEIN_D = table
-    return _BORWEIN_D
+    t = d = 1
+    table = [d]
+    for i in range(1, n + 1):
+        t = t * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
+        d += t
+        table.append(d)
+    return table
 
 
 def _zeta_borwein(exponents: Iterable[int], digits: int) -> dict[int, tuple[int, int]]:
@@ -212,30 +206,12 @@ def _zeta_borwein(exponents: Iterable[int], digits: int) -> dict[int, tuple[int,
             for s, total in zip(order, totals)}
 
 
-# s -> (digits, z, B): zeta(s) for the most digits asked for, as the
-# floor z of its value at the scale 2^B (``_zeta_borwein``)
-_ZETA_CACHE: dict[int, tuple[int, int, int]] = {}
-
-
-def _zeta_scaled(exponents: Iterable[int], digits: int) -> dict[int, tuple[int, int]]:
-    """{s: (z, B)} with z 2^-B within 10^-(digits+3) of zeta(s) for every s
-    in ``exponents``: the held value of each s made for at least digits,
-    and every other one from a single pass of ``_zeta_borwein``, then held.
-    A value for d >= digits comes from ``_zeta_borwein`` at d + 4, so it is
-    within 10^-(d+4) + 10^-(d+7) < 10^-(digits+3)."""
-    wanted = set(exponents)
-    missing = sorted(s for s in wanted if s not in _ZETA_CACHE or _ZETA_CACHE[s][0] < digits)
-    if missing:
-        for s, zB in _zeta_borwein(missing, digits + 4).items():
-            _ZETA_CACHE[s] = (digits, *zB)
-    return {s: _ZETA_CACHE[s][1:] for s in wanted}
-
-
 def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
     """zeta(s) for integer s >= 2, absolute error below 10^-digits, as
-    one conversion of the integer of ``_zeta_scaled`` to mpf at workdps.
+    one conversion of the integer of ``_zeta_borwein`` to mpf at workdps.
 
-    That integer is within 10^-(digits+3) of zeta(s) at its scale.  The
+    That integer, made for digits + 4, is within 10^-(digits+4) +
+    10^-(digits+7) < 10^-(digits+3) of zeta(s) at its scale.  The
     conversion at w = workdps >= digits + 10 rounds once, by at most
     2^-prec of a value below 2, where mpmath's prec is at least
     (w+1) log2 10 - 1/2 bits: below 3 10^-(w+2).  Together these stay
@@ -243,7 +219,7 @@ def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
-    z, B = _zeta_scaled([s], ctx.digits)[s]
+    z, B = _zeta_borwein([s], ctx.digits + 4)[s]
     with mp.workdps(ctx.workdps):
         return mp.ldexp(mpf(z), -B)
 
@@ -1162,18 +1138,25 @@ def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
     """S_n or S''_n as l_0 + sum l_i zeta(.) from the exact form.
 
     The sum is taken on integers: each zeta(s) is an integer z_s at the
-    scale 2^(B_s) within 10^-(digits+3) of it (``_zeta_scaled``, asked
-    once for all the form's exponents), and with
-    the coefficients as N_i / D over their common denominator and B the
-    largest B_s, N_0 2^B + sum N_i z_i 2^(B - B_i) over D 2^B is within
-    sum|coeff| 10^-(digits+3) of the value.  It is divided once, rounded
-    to workdps: at most 2^-prec of a quotient below 2 sum|coeff| (every
-    zeta(s) is below 2), prec >= (workdps+1) log2 10 - 1/2 bits, so below
-    sum|coeff| 10^-workdps.  Callers pick digits at least log10 sum|coeff|
-    minus their target.
+    scale 2^(B_s), from one pass of ``_zeta_borwein`` over the form's
+    exponents at digits + 4, within 10^-(digits+4) + 10^-(digits+7) <
+    10^-(digits+3) of it.  With the coefficients as N_i / D over their
+    common denominator and B the largest B_s, N_0 2^B + sum N_i z_i
+    2^(B - B_i) over D 2^B is within sum|coeff| 10^-(digits+3) of the
+    value.  It is divided once, rounded to workdps: at most 2^-prec of a
+    quotient below 2 sum|coeff| (every zeta(s) is below 2), prec >=
+    (workdps+1) log2 10 - 1/2 bits, so below sum|coeff| 10^-workdps.
+    Callers pick digits at least log10 sum|coeff| minus their target.
     """
+    return _form_value(form, ctx, _zeta_borwein({s for s, _i, _c in form.terms()},
+                                                ctx.digits + 4))
+
+
+def _form_value(form: ZetaLinearForm, ctx: PrecisionContext,
+                zetas: dict[int, tuple[int, int]]) -> EvalResult:
+    """``eval_S_form`` from ``zetas``, {s: (z, B)} of ``_zeta_borwein`` at
+    ctx.digits + 4 for at least the form's exponents."""
     size = _log10_abs_sum(form.all_coefficients())
-    zetas = _zeta_scaled([s for s, _i, _c in form.terms()], ctx.digits)
     coeffs = [(c, zetas[s]) for s, _i, c in form.terms()]
     D = math.lcm(form.constant.denominator, *(c.denominator for c, _z in coeffs))
     B = max(b for _c, (_z, b) in coeffs)
@@ -1275,13 +1258,15 @@ _RATE_GUARD = 20           # zeta digits beyond log10 sum|coeff| minus the targe
 _RATE_ATTEMPTS = 4
 
 
-def _certified_value(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
+def _certified_value(form: ZetaLinearForm, ctx: PrecisionContext,
+                     zetas: dict[int, tuple[int, int]]) -> EvalResult:
     """``eval_S_form`` with its bound more than _RATE_SIG_DIGITS digits below
-    |value|.  A value that misses is evaluated again with the zeta budget
-    raised by its shortfall; one at or below its bound tells no shortfall,
-    and the budget grows by half."""
-    for _ in range(_RATE_ATTEMPTS):
-        res = eval_S_form(form, ctx)
+    |value|, first from the zeta integers ``zetas`` made for ctx.  A value
+    that misses is evaluated again, by ``eval_S_form`` and its own zeta
+    pass, with the budget raised by its shortfall; one at or below its
+    bound tells no shortfall, and the budget grows by half."""
+    for attempt in range(_RATE_ATTEMPTS):
+        res = eval_S_form(form, ctx) if attempt else _form_value(form, ctx, zetas)
         bound = res.tail_bound_log10
         with mp.workdps(15):
             size = float(mp.log10(abs(res.value))) if res.value else float("-inf")
@@ -1365,7 +1350,9 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
     at n the zeta values need log10 sum|coeff| - tol_n digits plus a guard,
     with target tol_n = n log10 eps''_a - 34.  One budget, the largest over
     the n values and at least ``min_digits``, serves the whole call, so
-    the zeta values of both forms are made in one pass (``_zeta_scaled``).
+    the zeta values of all its forms are made in one pass of
+    ``_zeta_borwein`` at that budget + 4, as ``eval_S_form`` would make
+    each form's own.
     Each value is then certified to 20 significant digits
     (bound < log10|value| - 20); the target ignores the amplitude of S''_n,
     so a value that misses is evaluated again with the budget raised by
@@ -1387,13 +1374,12 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
             digits = max(digits, math.ceil(need))
         forms.append((n, pair))
     ctx = PrecisionContext(digits=digits, guard=20)
-    # every zeta value of both forms at the one budget, in one pass
-    _zeta_scaled({s for _n, pair in forms for form in pair for s, _i, _c in form.terms()},
-                 digits)
+    zetas = _zeta_borwein({s for _n, pair in forms for form in pair
+                           for s, _i, _c in form.terms()}, digits + 4)
     samples = []
     for n, (plain_form, derived_form) in forms:
-        plain = _certified_value(plain_form, ctx)
-        derived = _certified_value(derived_form, ctx)
+        plain = _certified_value(plain_form, ctx, zetas)
+        derived = _certified_value(derived_form, ctx, zetas)
         log_sn = _nearest_float(lambda: _log_abs_error(plain.value)) / n
         log_spp = _nearest_float(lambda: _log_abs_error(derived.value)) / n
         with mp.workdps(ctx.workdps):

@@ -137,9 +137,6 @@ class PartialFractionTable:
         return {(a - k, j): Fraction(self.num[k][n + j], self.den[k])
                 for j in range(-n, n + 1) for k in range(a)}
 
-    def c(self, i: int, j: int) -> Fraction:
-        return self.coeffs[(i, j)]
-
     @cached_property
     def column_numerators(self) -> list[int]:
         """sum_j num[k][n+j]; column i = a - k sums to this over den[k]."""

@@ -86,6 +86,26 @@ def test_forms_residual_check_fails_on_a_shifted_constant(monkeypatch, tmp_path)
     assert float(doc["residuals"]["double_derived"]) < 1e-125
 
 
+def test_forms_denominator_check_fails_on_a_shifted_constant(monkeypatch, tmp_path):
+    # the plain form's constant moved by an exact 1/101: 101 > 2n is prime,
+    # so no power of d_2n clears it, and only that form's check fails
+    real = linear_forms.zeta_form_plain
+
+    def shifted(table):
+        form = real(table)
+        return replace(form, constant=form.constant + Fraction(1, 101))
+
+    monkeypatch.setattr(linear_forms, "zeta_form_plain", shifted)
+    out = tmp_path / "forms.json"
+    assert run(["forms", "--a", "7", "--r", "1", "--n", "2", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    plain, derived = doc["forms"]
+    assert plain["denominator_check"]["pass"] is False
+    assert plain["denominator_check"]["smallest_clearing_exponent"] is None
+    assert derived["denominator_check"]["pass"] is True
+
+
 def test_forms_residual_out_of_reach_is_numeric_failure(capsys):
     # the Laurent tail of (7,1,1) cannot reach 10^-40010 within its order cap
     assert run(["forms", "--a", "7", "--r", "1", "--n", "1", "--residual-digits", "40000"]) == 3
@@ -307,3 +327,29 @@ def test_rates_csv(tmp_path):
     # the same bytes
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "05c011b2cff667341884c48e088d4330c18f87bc597e407ddc4a0586850e66af"
+
+
+def test_every_command_writes_the_same_bytes_whatever_ran_before(tmp_path):
+    # each command twice in a row, then once more after all the others:
+    # every main artifact is a function of its command line alone
+    fixture = resources.files("zetaforms.data") / "gutnik_log2_zeta.json"
+    commands = {
+        "forms": ["forms", "--a", "7", "--r", "1", "--n", "2", "--residual-digits", "250"],
+        "asymptotics": ["asymptotics", "--a", "13", "--r", "2"],
+        "rank-bound": ["rank-bound", "--a", "1001"],
+        "rates": ["rates", "--a", "13", "--r", "2", "--n-range", "20..21", "--format", "csv"],
+        "criterion": ["criterion", "--in", str(fixture)],
+    }
+
+    def artifact(name, k):
+        out = tmp_path / f"{name}-{k}"
+        assert run(commands[name] + ["--out", str(out)]) == 0, name
+        return out.read_bytes()
+
+    runs = {name: [artifact(name, 0), artifact(name, 1)] for name in commands}
+    for name in commands:
+        runs[name].append(artifact(name, 2))
+    for name, (first, *later) in runs.items():
+        assert later == [first, first], name
+    residuals = json.loads(runs["forms"][0])["residuals"]
+    assert (residuals["plain"], residuals["double_derived"]) == ("4.84946e-263", "1.24288e-262")

@@ -75,49 +75,18 @@ def test_zeta_3_twenty_digits_against_direct_summation_oracle():
 
 
 def test_zeta_matches_mpmath_oracle():
-    for s in (2, 3, 5, 8, 13, 40):
-        with mp.workdps(CTX.workdps):
-            assert abs(zeta_value(s, CTX) - mpmath.zeta(s)) < mpf(10) ** -CTX.digits
-
-
-def test_zeta_cache_meets_each_callers_digits(monkeypatch):
-    # both contexts work at 150 digits; the 100-digit value cached by the
-    # first must not be returned to the second, which asks for 140
-    highprec._ZETA_CACHE.clear()
-    zeta_value(3, PrecisionContext(100, 50))
-    v = zeta_value(3, PrecisionContext(140, 10))
-    with mp.workdps(300):
-        assert abs(v - mpmath.zeta(3)) < mpf(10) ** -140
-    # the 140-digit value then serves every caller asking for no more
-    # digits, converted once at the caller's workdps, without computing
-    # again; a caller asking for more digits gets a new value
-    _digits, z, B = highprec._ZETA_CACHE[3]
-    computed = []
-    real = highprec._zeta_borwein
-
-    def spy(*args):
-        computed.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(highprec, "_zeta_borwein", spy)
-    for digits, guard in ((139, 10), (100, 20), (60, 10), (140, 40), (120, 60)):
+    # unequal guards too: the one conversion at workdps keeps 10^-digits
+    for digits, guard in ((60, 20), (100, 50), (140, 10), (139, 10), (140, 40), (120, 60)):
         ctx = PrecisionContext(digits, guard)
-        served = zeta_value(3, ctx)
-        with mp.workdps(ctx.workdps):
-            assert served == mp.ldexp(mpf(z), -B)
-        with mp.workdps(300):
-            assert abs(served - mpmath.zeta(3)) < mpf(10) ** -digits
-    assert not computed
-    more = zeta_value(3, PrecisionContext(141, 10))
-    assert len(computed) == 1
-    with mp.workdps(300):
-        assert abs(more - mpmath.zeta(3)) < mpf(10) ** -141
+        for s in (2, 3, 5, 8, 13, 40):
+            v = zeta_value(s, ctx)
+            with mp.workdps(digits + 50):
+                assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits, (digits, guard, s)
 
 
 def test_zeta_certified_at_rate_sweep_budgets():
     # measure_rates asks for zeta values at about 600-900 digits on the
     # rate-sweep batch and for zeta(3..15) at 1705 digits for criterion 6
-    highprec._ZETA_CACHE.clear()
     for digits, exponents in ((300, (2, 3, 5, 21, 45)), (450, (2, 3, 5, 21, 45)),
                               (600, (2, 3, 5, 21, 45)), (900, (2, 3, 5, 21, 45)),
                               (1705, tuple(range(3, 16, 2)))):
@@ -141,8 +110,7 @@ def test_borwein_d_equal_factorial_oracle():
 
 
 @pytest.mark.parametrize("digits", [60, 300, 600, 900, 1705])
-def test_zeta_agrees_with_mpmath_and_euler_maclaurin_oracle(digits, monkeypatch):
-    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+def test_zeta_agrees_with_mpmath_and_euler_maclaurin_oracle(digits):
     ctx = PrecisionContext(digits=digits, guard=20)
     for s in (2, 3, 4, 5, 15, 21, 45, 120):
         v = zeta_value(s, ctx)
@@ -165,7 +133,6 @@ def test_zeta_of_huge_s_stops_at_the_first_zero_quotient(monkeypatch):
             return list.__getitem__(self, k)
 
     monkeypatch.setattr(highprec, "_borwein_d", lambda n: Recorder(real(n)))
-    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
     v = zeta_value(4000, PrecisionContext(digits=300, guard=20))
     n = max(read)
     assert n > 300
@@ -184,9 +151,8 @@ def test_one_pass_equals_the_per_exponent_oracle(digits):
         assert got == {s: zeta_borwein_per_s(s, digits) for s in exponents}, exponents
 
 
-def test_zeta_value_leaves_precision_as_found(monkeypatch):
-    # computed, served as held, and served rounded to a lower workdps
-    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+def test_zeta_value_leaves_precision_as_found():
+    # three contexts, each converting at its own workdps above the 97 bits
     with mp.workprec(97):
         for digits, guard in ((200, 20), (200, 30), (100, 20)):
             zeta_value(3, PrecisionContext(digits, guard))
@@ -597,15 +563,14 @@ def test_head_first_pass_bound_follows_the_error(kind):
     assert bound > tol
 
 
-def test_certified_values_do_not_depend_on_the_callers_precision(monkeypatch):
-    # zeta values, exact forms and both series routes, from an empty zeta
-    # cache under a 53-bit and under a 3000-digit context: the same values
-    # and bounds, and the same integers from the power sums and the tail
+def test_certified_values_do_not_depend_on_the_callers_precision():
+    # zeta values, exact forms and both series routes under a 53-bit and
+    # under a 3000-digit context: the same values and bounds, and the same
+    # integers from the power sums and the tail
     ctx = PrecisionContext(100, 20)
     table = table_for(FormSpec(7, 1, 2))
 
     def run():
-        monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
         out = [zeta_value(s, ctx) for s in (2, 3, 21)]
         for form in (zeta_form_plain(table), zeta_form_derived(table)):
             res = eval_S_form(form, ctx)
@@ -802,7 +767,6 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
                         if spec == FormSpec(13, 1, 6) and kind == DOUBLE_DERIVED)
 
     def run(order, before=lambda: None):
-        monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
         monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
         monkeypatch.setattr(highprec, "_TANGENT", [])
         monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
@@ -911,10 +875,8 @@ def saddle_13_2():
     return compute_constants(13, 2)
 
 
-def test_zeta_passes_through_the_cache(saddle_13_2, monkeypatch):
-    # one pass for all the exponents of both forms at measure_rates' budget,
-    # then held values served and only missing or too short ones made
-    monkeypatch.setattr(highprec, "_ZETA_CACHE", {})
+def test_rate_sweep_makes_its_zeta_values_in_one_pass(saddle_13_2, monkeypatch):
+    # one pass for all the exponents of both forms at measure_rates' budget
     calls = []
     real = highprec._zeta_borwein
 
@@ -924,20 +886,7 @@ def test_zeta_passes_through_the_cache(saddle_13_2, monkeypatch):
 
     monkeypatch.setattr(highprec, "_zeta_borwein", spy)
     report = measure_rates(13, 2, [20, 21], saddle_13_2)
-    odd = list(range(3, 16, 2))
-    assert [exponents for exponents, _d in calls] == [odd]
-    digits = report.samples[0].zeta_digits
-    assert calls[0][1] == digits + 4
-    calls.clear()
-    ctx = PrecisionContext(digits, 20)
-    for s in odd:
-        zeta_value(s, ctx)
-    assert calls == []
-    highprec._zeta_scaled(odd + [17], digits)
-    assert calls == [([17], digits + 4)]
-    calls.clear()
-    highprec._zeta_scaled(odd + [17], digits + 1)
-    assert calls == [(odd + [17], digits + 5)]
+    assert calls == [(list(range(3, 16, 2)), report.samples[0].zeta_digits + 4)]
 
 
 @pytest.mark.parametrize("n", [20, 21])
@@ -991,13 +940,13 @@ def test_rates_raise_budget_when_target_is_too_loose(saddle_13_2, monkeypatch):
 
     good = measure_rates(13, 2, [20], saddle_13_2).samples[0]
     calls = []
-    real = highprec.eval_S_form
+    real = highprec._form_value
 
-    def spy(form, ctx):
+    def spy(form, ctx, zetas):
         calls.append((form.kind, ctx.digits))
-        return real(form, ctx)
+        return real(form, ctx, zetas)
 
-    monkeypatch.setattr(highprec, "eval_S_form", spy)
+    monkeypatch.setattr(highprec, "_form_value", spy)
     loose = replace(saddle_13_2, log_eps_pp_a=saddle_13_2.log_eps_a)
     raised = measure_rates(13, 2, [20], loose).samples[0]
     derived = [d for kind, d in calls if kind == DOUBLE_DERIVED]
@@ -1037,8 +986,8 @@ def test_rate_sweep_logs_equal_full_precision_logs(saddle_13_2, monkeypatch):
     values = []
     real = highprec._certified_value
 
-    def spy(form, ctx):
-        res = real(form, ctx)
+    def spy(form, ctx, zetas):
+        res = real(form, ctx, zetas)
         values.append((res.value, ctx.workdps))
         return res
 

@@ -124,7 +124,7 @@ def test_partial_fraction_against_long_division_oracle():
         for j in range(-spec.n, spec.n + 1):
             oracle = _taylor_division_oracle(spec, j)
             for i in range(1, spec.a + 1):
-                assert table.c(i, j) == oracle[i], (spec, i, j)
+                assert table.coeffs[(i, j)] == oracle[i], (spec, i, j)
 
 
 @pytest.mark.parametrize("spec, digest", [
