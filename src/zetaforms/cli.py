@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual-digits", type=int, default=0,
                    help="also check the numeric residual at this precision")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_forms)
 
     p = sub.add_parser("asymptotics", help="saddle constants and assumption report")

@@ -25,18 +25,18 @@ only, and no estimate reads a cache.  Five layers:
   tails call it at x0 = T.  The direct part up to the expansion point X
   and the expansion at X are both summed on Python integers at one scale
   2^P, set by the hardest tolerance and the bits of their floor errors,
-  and returned as integers at that scale.  X is the point of least
-  estimated cost (``_em_point``): direct steps against expansion terms
-  and coefficient-table entries, each priced per digit of 2^P.  For the
-  completely monotone integrand x^{-s} the Euler-Maclaurin remainder is
-  no larger than the first omitted correction term, so each expansion
-  stops once that term is below its tolerance (X grows if the terms
-  bottom out too early), and the kernel carries an integer bound on its
-  floor errors.  The coefficients B_2k/(2k)! X^(1-2k) do not depend on s:
-  one table of them as integers, made by the call for X and the bits of
-  its scale, serves every s it expands at X.  B_2k comes from exact
-  integer tangent numbers, whose one table serves every scale.  A
-  Laurent exponent whose weight is 0 is neither expanded nor summed.
+  and returned as integers at that scale.  X comes from the tolerance
+  of the smallest exponent (``_em_point``): about its digit count, a
+  little more for a single exponent.  For the completely monotone
+  integrand x^{-s} the Euler-Maclaurin remainder is no larger than the
+  first omitted correction term, so each expansion stops once that term
+  is below its tolerance (X grows if the terms bottom out too early),
+  and the kernel carries an integer bound on its floor errors.  The
+  coefficients B_2k/(2k)! X^(1-2k) do not depend on s: one table of them
+  as integers, made by the call for X and the bits of its scale, serves
+  every s it expands at X.  B_2k comes from exact integer tangent
+  numbers, whose one table serves every scale.  A Laurent exponent whose
+  weight is 0 is neither expanded nor summed.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and the zeta integers, summed
@@ -74,7 +74,6 @@ only, and no estimate reads a cache.  Five layers:
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -383,144 +382,19 @@ def _em_scale(hardest: float, width: int) -> int:
             + (2 * width + _EM_ALLOWANCE).bit_length() + _EM_GUARD)
 
 
-# Costs of the pieces of ``_em_tail_range`` in microseconds, as (fixed,
-# per decimal digit of its scale 2^P) pairs, least-squares fits to
-# timings at 300-1700 digits by ``demos/em_costs.py`` on an x86-64 host
-# (CPython 3.11, mpmath's pure-Python backend).  Direct part: one m (the
-# power m^s and the floor division of 2^P by it), and one row at that m
-# (an add and a floor division).  Expansion: one integer term (``_em_at``)
-# and one new table entry (``_EMTable.extend``); both cost more than
-# linearly in the digits, and their lines run through the origin.
-_COST_M = (0.1, 0.0044)
-_COST_ROW = (0.03, 0.001)
-_COST_TERM = (0.0, 0.0105)
-_COST_ENTRY = (0.0, 0.042)
-_EM_SAMPLE = 16        # needed exponents the cost is estimated from
-_TWO_PI = 2 * math.pi
-
-
-def _em_terms(s: int, tol: float, X: int, guess: int = 1) -> float:
-    """Estimated count of the terms ``_em_at`` forms for s at X to 10^tol: where
-    |B_2k|/(2k)! (s)_{2k-1} X^{1-s-2k}, with |B_2k|/(2k)! ~ 2 (2 pi)^-2k,
-    falls below 10^tol, interpolated between integers k so that the cost
-    is smooth in X.  inf if the terms stop decreasing (near
-    2k = 2 pi X - s) before that.
-
-    The log of term k over the tolerance is convex in k, so on [1, hi]
-    it crosses 0 once; the search brackets that crossing by strides
-    doubling away from ``guess`` (the crossing at a nearby X), then
-    bisects.  Any guess gives the same crossing and so the same value."""
-    base = math.log(2) - math.lgamma(s) + (1 - s) * math.log(X) - tol * _LN10
-    step = 2 * math.log(_TWO_PI * X)
-
-    def excess(k: int) -> float:        # log of term k over the tolerance
-        return base + math.lgamma(s + 2 * k - 1) - k * step
-
-    lo, e_lo = 1, excess(1)
-    if e_lo < 0:
-        return 1.0
-    hi = max(1, int((_TWO_PI * X - s) / 2))
-    e_hi = excess(hi)
-    if e_hi >= 0:
-        return math.inf
-    k, stride = guess, 1
-    while lo < k < hi:
-        e = excess(k)
-        if e >= 0:
-            lo, e_lo = k, e
-            k += stride
-        else:
-            hi, e_hi = k, e
-            k -= stride
-        stride *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        e = excess(mid)
-        if e >= 0:
-            lo, e_lo = mid, e
-        else:
-            hi, e_hi = mid, e
-    return lo + e_lo / (e_lo - e_hi)
-
-
-def _em_cost(x0: int, needed: Sequence[tuple[int, float]]) -> Callable[[int], float]:
-    """The estimated microseconds of ``_em_tail_range`` from x0 (the start
-    T of a Laurent tail) for the needed (s, log10 tolerance) pairs, as a
-    function of the expansion point X: inf if some expansion is expected
-    to bottom out above its tolerance.
-
-    Direct side: each m in [x0, X) costs one step, plus one row for every
-    needed s with m^s <= 2^P (w is floored to 0 past that).  Expansion
-    side: the terms of each needed s (``_em_terms``), and one table entry
-    per term of the longest expansion, all made by the call.  Steps,
-    rows, terms and entries are priced per digit of the scale 2^P, the
-    size of the integers they work on.  Terms and rows are counted on at
-    most _EM_SAMPLE needed s, evenly spaced and with the one of the
-    hardest tolerance, and scaled up to all.  The estimate reads only
-    its arguments: nothing held, a table or tangent numbers, lowers it.
-    """
-    hardest = min(needed, key=lambda pair: pair[1])
-    sample = sorted(set(needed[::math.ceil(len(needed) / (_EM_SAMPLE - 1))]) | {hardest})
-    scale = len(needed) / len(sample)
-    p_digits = max(0.0, -hardest[1])                        # of the scale 2^P
-    step_m = _COST_M[0] + _COST_M[1] * p_digits
-    step_row = scale * (_COST_ROW[0] + _COST_ROW[1] * p_digits)
-    step_term = scale * (_COST_TERM[0] + _COST_TERM[1] * p_digits)
-    step_entry = _COST_ENTRY[0] + _COST_ENTRY[1] * p_digits
-
-    crossing = {s: 1 for s, _tol in sample}     # k below the crossing at the last X
-
-    def cost(X: int) -> float:
-        rows = terms = longest = 0.0
-        for s, tol in sample:
-            k = _em_terms(s, tol, X, crossing[s])
-            if k == math.inf:
-                return k
-            crossing[s] = int(k)
-            terms += k
-            longest = max(longest, k)
-            top = p_digits * _LOG2_10 / s                   # log2 of the last m of row s
-            rows += max(0.0, min(X, 2 ** min(top, 60) + 1) - x0)
-        return ((X - x0) * step_m + rows * step_row + terms * step_term
-                + longest * step_entry)
-
-    return cost
-
-
-_GOLDEN = (math.sqrt(5) - 1) / 2
-
-
 def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
-    """The expansion point X >= x0 of least estimated cost (``_em_cost``),
-    for a Laurent tail from x0 = T or, in the tests, a zeta value (x0 = 1).
-
-    The cost is inf where an expansion would bottom out, then falls as
-    the direct part takes over terms, then rises.  X doubles from x0 until
-    the cost rises, and a golden-section search over the last two
-    doublings finds the least cost.  X depends on x0 and needed alone."""
-    estimate = functools.cache(_em_cost(x0, needed))
-
-    def cost(X: float) -> float:
-        return estimate(round(X))
-
-    a = b = x0
-    while True:
-        c = 2 * b
-        if cost(b) < math.inf and cost(c) >= cost(b):
-            break
-        a, b = b, c
-    b = c
-    # golden section over [a, b] (inf only left of the finite values),
-    # to within 1 % of X, where the cost is flat
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    while b - a > max(2, b / 100):
-        if cost(x1) <= cost(x2) < math.inf:
-            b, x2 = x2, x1
-            x1 = b - _GOLDEN * (b - a)
-        else:
-            a, x1 = x1, x2
-            x2 = a + _GOLDEN * (b - a)
-    return round(min(x1, x2, key=cost))
+    """The expansion point X >= x0 for the needed (s, log10 tolerance)
+    pairs, s ascending: X = D (1 + 0.3 / N), D the digits of the smallest
+    s's tolerance (its terms carry the least X^-s, so it binds) and N the
+    count of needed s.  At X below D / (2 pi log10 e) = 0.37 D its terms
+    bottom out above 10^-D; above that, they fall in number as the
+    direct part's X - x0 steps rise.  The criterion-1 grid's tails
+    (N = 128 or 256) took about the same time from X = 0.8 D to 1.3 D and
+    10 % more at 0.6 D.  With one exponent a direct step carries one row,
+    cheap against a table entry, so X sits 0.3 D further out: zeta(3..15)
+    at 900 digits then build 295 entries, 330 at X = D.  ``_em_tail_range``
+    grows X if an expansion bottoms out all the same."""
+    return max(x0, math.ceil(-needed[0][1] * (1 + 0.3 / len(needed))))
 
 
 def _em_tail_range(s_lo: int, s_hi: int, x0: int,
@@ -536,11 +410,12 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
     X, is shared by all s; the expansion at X stops each needed s at its
     own tolerance, reading the coefficient table that all of them share
     (``_EMTable``, made here for X and 2^P).  Both are summed on integers
-    at one scale 2^P (``_em_scale``) and added; nothing is converted.  The direct loop
-    advances only the rows of needed s, and leaves each m once its term
-    is floored to 0.  X starts at the point of least estimated cost
-    (``_em_point``) and grows while some expansion bottoms out above its
-    tolerance.  Needs s_lo >= 2, x0 >= 1 and at least one needed s.
+    at one scale 2^P (``_em_scale``) and added; nothing is converted.
+    The direct loop advances only the rows of needed s, and leaves each m
+    once its term is floored to 0.  X starts at about the digits of the
+    smallest needed s's tolerance (``_em_point``) and grows while some
+    expansion bottoms out above its tolerance.  Needs s_lo >= 2, x0 >= 1
+    and at least one needed s.
 
     Each needed sum is within 10^tol 2^P units of the power sum scaled by
     2^P.  At every needed s the direct part's w is
@@ -1256,6 +1131,9 @@ class RateReport:
 _RATE_SIG_DIGITS = 20      # significant digits every rate value is certified to
 _RATE_GUARD = 20           # zeta digits beyond log10 sum|coeff| minus the target
 _RATE_ATTEMPTS = 4
+# |cos(n omega + phi)| below which a sample's sign and amplitude are not
+# compared with the law: there a zero of the cosine decides them
+_COS_EXCLUSION = 1e-3
 
 
 def _certified_value(form: ZetaLinearForm, ctx: PrecisionContext,
@@ -1342,7 +1220,7 @@ def _rate_forms(spec: FormSpec) -> tuple[ZetaLinearForm, ZetaLinearForm]:
 
 
 def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
-                  cos_exclusion: float = 1e-3, min_digits: int = 0) -> RateReport:
+                  min_digits: int = 0) -> RateReport:
     """High-precision |S_n|, |S''_n| along n, against the saddle constants.
 
     Both values come from their exact zeta forms (``eval_S_form``), which
@@ -1385,7 +1263,7 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
         with mp.workdps(ctx.workdps):
             cref = float(mp.cos(n * saddle_data.omega_a + saddle_data.phi_a))
             csig = float(mp.cos(n * saddle_data.omega_signed + saddle_data.phi_signed))
-        if abs(cref) >= cos_exclusion:
+        if abs(cref) >= _COS_EXCLUSION:
             amp = _nearest_float(lambda: _amplitude_error(derived.value, n, saddle_data, cref))
         else:
             amp = float("nan")
@@ -1395,7 +1273,7 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
             log_sppn_over_n=log_spp,
             sign_pp=1 if derived.value > 0 else -1,
             cos_reference=cref,
-            excluded=abs(cref) < cos_exclusion,
+            excluded=abs(cref) < _COS_EXCLUSION,
             sign_plain=1 if plain.value > 0 else -1,
             cos_signed=csig,
             log_amp_ratio=amp,
@@ -1405,5 +1283,5 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
             bound_log10_pp=derived.tail_bound_log10,
         ))
     return RateReport(a=a, r=r, log_eps_a=L, log_eps_pp_a=Lpp,
-                      omega_a=omega, phi_a=phi, cos_exclusion=cos_exclusion,
+                      omega_a=omega, phi_a=phi, cos_exclusion=_COS_EXCLUSION,
                       samples=tuple(samples))

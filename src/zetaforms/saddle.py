@@ -350,9 +350,11 @@ def compute_constants(a: int, r: int, dps: int | None = None) -> SaddleData:
     return data
 
 
-def check_assumptions(a: int, r: int, data: SaddleData,
-                      angle_tol: float = 1e-3,
-                      identity_tol: float = 1e-20) -> dict:
+_ANGLE_TOL = 1e-3          # least distance of phi, omega from the degenerate angles
+_IDENTITY_TOL = 1e-20      # largest angle-identity residual passed
+
+
+def check_assumptions(a: int, r: int, data: SaddleData) -> dict:
     """Report on the analytic side conditions behind the oscillation law.
 
     (1) mu1 within the explicit window above c;
@@ -371,8 +373,8 @@ def check_assumptions(a: int, r: int, data: SaddleData,
         cond1_pass = bool(mu_gap <= window)
         phi_dist = angle_distance(data.phi_a, mp.pi / 2, mp.pi)
         omega_dist = angle_distance(data.omega_a, 0, mp.pi)
-        cond2_pass = bool(phi_dist > angle_tol and omega_dist > angle_tol)
-        cond3_pass = bool(abs(data.angle_identity_residual) < identity_tol)
+        cond2_pass = bool(phi_dist > _ANGLE_TOL and omega_dist > _ANGLE_TOL)
+        cond3_pass = bool(abs(data.angle_identity_residual) < _IDENTITY_TOL)
         report = {
             "a": a, "r": r,
             "cond1_mu1_window": {
@@ -383,12 +385,12 @@ def check_assumptions(a: int, r: int, data: SaddleData,
             "cond2_nondegenerate_angles": {
                 "phi_distance_to_half_pi_mod_pi": mp.nstr(phi_dist, 12),
                 "omega_distance_to_zero_mod_pi": mp.nstr(omega_dist, 12),
-                "threshold": angle_tol,
+                "threshold": _ANGLE_TOL,
                 "pass": cond2_pass,
             },
             "cond3_angle_identity": {
                 "residual": mp.nstr(abs(data.angle_identity_residual), 8),
-                "tolerance": identity_tol,
+                "tolerance": _IDENTITY_TOL,
                 "pass": cond3_pass,
             },
             "proximity_diagnostics": {

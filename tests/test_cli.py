@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp
 
 import zetaforms
-from zetaforms import linear_forms, saddle
+from zetaforms import criterion, linear_forms, saddle
 from zetaforms.cli import main
 
 
@@ -144,6 +144,41 @@ def test_rank_bound_1001(tmp_path):
     assert doc["pass"]
     assert doc["tau1"] > 0 and doc["tau2"] > 0 and float(doc["tau_gap"]) > 0
     assert doc["bound"] == 2 + doc["tau1"] + doc["tau2"]
+
+
+def test_asymptotics_check_fails_on_a_negated_gap(monkeypatch, tmp_path):
+    # log eps - log eps'' negated exactly: eps'' < eps no longer holds, so
+    # the certificate is written with pass false and the exit is 1
+    real = saddle.compute_constants
+
+    def negated(*args, **kwargs):
+        data = real(*args, **kwargs)
+        return replace(data, log_eps_gap=-data.log_eps_gap)
+
+    monkeypatch.setattr(saddle, "compute_constants", negated)
+    out = tmp_path / "asym.json"
+    assert run(["asymptotics", "--a", "13", "--r", "2", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert doc["eps_pp_lt_eps"] is False and doc["eps_a_lt_1"] is True
+
+
+def test_rank_bound_check_fails_on_a_negated_gap(monkeypatch, tmp_path):
+    # tau2 - tau1 negated exactly (its decimal string's sign): the
+    # certificate is written with pass false and the exit is 1
+    real = criterion.zeta_rank_bound
+
+    def negated(a):
+        cert = real(a)
+        assert not cert["tau_gap"].startswith("-")
+        return {**cert, "tau_gap": "-" + cert["tau_gap"]}
+
+    monkeypatch.setattr(criterion, "zeta_rank_bound", negated)
+    out = tmp_path / "rank.json"
+    assert run(["rank-bound", "--a", "1001", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert mp.mpf(doc["tau_gap"]) < 0 and doc["tau1"] > 0
 
 
 def test_rank_bound_distinct_past_float_resolution(tmp_path):
@@ -352,4 +387,4 @@ def test_every_command_writes_the_same_bytes_whatever_ran_before(tmp_path):
     for name, (first, *later) in runs.items():
         assert later == [first, first], name
     residuals = json.loads(runs["forms"][0])["residuals"]
-    assert (residuals["plain"], residuals["double_derived"]) == ("4.84946e-263", "1.24288e-262")
+    assert (residuals["plain"], residuals["double_derived"]) == ("4.92576e-263", "1.25129e-262")

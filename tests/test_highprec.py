@@ -166,6 +166,20 @@ def test_tangent_bernoulli_numbers_equal_exact_oracle():
         assert b == bernoulli_exact(2 * k), k
 
 
+@pytest.mark.parametrize("X, bits", [(1, 200), (48, 1000), (300, 2600), (1174, 3020)])
+def test_em_table_entries_equal_exact_bernoulli_oracle(X, bits):
+    # every C_k within 2 of d_k 2^(R_k), d_k = B_2k / (2k (2k-1)) X^(1-2k)
+    # exactly, with 2^(bits-1) <= |C_k| < 2^(bits+2), at expansion points
+    # and scales of the zeta oracle (X = 1, 1174) and of the Laurent tails
+    table = highprec._EMTable(X, bits)
+    for k in range(1, 151):
+        table.extend()
+        d = bernoulli_exact(2 * k) / (2 * k * (2 * k - 1)) / Fraction(X) ** (2 * k - 1)
+        C, R = table.c[k - 1], table.r[k - 1]
+        assert abs(C - d * Fraction(2) ** R) <= 2, k
+        assert 2 ** (bits - 1) <= abs(C) < 2 ** (bits + 2), k
+
+
 def test_tangent_table_started_at_low_precision_serves_higher_ones(monkeypatch):
     # the tangent numbers are started by a 120-digit zeta value from the
     # Euler-Maclaurin routine at x0 = 1 and then read at 400 and 1705
@@ -183,76 +197,30 @@ def test_tangent_table_started_at_low_precision_serves_higher_ones(monkeypatch):
     assert 0 < held[0] < held[1] < held[2]
 
 
-def _old_em_point(x0, needed):
-    # the fixed rule the cost estimate replaced
-    return max(x0, int(0.46 * -min(t for _, t in needed)) + 8)
+def test_em_expansions_need_no_growth_retry(monkeypatch):
+    # the expansion point is never moved by the growth retry: no expansion
+    # bottoms out on the Laurent tails of criterion 1's residuals at
+    # (250, 25), nor for zeta(s) at x0 = 1 from 60 to 1705 digits
+    results = []
+    real = highprec._em_at
 
+    def spy(*args):
+        got = real(*args)
+        results.append(got)
+        return got
 
-@pytest.mark.parametrize("digits", [300, 900, 1705])
-def test_em_point_costs_no_more_than_fixed_rule_for_zeta(digits):
-    needed = [(3, -(digits + 4))]
-    with mp.workdps(digits + 20):
-        cost = highprec._em_cost(1, needed)
-        assert cost(highprec._em_point(1, needed)) <= cost(_old_em_point(1, needed))
-
-
-@pytest.mark.parametrize("abc", [(9, 1, 1), (13, 2, 5)])
-def test_em_point_costs_no_more_than_fixed_rule_for_laurent_tails(abc, monkeypatch):
-    # every expansion point chosen for the Laurent tails of criterion 1's
-    # residuals, priced against the fixed rule
-    real = highprec._em_point
-    costs = []
-
-    def spy(x0, needed):
-        X = real(x0, needed)
-        if x0 > 1:
-            cost = highprec._em_cost(x0, needed)
-            costs.append((cost(X), cost(_old_em_point(x0, needed))))
-        return X
-
-    monkeypatch.setattr(highprec, "_em_point", spy)
-    table = table_for(FormSpec(*abc))
-    for form in (zeta_form_plain(table), zeta_form_derived(table)):
-        form_residual(form, PrecisionContext(250, 25))
-    assert costs
-    for chosen, fixed in costs:
-        assert chosen <= fixed
-
-
-@pytest.mark.parametrize("s, tol", [(3, -304), (5, -904), (3, -1709), (60, -280), (331, -262)])
-def test_em_terms_is_the_same_from_any_guess(s, tol):
-    # the warm start only moves where the search for the crossing begins;
-    # guess 1 is the plain bisection
-    for X in (50, 199, 1024, 3000):
-        cold = highprec._em_terms(s, tol, X)
-        for guess in (1, 2, 5, 17, 100, 999, 10 ** 6):
-            assert highprec._em_terms(s, tol, X, guess) == cold
-
-
-def test_em_point_unchanged_by_warm_started_terms(monkeypatch):
-    # every expansion point taken for zeta values and for criterion 1's
-    # Laurent tails at (13,1,3), against the choice with each term count
-    # bisected from k = 1
-    needs = [(1, [(3, -(d + 4))]) for d in (300, 900, 1705)]
-    real_point = highprec._em_point
-
-    def record(x0, needed):
-        needs.append((x0, list(needed)))
-        return real_point(x0, needed)
-
-    with monkeypatch.context() as m:
-        m.setattr(highprec, "_em_point", record)
-        table = table_for(FormSpec(13, 1, 3))
+    monkeypatch.setattr(highprec, "_em_at", spy)
+    for abc in ((9, 1, 1), (13, 1, 6), (13, 2, 6)):
+        table = table_for(FormSpec(*abc))
         for form in (zeta_form_plain(table), zeta_form_derived(table)):
             form_residual(form, PrecisionContext(250, 25))
-    real_terms = highprec._em_terms
-    for x0, needed in needs:
-        with mp.workdps(300):
-            warm = highprec._em_point(x0, needed)
-            with monkeypatch.context() as m:
-                m.setattr(highprec, "_em_terms",
-                          lambda s, tol, X, guess=1: real_terms(s, tol, X))
-                assert highprec._em_point(x0, needed) == warm
+    laurent = len(results)
+    assert laurent
+    for digits in (60, 250, 899, 1705):
+        for s in (3, 5, 15):
+            _em_tail_range(s, s, 1, [-(digits + 4)])
+    assert len(results) > laurent
+    assert None not in results
 
 
 def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
