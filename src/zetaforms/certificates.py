@@ -33,18 +33,17 @@ def provenance(command: str, params: dict, precision_dps: int | None = None) -> 
     return out
 
 
-def write_json(path: str | Path, doc: dict, with_meta: bool = True) -> Path:
+def write_json(path: str | Path, doc: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    if with_meta:
-        meta = {
-            "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "python": platform.python_version(),
-            "artifact": path.name,
-        }
-        path.with_suffix(path.suffix + ".meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n")
+    meta = {
+        "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "python": platform.python_version(),
+        "artifact": path.name,
+    }
+    path.with_suffix(path.suffix + ".meta.json").write_text(
+        json.dumps(meta, indent=2) + "\n")
     return path
 
 

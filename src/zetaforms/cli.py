@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--dps", type=int, default=0,
                    help="working decimal precision (default scales with a; "
-                        f"the {ENV_DIGITS} environment variable overrides)")
+                        f"the {ENV_DIGITS} environment variable applies "
+                        "where the option is not given)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_asymptotics)
 

@@ -330,8 +330,7 @@ def rank_lower_bound(k: int, taus: Sequence) -> Fraction:
     return k + sum(taus, Fraction(0))
 
 
-def zeta_rank_bound(a: int, dps: int | None = None,
-                    saddle_data: SaddleData | None = None) -> dict:
+def zeta_rank_bound(a: int, saddle_data: SaddleData | None = None) -> dict:
     """Rank-bound certificate for the two-point zeta application.
 
     Scales the growth constants by the common-denominator factor
@@ -347,7 +346,7 @@ def zeta_rank_bound(a: int, dps: int | None = None,
     two exponents agree to working precision.
     """
     r = r_of_a(a)
-    data = saddle_data if saddle_data is not None else compute_constants(a, r, dps)
+    data = saddle_data if saddle_data is not None else compute_constants(a, r)
     if (data.a, data.r) != (a, r):
         raise ValueError("saddle data mismatch")
     with mp.workdps(data.dps):
@@ -424,8 +423,7 @@ def oscillation_subsequence(omegas: Sequence[float], varphis: Sequence[float],
 # Randomized instance generators for the property suites
 
 
-def random_smallness_table(rng, k: int, phi_gap: int | None = None
-                      ) -> tuple[EpsTable, Callable[[int], int], int]:
+def random_smallness_table(rng, k: int) -> tuple[EpsTable, Callable[[int], int], int]:
     """Random table built to satisfy the ratio hypothesis exactly.
 
     eps_{j,n} = 2^{-n tau_j} (1 + jitter) with integer taus of gap >= 1 and
@@ -441,7 +439,7 @@ def random_smallness_table(rng, k: int, phi_gap: int | None = None
         t += rng.randint(1, 3)
     taus.reverse()                       # tau_1 > ... > tau_k
     need = int(math.log2(math.factorial(k + 1))) + 3
-    gap = phi_gap or (need + rng.randint(2, 6))
+    gap = need + rng.randint(2, 6)
     n0 = 1
     support = [n0 + i * gap for i in range(k)]
     support += [support[-1] + 1, support[-1] + gap]

@@ -68,14 +68,16 @@ only, and no estimate reads a cache.  Five layers:
   bounded from the division residual at the split point T, where each
   pole factor |1 - j/t| is at least 1 - n/T.  The tail then
   becomes a finite combination of certified power-sum tails, an exact
-  integer sum.  ``eval_S_direct`` takes the route of less estimated work
-  (``_route``), and builds the Laurent expansion only where it might win;
-  it adds the head and the tail by exact shifts and converts once.
+  integer sum.  ``_route`` chooses between them by one comparison, of
+  the direct head's length with the square of the tail's degree, and
+  builds the Laurent expansion only where it takes that route;
+  ``eval_S_direct`` adds the head and the tail by exact shifts and
+  converts once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -662,7 +664,7 @@ class LaurentTail:
 
 
 # spec -> its Laurent tail: exact b_s and kept residuals, read for values
-# and bounds but never priced (``_laurent_cost``)
+# and bounds; no route reads whether a tail is held
 _LAURENT_CACHE: dict[FormSpec, LaurentTail] = {}
 
 
@@ -779,31 +781,14 @@ class EvalResult:
     laurent_K: int | None = None
     zeta_digits: int | None = None   # "form": zeta values certified to 10^-zeta_digits
     work_bits: int | None = None     # direct routes: the head is summed on integers scaled by 2^work_bits
-    # direct routes: the estimated microseconds of each route the choice
-    # weighed (``_route``), None for a route it did not estimate
-    direct_cost_us: float | None = None
-    laurent_cost_us: float | None = None
 
 
 _DIRECT_TERM_CAP = 250_000
-_DIRECT_T_CAP = 1_000_000
 _LAURENT_K_CAP = 16384
 _GUARD_BITS = 64
-
-# Costs of the two routes of ``eval_S_direct`` in microseconds, fitted to
-# timings of the criterion-1 forms (250 digits, guard 25, 286-396 working
-# digits) and of Laurent tails up to (13,2,20) on an x86-64 host (CPython
-# 3.11, mpmath's pure-Python backend).  Direct: one term per bit of the
-# scale 2^P, about three times as much for the double-derived loop, which
-# makes two full P-bit products per term.  Laurent, as (fixed, per bit)
-# pairs: the construction per degQ^2 and bit of q, one step of the long
-# division per degQ and bit of b_s times bit of q, and one power sum of
-# ``tail_value`` per working digit (``demos/em_costs.py`` prints its fit
-# on criterion-1 tails).
-_COST_DIRECT = {PLAIN: 0.0028, DOUBLE_DERIVED: 0.0089}
-_COST_BUILD = (0.1, 2.4e-4)
-_COST_DIVISION = (0.07, 3e-7)
-_COST_POWER_SUM = 0.4
+# direct heads of up to this many weighted terms per degQ^2 of the Laurent
+# tail are summed rather than expanded (``_route``)
+_DIRECT_PER_DEGQ2 = 0.41
 
 
 def _head_bits(terms: int, tol: float) -> int:
@@ -834,131 +819,74 @@ def _head_value(spec: FormSpec, kind: str, t0: int, T: int,
 
 def _direct_split(spec: FormSpec, kind: str, t0: int, tol: float) -> int | None:
     """The first T = max(64, 2 t0) 2^j whose elementary tail bound meets
-    tol, or None if there is none within _DIRECT_TERM_CAP terms and
-    T <= _DIRECT_T_CAP."""
+    tol, or None if there is none within _DIRECT_TERM_CAP terms."""
     T = max(64, 2 * t0)
-    while T <= _DIRECT_T_CAP and T - t0 <= _DIRECT_TERM_CAP:
+    while T - t0 <= _DIRECT_TERM_CAP:
         if _elementary_tail_bound_log10(spec, kind, T) < tol:
             return T
         T *= 2
     return None
 
 
-def _log2_factorial(m: int) -> float:
-    return math.lgamma(m + 1) / math.log(2)
-
-
-def _pole_sizes(spec: FormSpec) -> tuple[int, float, float]:
-    """degQ = a(2n+1); log2 sum|q_i| = a log2((n+1)! n!), the bits of the
-    denominator's coefficients; and log2 |c| for the leading coefficient
-    c = lim (t-n)^a R(t) = (2rn)!^3 (2(r+1)n)!^3 / (2n)!^(6r+3) of the
-    poles t = +-n, which lead b_s ~ 2 c C(s-1, a-1) n^(s-a)."""
-    a, r, n = spec.a, spec.r, spec.n
-    return (a * (2 * n + 1), a * (_log2_factorial(n + 1) + _log2_factorial(n)),
-            3 * _log2_factorial(2 * r * n) + 3 * _log2_factorial(2 * (r + 1) * n)
-            - (6 * r + 3) * _log2_factorial(2 * n))
-
-
-def _laurent_least_K(spec: FormSpec, kind: str, T: int, tol: float) -> int:
-    """The least K = 64 2^j at which an estimate of the Laurent tail bound
-    at T meets tol, from the leading part of the tail: the term
-    2 c C(s-1, a-1) n^(s-a) of b_s (``_pole_sizes``) at s = D + K, summed
-    over t >= T as T^(1-s)/(s-1), with the bound's factor
-    (1 - n/T)^-degQ (and for the derived kind the weight s(s+1)/2 and
-    T^-2).  It is an estimate, not a bound: on the criterion-1 forms it
-    reads within 21 digits of the certified bound at K = 128..512, and
-    the search ends at this K or one doubling from it."""
-    a, n = spec.a, spec.n
-    degQ, _qbits, cbits = _pole_sizes(spec)
-    D = a + 2 * n * (a - 6 * spec.r)
-    K = 64
-    while K <= _LAURENT_K_CAP:
-        s = D + K
-        est = ((1 + cbits) * _LOG10_2 + degQ * math.log10(T / (T - n))
-               + (s - a) * math.log10(n)
-               + (math.lgamma(s) - math.lgamma(a) - math.lgamma(s - a + 1)) / _LN10
-               - (s - 1) * math.log10(T) - math.log10(s - 1))
-        if kind == DOUBLE_DERIVED:
-            est += math.log10(s * (s + 1) / 2) - 2 * math.log10(T)
-        if est < tol:
-            break
-        K *= 2
-    return K
-
-
-def _laurent_cost(spec: FormSpec, K: int, wdps: int) -> float:
-    """Estimated microseconds of the Laurent route at K coefficients: the
-    construction, the long division to K (b_s has about
-    log2 |c| + s log2 n bits, ``_pole_sizes``), and the K/2 power sums
-    of ``tail_value`` (the summand is even or odd in t, so every other
-    b_s is 0).  The head of a few dozen terms is left out.  A tail held
-    in ``_LAURENT_CACHE`` is priced as if it were not, so the estimate
-    depends on its arguments alone."""
-    degQ, qbits, cbits = _pole_sizes(spec)
-    build = degQ ** 2 * (_COST_BUILD[0] + _COST_BUILD[1] * qbits)
-    bits = K * cbits + math.log2(spec.n) * K * K / 2
-    division = degQ * (K * _COST_DIVISION[0] + _COST_DIVISION[1] * qbits * bits)
-    return build + division + _COST_POWER_SUM * wdps * K / 2
-
-
 @dataclass(frozen=True)
 class _Route:
     """The split point T, the Laurent coefficient count K (None for the
-    direct route) and the log10 tail bound at them, with the estimates
-    in microseconds the choice weighed (None: not estimated)."""
+    direct route) and the log10 tail bound at them."""
 
     T: int
     K: int | None
     bound: float
-    direct_us: float | None = None
-    laurent_us: float | None = None
 
 
-def _route(spec: FormSpec, kind: str, t0: int, tol: float, wdps: int) -> _Route:
-    """The route of least estimated cost for the series to 10^tol.
+def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
+    """The route of the series to 10^tol, from one comparison.
 
-    Direct: the head up to the first split whose elementary tail bound
-    meets tol (``_direct_split``), estimated as terms times the bits of
-    its scale P times a per-kind factor.  Laurent: a head up to
-    T = max(2 t0, 48) and the least K = 64 2^j whose certified
-    bound meets tol, estimated by ``_laurent_cost``.  K is learnt only by
-    building the tail, so each step of the search is first estimated at
-    its K or at the K the search is estimated to end at
-    (``_laurent_least_K``), whichever is larger, and the search stops
-    for direct as soon as that estimate reaches direct's: where direct
-    is cheaper than Laurent at that K, the tail is never built.
-    Direct is the only route past the Laurent degree cap, Laurent the
-    only one where direct cannot reach tol within its caps.  Both
-    estimates read only the arguments, and a certified bound at K is the
+    Direct: the head up to the first split T whose elementary tail bound
+    meets tol (``_direct_split``).  Laurent: a head up to
+    T = max(2 t0, 48) and the least K = 64 2^j whose certified bound meets
+    tol.  Direct is taken where ``_direct_split`` finds its T and either
+    degQ = a(2n+1) is past the Laurent degree cap or
+
+        w (T - t0) <= 0.41 degQ^2,   w = 1 plain, 3 double-derived;
+
+    the Laurent route everywhere else, with direct again where no K within
+    _LAURENT_K_CAP meets tol.  Direct is the only route past the degree
+    cap, Laurent the only one where direct cannot reach tol within its cap.
+
+    * w = 3: a double-derived term makes three products at the head's
+      scale 2^P where a plain one makes one (timings of the two loops put
+      the ratio at 3.2).
+    * degQ^2: building the tail multiplies out degQ linear factors.
+    * 0.41 (_DIRECT_PER_DEGQ2): between the two criterion-1 forms nearest
+      the boundary at 250 digits, guard 25.  (13,1,5) plain sits at 0.400
+      and stays direct, (13,1,6) derived at 0.428 and takes the tail; both
+      are near ties, at an estimated 21.7 ms direct against 23.7 ms
+      Laurent and 34.4 ms against 27.1 ms.
+
+    The rule reads only the arguments, and a certified bound at K is the
     same from a held tail divided further (its residual at K is kept), so
     the route does not depend on what earlier calls left in
-    ``_LAURENT_CACHE``.
+    ``_LAURENT_CACHE``; a direct route builds no tail.
     """
     T = _direct_split(spec, kind, t0, tol)
-    direct = None
-    if T is not None:
-        direct = _Route(T, None, _elementary_tail_bound_log10(spec, kind, T),
-                        direct_us=_COST_DIRECT[kind] * (T - t0) * _head_bits(T - t0, tol))
-        if spec.a * (2 * spec.n + 1) > _LAURENT_DEGREE_CAP:
-            return direct
+    direct = None if T is None else _Route(T, None, _elementary_tail_bound_log10(spec, kind, T))
+    degQ = spec.a * (2 * spec.n + 1)
+    weight = 3 if kind == DOUBLE_DERIVED else 1
+    if direct is not None and (degQ > _LAURENT_DEGREE_CAP
+                               or weight * (T - t0) <= _DIRECT_PER_DEGQ2 * degQ ** 2):
+        return direct
     T = max(2 * t0, 48)             # 2 t0 > 2n + 2, the least T of the tail bound
-    least = _laurent_least_K(spec, kind, T, tol)
     K = 64
-    laurent_us = None
     while K <= _LAURENT_K_CAP:
-        laurent_us = _laurent_cost(spec, max(K, least), wdps)
-        if direct is not None and laurent_us >= direct.direct_us:
-            break
         bound = _laurent_for(spec).tail_bound_log10(kind, K, T)
         if bound < tol:
-            return _Route(T, K, bound, None if direct is None else direct.direct_us,
-                          laurent_us)
+            return _Route(T, K, bound)
         K *= 2
     if direct is None:
         raise ArithmeticError(
             f"Laurent tail for {spec} does not reach 10^{tol}; "
             "raise the split point or lower the precision target")
-    return replace(direct, laurent_us=laurent_us)
+    return direct
 
 
 def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
@@ -966,22 +894,22 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
                   wdps: int | None = None) -> EvalResult:
     """Evaluate the defining series with a certified absolute error bound.
 
-    Takes the route of least estimated cost (``_route``): plain
-    truncation where the elementary tail bound meets the target, or a
-    short head completed by the certified Laurent tail.  The head is
-    summed on integers scaled by 2^P (``_head_value``) and the tail on
-    integers scaled by 2^P' (``LaurentTail.tail_value``); both are brought
-    to the larger scale by exact shifts and added, and the sum is
-    converted to mpf once, at wdps.  That rounding is at most 2^(b - prec)
-    units of a b-bit sum, and joins the head's floor errors in the bound.
-    The result carries both routes' estimates.
+    Takes the route of ``_route``: plain truncation where the elementary
+    tail bound meets the target, or a short head completed by the
+    certified Laurent tail.  The head is summed on integers scaled by 2^P
+    (``_head_value``) and the tail on integers scaled by 2^P'
+    (``LaurentTail.tail_value``, within 10^(tol-2) of the truncated
+    expansion's sum); both are brought to the larger scale by exact shifts
+    and added, and the sum is converted to mpf once, at wdps.  That
+    rounding is at most 2^(b - prec) units of a b-bit sum, and joins the
+    head's floor errors in the bound.
     """
     if kind not in (PLAIN, DOUBLE_DERIVED):
         raise ValueError(f"unknown kind {kind!r}")
     wdps = wdps or ctx.workdps
     tol = abs_tol_log10 if abs_tol_log10 is not None else -(ctx.digits + ctx.guard // 2)
     t0 = build_summand(spec).first_nonzero_term()
-    route = _route(spec, kind, t0, tol, wdps)
+    route = _route(spec, kind, t0, tol)
     total, err, P = _head_value(spec, kind, t0, route.T, tol)
     scale, bound = P, route.bound
     if route.K is not None:
@@ -989,15 +917,14 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
         scale = max(P, tail_P)
         total = (total << (scale - P)) + (tail << (scale - tail_P))
         err <<= scale - P
-        bound = _log10_add(bound, tol)
+        bound = _log10_add(bound, tol - 2)
     with mp.workdps(wdps):
         value = mp.ldexp(mpf(total), -scale)
         err += 1 << max(0, abs(total).bit_length() - mp.prec)
     return EvalResult(value=value, method="direct" if route.K is None else "direct+laurent",
                       split_T=route.T, terms=route.T - t0,
                       tail_bound_log10=_log10_add(bound, math.log10(err) - scale * _LOG10_2),
-                      laurent_K=route.K, work_bits=P,
-                      direct_cost_us=route.direct_us, laurent_cost_us=route.laurent_us)
+                      laurent_K=route.K, work_bits=P)
 
 
 def _log10_abs_sum(coeffs) -> float:

@@ -365,7 +365,6 @@ class DenominatorReport:
     exponent: int
     d2n: int
     passed: bool
-    scaled: dict[str, int] = field(hash=False)
 
 
 def denominator_check(form: ZetaLinearForm) -> DenominatorReport:
@@ -373,15 +372,10 @@ def denominator_check(form: ZetaLinearForm) -> DenominatorReport:
     spec = form.spec
     d2n = lcm_upto(2 * spec.n)
     mult = d2n ** (spec.a + 2)
-    scaled: dict[str, int] = {}
-    ok = True
-    items = [("l0", form.constant)] + [(f"l{i}", form.zeta_coeffs[i]) for i in sorted(form.zeta_coeffs)]
-    for name, coeff in items:
-        q, rem = divmod(mult, coeff.denominator)
-        scaled[name] = 0 if rem else coeff.numerator * q
-        ok = ok and not rem
+    ok = all(mult % c.denominator == 0
+             for c in (form.constant, *form.zeta_coeffs.values()))
     return DenominatorReport(spec=spec, kind=form.kind, exponent=spec.a + 2,
-                             d2n=d2n, passed=ok, scaled=scaled)
+                             d2n=d2n, passed=ok)
 
 
 def smallest_clearing_exponent(form: ZetaLinearForm) -> int | None:

@@ -75,7 +75,6 @@ class RankResult:
     rank_via_pivots: int
     rank_via_kernel: int
     kernel_basis: tuple[tuple[Fraction, ...], ...]
-    minimal_subspace_dim: int
 
     @property
     def routes_agree(self) -> bool:
@@ -114,14 +113,9 @@ def rational_rank(columns: Sequence[SymVector], fld: SymbolField) -> RankResult:
             if s != 0:
                 raise ArithmeticError("kernel vector fails re-verification")
         kernel.append(tuple(v))
-    rank_kernel = p - len(kernel)
-    if rank != rank_kernel:
-        raise ArithmeticError(
-            f"rank routes disagree: pivots={rank}, kernel={rank_kernel}")
     return RankResult(rank=rank, rank_via_pivots=rank,
-                      rank_via_kernel=rank_kernel,
-                      kernel_basis=tuple(kernel),
-                      minimal_subspace_dim=rank)
+                      rank_via_kernel=p - len(kernel),
+                      kernel_basis=tuple(kernel))
 
 
 def scalar_rank(values: Sequence[SymEntry], fld: SymbolField) -> int:

@@ -350,6 +350,15 @@ def test_unreadable_digits_variable_is_input_error(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid-digits"
 
 
+def test_dps_option_takes_precedence_over_the_digits_variable(monkeypatch, tmp_path):
+    # the variable applies only where the option is not given
+    monkeypatch.setenv("ZETAFORMS_DIGITS", "30")
+    out = tmp_path / "saddle.json"
+    for argv, dps in ((["--dps", "60"], 60), ([], 30)):
+        assert run(["asymptotics", "--a", "13", "--r", "2", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["precision_dps"] == dps
+
+
 def test_rates_csv(tmp_path):
     out = tmp_path / "rates.csv"
     code = run(["rates", "--a", "13", "--r", "2", "--n-range", "20..22",

@@ -664,14 +664,25 @@ def _criterion_1_series(spec, monkeypatch):
     # derived: Laurent at K = 256 took 18-30 ms, the 4096 direct terms 22-31 ms
     ((13, 1, 6), ("direct", "direct+laurent")),
 ])
-def test_route_of_least_estimated_cost_at_criterion_1(abc, routes, monkeypatch):
+def test_route_of_forms_with_a_direct_split_at_criterion_1(abc, routes, monkeypatch):
     for res, route in zip(_criterion_1_series(FormSpec(*abc), monkeypatch), routes):
         assert res.method == route
-        assert res.laurent_cost_us is not None
-        if res.direct_cost_us is not None:
-            assert (res.direct_cost_us < res.laurent_cost_us) == (route == "direct")
-        else:
-            assert route == "direct+laurent"       # direct cannot reach the target
+
+
+@pytest.mark.parametrize("abc, kind, ctx", [
+    ((7, 1, 2), PLAIN, PrecisionContext(100, 20)),
+    ((7, 1, 2), DOUBLE_DERIVED, PrecisionContext(100, 20)),
+    ((9, 1, 1), PLAIN, CRITERION_1),
+    ((9, 1, 1), DOUBLE_DERIVED, CRITERION_1),
+    ((13, 1, 6), DOUBLE_DERIVED, CRITERION_1),
+])
+def test_laurent_route_bound_is_below_its_target(abc, kind, ctx):
+    # tail_value certifies the tail to 10^(tol-2), and the truncation bound
+    # at the route's K is below 10^tol, so the reported bound stays below
+    # the target the route was chosen to meet
+    res = eval_S_direct(FormSpec(*abc), kind, ctx)
+    assert res.method == "direct+laurent"
+    assert res.tail_bound_log10 < -(ctx.digits + ctx.guard // 2)
 
 
 def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
@@ -701,10 +712,9 @@ def test_route_at_large_n(kind, monkeypatch):
     spec = FormSpec(13, 2, 20)
     ctx = PrecisionContext(200, 25)
     t0 = build_summand(spec).first_nonzero_term()
-    route = highprec._route(spec, kind, t0, -(ctx.digits + ctx.guard // 2), ctx.workdps)
+    route = highprec._route(spec, kind, t0, -(ctx.digits + ctx.guard // 2))
     K = None if kind == PLAIN else 512
     assert route.K == K
-    assert (route.direct_us < route.laurent_us) == (K is None)
     assert bool(highprec._LAURENT_CACHE) == (K is not None)
 
 
@@ -723,6 +733,15 @@ def _criterion_1_grid():
     return grid
 
 
+# the criterion-1 forms summed directly, at their split T; every other
+# form takes the Laurent tail at T = 48 (or as listed) and K = 256, or
+# K = 512 for these specs and (spec, kind)s
+CRITERION_1_DIRECT = {((13, 1, 5), PLAIN): 8192, ((13, 1, 6), PLAIN): 4096}
+CRITERION_1_LAURENT_T = {(13, 2, 5): 52, (13, 2, 6): 62}
+CRITERION_1_K512 = {(7, 1, 5), (7, 1, 6), (9, 1, 6), (13, 2, 4), (13, 2, 5), (13, 2, 6),
+                    ((9, 1, 5), DOUBLE_DERIVED), ((11, 1, 6), DOUBLE_DERIVED)}
+
+
 def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
     # every decision of highprec is a function of its call's arguments:
     # two series values, a range of power sums and the routes of all 60
@@ -739,8 +758,8 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
         monkeypatch.setattr(highprec, "_TANGENT", [])
         monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
         before()
-        routes = {(spec, kind): highprec._route(spec, kind, t0, tol, wdps)
-                  for spec, kind, t0, wdps in order}
+        routes = {(spec, kind): highprec._route(spec, kind, t0, tol)
+                  for spec, kind, t0, _wdps in order}
         return [eval_S_direct(FormSpec(7, 1, 2), PLAIN, PrecisionContext(100, 20)),
                 eval_S_direct(FormSpec(13, 1, 6), DOUBLE_DERIVED, CRITERION_1,
                               wdps=derived_wdps),
@@ -753,27 +772,17 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
 
     fresh = run(grid)
     assert fresh[0].method == "direct+laurent"
+    # the routes of demos/laurent_routes.py
+    for (spec, kind), route in fresh[3].items():
+        abc = (spec.a, spec.r, spec.n)
+        if (abc, kind) in CRITERION_1_DIRECT:
+            assert (route.T, route.K) == (CRITERION_1_DIRECT[abc, kind], None)
+        else:
+            K = 512 if abc in CRITERION_1_K512 or (abc, kind) in CRITERION_1_K512 else 256
+            assert (route.T, route.K) == (CRITERION_1_LAURENT_T.get(abc, 48), K)
     assert run(grid, lambda: highprec._tangent(700)) == fresh
     assert run(grid, divide_tails) == fresh
     assert run(grid[::-1]) == fresh
-
-
-def test_least_K_within_one_doubling_of_the_search_at_criterion_1():
-    # _laurent_least_K estimates where the search for K ends: on every
-    # criterion-1 form the bound meets the target at that K or one
-    # doubling from it
-    tol = -(CRITERION_1.digits + CRITERION_1.guard // 2)
-    for a, r in ((7, 1), (9, 1), (11, 1), (13, 1), (13, 2)):
-        for n in range(1, 7):
-            spec = FormSpec(a, r, n)
-            T = max(2 * build_summand(spec).first_nonzero_term(), 48)
-            lt = highprec._laurent_for(spec)
-            for kind in (PLAIN, DOUBLE_DERIVED):
-                K = 64
-                while lt.tail_bound_log10(kind, K, T) >= tol:
-                    K *= 2
-                least = highprec._laurent_least_K(spec, kind, T, tol)
-                assert least // 2 <= K <= 2 * least
 
 
 @pytest.mark.parametrize("abc, kinds", [
