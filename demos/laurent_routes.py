@@ -7,8 +7,11 @@ point T, the Laurent coefficient count K the search ends at, the
 certified log10 tail bound, and the two sides of the comparison
 ``_route`` makes: the direct head's weighted terms w (T - t0) (w = 3 for
 the double-derived kind; "-" where direct summation cannot reach the
-target) and 0.41 degQ^2.  Only ``_route`` runs: Laurent tails are built
-and divided as far as the search goes, but no power sum is taken.
+target) and 0.41 degQ^2.  The Laurent tail splits at
+T = max(2 t0, 48, ceil(-tol)); on this grid that is the target's 262
+digits for every form, where the power sums start their expansion.
+Only ``_route`` runs: Laurent tails are built and divided as far as the
+search goes, but no power sum is taken.
 
 Run:  python demos/laurent_routes.py
 """

@@ -63,7 +63,8 @@ only, and no estimate reads a cache.  Five layers:
 * Tail completion.  Either an elementary bound
   sum_{t >= T} R(t) <= A(T) (T^-D + T^{1-D}/(D-1)) after a long head,
   where the decay exponent D lets it truncate outright, or the exact
-  Laurent expansion of R at infinity after a short one: R = sum b_s t^-s
+  Laurent expansion of R at infinity after a head up to the target's
+  digits, about where the power sums start their expansion: R = sum b_s t^-s
   with integer b_s from long division, whose truncation error is
   bounded from the division residual at the split point T, where each
   pole factor |1 - j/t| is at least 1 - n/T.  The tail then
@@ -76,6 +77,7 @@ only, and no estimate reads a cache.  Five layers:
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -86,6 +88,8 @@ from mpmath import mp, mpf
 from . import linear_forms
 from .linear_forms import (FormSpec, Summand, ZetaLinearForm, build_summand, PLAIN,
                            DOUBLE_DERIVED, _log_of_fraction)
+
+_log = logging.getLogger("zetaforms")
 
 
 @dataclass(frozen=True)
@@ -390,12 +394,16 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
     s's tolerance (its terms carry the least X^-s, so it binds) and N the
     count of needed s.  At X below D / (2 pi log10 e) = 0.37 D its terms
     bottom out above 10^-D; above that, they fall in number as the
-    direct part's X - x0 steps rise.  The criterion-1 grid's tails
-    (N = 128 or 256) took about the same time from X = 0.8 D to 1.3 D and
-    10 % more at 0.6 D.  With one exponent a direct step carries one row,
-    cheap against a table entry, so X sits 0.3 D further out: zeta(3..15)
-    at 900 digits then build 295 entries, 330 at X = D.  ``_em_tail_range``
-    grows X if an expansion bottoms out all the same."""
+    direct part's X - x0 steps rise.  Measured from x0 = 48, the
+    criterion-1 grid's tails (N = 128 or 256) took about the same time from
+    X = 0.8 D to 1.3 D and 10 % more at 0.6 D.  The Laurent tails now start
+    at the target's digits (``_route``), a little below D: on the grid,
+    x0 = 262 and X = 268 to 333.  There the 58 tails took 0.37-0.57 s at
+    X = D to 1.1 D, 0.55-0.60 s at 1.3 D and 0.63-0.65 s at 1.6 D.  With
+    one exponent a direct step carries one row, cheap against a table
+    entry, so X sits 0.3 D further out: zeta(3..15) at 900 digits then
+    build 295 entries, 330 at X = D.  ``_em_tail_range`` grows X if an
+    expansion bottoms out all the same."""
     return max(x0, math.ceil(-needed[0][1] * (1 + 0.3 / len(needed))))
 
 
@@ -784,7 +792,7 @@ class EvalResult:
 
 
 _DIRECT_TERM_CAP = 250_000
-_LAURENT_K_CAP = 16384
+_LAURENT_K_CAP = 8192
 _GUARD_BITS = 64
 # direct heads of up to this many weighted terms per degQ^2 of the Laurent
 # tail are summed rather than expanded (``_route``)
@@ -843,9 +851,9 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
 
     Direct: the head up to the first split T whose elementary tail bound
     meets tol (``_direct_split``).  Laurent: a head up to
-    T = max(2 t0, 48) and the least K = 64 2^j whose certified bound meets
-    tol.  Direct is taken where ``_direct_split`` finds its T and either
-    degQ = a(2n+1) is past the Laurent degree cap or
+    T = max(2 t0, 48, ceil(-tol)) and the least K = 64 2^j whose certified
+    bound meets tol.  Direct is taken where ``_direct_split`` finds its T
+    and either degQ = a(2n+1) is past the Laurent degree cap or
 
         w (T - t0) <= 0.41 degQ^2,   w = 1 plain, 3 double-derived;
 
@@ -858,35 +866,58 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
       the ratio at 3.2).
     * degQ^2: building the tail multiplies out degQ linear factors.
     * 0.41 (_DIRECT_PER_DEGQ2): between the two criterion-1 forms nearest
-      the boundary at 250 digits, guard 25.  (13,1,5) plain sits at 0.400
-      and stays direct, (13,1,6) derived at 0.428 and takes the tail; both
-      are near ties, at an estimated 21.7 ms direct against 23.7 ms
-      Laurent and 34.4 ms against 27.1 ms.
+      the boundary at 250 digits, guard 25, timed with the Laurent split at
+      max(2 t0, 48).  (13,1,5) plain sits at 0.400 and stays direct,
+      (13,1,6) derived at 0.428 and takes the tail; both were near ties,
+      at an estimated 21.7 ms direct against 23.7 ms Laurent and 34.4 ms
+      against 27.1 ms.  At the split max(2 t0, 48, ceil(-tol)) the rule
+      is not refitted: there (13,1,5) plain took 13-22 ms direct against
+      7-13 ms Laurent, and (13,1,6) plain 8-11 ms against 11-17 ms (fresh
+      processes, 2-vCPU host).
+    * ceil(-tol), the target's digits: ``_em_tail_range`` sums its direct
+      part from T up to the expansion point about that far out
+      (``_em_point``), one floor per (m, s) for each of the tail's K
+      exponents, where the head takes each of those t with one product
+      (plain) or three (derived).  Split there, the power sums directly sum
+      only the m from T to X, 6 to 71 on the criterion-1 grid, and the
+      tail needs about half the K.
 
     The rule reads only the arguments, and a certified bound at K is the
     same from a held tail divided further (its residual at K is kept), so
     the route does not depend on what earlier calls left in
-    ``_LAURENT_CACHE``; a direct route builds no tail.
+    ``_LAURENT_CACHE``; a direct route builds no tail.  Each decision is
+    logged at DEBUG on the "zetaforms" logger: the route, T and what set
+    it, K and the bound, and both sides of the comparison.
     """
     T = _direct_split(spec, kind, t0, tol)
     direct = None if T is None else _Route(T, None, _elementary_tail_bound_log10(spec, kind, T))
     degQ = spec.a * (2 * spec.n + 1)
-    weight = 3 if kind == DOUBLE_DERIVED else 1
-    if direct is not None and (degQ > _LAURENT_DEGREE_CAP
-                               or weight * (T - t0) <= _DIRECT_PER_DEGQ2 * degQ ** 2):
-        return direct
-    T = max(2 * t0, 48)             # 2 t0 > 2n + 2, the least T of the tail bound
+    head = None if T is None else (3 if kind == DOUBLE_DERIVED else 1) * (T - t0)
+    budget = _DIRECT_PER_DEGQ2 * degQ ** 2
+
+    def decided(route: _Route, how: str) -> _Route:
+        _log.debug("%s %s to 10^%g: %s, T = %d, K = %s, bound %.1f; "
+                   "weighted head %s against 0.41 degQ^2 = %.0f",
+                   spec, kind, tol, how, route.T, route.K, route.bound, head, budget)
+        return route
+
+    if direct is not None and (degQ > _LAURENT_DEGREE_CAP or head <= budget):
+        return decided(direct, "direct")
+    # 2 t0 > 2n + 2, the least T of the tail bound
+    splits = {"2 t0": 2 * t0, "48": 48, "the target's digits": math.ceil(-tol)}
+    why = max(splits, key=splits.get)
+    T = splits[why]
     K = 64
     while K <= _LAURENT_K_CAP:
         bound = _laurent_for(spec).tail_bound_log10(kind, K, T)
         if bound < tol:
-            return _Route(T, K, bound)
+            return decided(_Route(T, K, bound), f"laurent split at {why}")
         K *= 2
     if direct is None:
         raise ArithmeticError(
             f"Laurent tail for {spec} does not reach 10^{tol}; "
             "raise the split point or lower the precision target")
-    return direct
+    return decided(direct, f"direct, no K <= {_LAURENT_K_CAP} at T = {T}")
 
 
 def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,

@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 from functools import partial
@@ -659,9 +660,9 @@ def _criterion_1_series(spec, monkeypatch):
     ((13, 1, 3), ("direct+laurent", "direct+laurent")),    # derived: 131k direct terms
     ((11, 1, 5), ("direct+laurent", "direct+laurent")),
     ((13, 1, 4), ("direct+laurent", "direct+laurent")),
-    # derived: Laurent at K = 256 took 26-46 ms, the 8192 direct terms 41-71 ms
+    # derived: Laurent at K = 128 took 9-13 ms, the 8192 direct terms 48-85 ms
     ((13, 1, 5), ("direct", "direct+laurent")),
-    # derived: Laurent at K = 256 took 18-30 ms, the 4096 direct terms 22-31 ms
+    # derived: Laurent at K = 128 took 14-16 ms, the 4096 direct terms 35-42 ms
     ((13, 1, 6), ("direct", "direct+laurent")),
 ])
 def test_route_of_forms_with_a_direct_split_at_criterion_1(abc, routes, monkeypatch):
@@ -705,8 +706,8 @@ def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
 
 @pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
 def test_route_at_large_n(kind, monkeypatch):
-    # at (13,2,20) the derived series took 0.55-0.59 s by the Laurent tail
-    # (K = 512, T = 202) and 1.97-2.45 s by direct summation; the plain one
+    # at (13,2,20) the derived series took 0.33-0.34 s by the Laurent tail
+    # (K = 512, T = 212) and 1.20-1.27 s by direct summation; the plain one
     # stays direct and builds no tail.  Only the choice is made here
     monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
     spec = FormSpec(13, 2, 20)
@@ -734,12 +735,11 @@ def _criterion_1_grid():
 
 
 # the criterion-1 forms summed directly, at their split T; every other
-# form takes the Laurent tail at T = 48 (or as listed) and K = 256, or
-# K = 512 for these specs and (spec, kind)s
+# form takes the Laurent tail at T = 262, the target's digits, and K = 128,
+# or K = 256 for these specs
 CRITERION_1_DIRECT = {((13, 1, 5), PLAIN): 8192, ((13, 1, 6), PLAIN): 4096}
-CRITERION_1_LAURENT_T = {(13, 2, 5): 52, (13, 2, 6): 62}
-CRITERION_1_K512 = {(7, 1, 5), (7, 1, 6), (9, 1, 6), (13, 2, 4), (13, 2, 5), (13, 2, 6),
-                    ((9, 1, 5), DOUBLE_DERIVED), ((11, 1, 6), DOUBLE_DERIVED)}
+CRITERION_1_K256 = {(7, 1, 3), (7, 1, 4), (7, 1, 5), (7, 1, 6),
+                    (13, 2, 3), (13, 2, 4), (13, 2, 5), (13, 2, 6)}
 
 
 def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
@@ -778,11 +778,63 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
         if (abc, kind) in CRITERION_1_DIRECT:
             assert (route.T, route.K) == (CRITERION_1_DIRECT[abc, kind], None)
         else:
-            K = 512 if abc in CRITERION_1_K512 or (abc, kind) in CRITERION_1_K512 else 256
-            assert (route.T, route.K) == (CRITERION_1_LAURENT_T.get(abc, 48), K)
+            assert (route.T, route.K) == (262, 256 if abc in CRITERION_1_K256 else 128)
     assert run(grid, lambda: highprec._tangent(700)) == fresh
     assert run(grid, divide_tails) == fresh
     assert run(grid[::-1]) == fresh
+
+
+@pytest.mark.parametrize("abc", [(9, 1, 1), (11, 1, 6)])
+@pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
+def test_laurent_split_at_the_target_digits(abc, kind, monkeypatch):
+    # the head runs up to the target's digits, about where the power sums
+    # start their expansion, and the power sums start at the split
+    spec = FormSpec(*abc)
+    tol = -(CRITERION_1.digits + CRITERION_1.guard // 2)
+    t0 = build_summand(spec).first_nonzero_term()
+    route = highprec._route(spec, kind, t0, tol)
+    assert route.K is not None and route.T >= math.ceil(-tol)
+    starts = []
+    real = highprec._em_tail_range
+
+    def spy(s_lo, s_hi, x0, tols):
+        starts.append(x0)
+        return real(s_lo, s_hi, x0, tols)
+
+    monkeypatch.setattr(highprec, "_em_tail_range", spy)
+    res = eval_S_direct(spec, kind, CRITERION_1)
+    assert (res.split_T, res.laurent_K) == (route.T, route.K)
+    assert starts == [route.T]
+
+
+@pytest.mark.parametrize("abc, kind, digits, K", [
+    ((7, 1, 1), PLAIN, 16000, 4096),
+    ((7, 1, 1), PLAIN, 24000, 8192),
+    ((11, 1, 6), DOUBLE_DERIVED, 12000, 4096),
+    ((13, 1, 6), DOUBLE_DERIVED, 12000, 4096),
+])
+def test_laurent_reach_within_the_K_cap(abc, kind, digits, K):
+    # inputs the split at max(2 t0, 48) reached with K = 16384 still take
+    # the Laurent tail within the halved cap (the targets of the CLI's
+    # --residual-digits, guard 20); only the route is found here
+    spec = FormSpec(*abc)
+    t0 = build_summand(spec).first_nonzero_term()
+    route = highprec._route(spec, kind, t0, -(digits + 10))
+    assert route.K == K <= highprec._LAURENT_K_CAP
+
+
+def test_route_decision_is_logged(caplog):
+    spec = FormSpec(11, 1, 6)
+    tol = -(CRITERION_1.digits + CRITERION_1.guard // 2)
+    t0 = build_summand(spec).first_nonzero_term()
+    with caplog.at_level(logging.DEBUG, logger="zetaforms"):
+        route = highprec._route(spec, PLAIN, t0, tol)
+    (record,) = caplog.records
+    assert record.name == "zetaforms" and record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "laurent split at the target's digits" in message
+    assert f"T = 262, K = {route.K}, bound {route.bound:.1f}" in message
+    assert "weighted head 32749 against 0.41 degQ^2 = 8384" in message
 
 
 @pytest.mark.parametrize("abc, kinds", [
