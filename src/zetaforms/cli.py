@@ -398,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact coefficients are written past the 4300-digit default cap
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

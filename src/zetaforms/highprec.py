@@ -5,8 +5,8 @@ one conversion to mpf per result, made at the precision the caller
 passes (``PrecisionContext.workdps`` or ``wdps``); the integer kernels
 read no mp.prec, and no cache holds a precision.  Every value and every
 decision (the route of a series, its split point and K, an expansion
-point) is a function of its call's arguments: the caches hold exact data
-only, and no estimate reads a cache.  Five layers:
+point) is a function of its call's arguments; the one table held across
+calls is the exact tangent numbers, which no estimate reads.  Five layers:
 
 * Zeta values.  ``_zeta_borwein`` sums Borwein's alternating series on
   exact integers: the coefficients d_k depend only on the term count n,
@@ -65,21 +65,21 @@ only, and no estimate reads a cache.  Five layers:
   where the decay exponent D lets it truncate outright, or the exact
   Laurent expansion of R at infinity after a head up to the target's
   digits, about where the power sums start their expansion: R = sum b_s t^-s
-  with integer b_s from long division, whose truncation error is
-  bounded from the division residual at the split point T, where each
-  pole factor |1 - j/t| is at least 1 - n/T.  The tail then
-  becomes a finite combination of certified power-sum tails, an exact
-  integer sum.  ``_route`` chooses between them by one comparison, of
-  the direct head's length with the square of the tail's degree, and
-  builds the Laurent expansion only where it takes that route;
-  ``eval_S_direct`` adds the head and the tail by exact shifts and
-  converts once.
+  with integer b_s from long division in y = 1/t^2 (every other b_s is 0),
+  whose truncation error is bounded from the division residual at the
+  split point T, where each pole factor |1 - j/t| is at least 1 - n/T.
+  The tail then becomes a finite combination of certified power-sum
+  tails, an exact integer sum.  ``_route`` chooses between them by one
+  comparison, of the direct head's length with the square of the tail's
+  degree, builds the Laurent expansion only where it takes that route,
+  and hands it on the route to ``eval_S_direct``, which adds the head and
+  the tail by exact shifts and converts once.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -492,15 +492,32 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
 # Laurent expansion of the summand at infinity
 
 
-def _int_poly_from_roots(scale: int, roots: Iterable[tuple[int, int]]) -> list[int]:
-    out = [scale]
-    for root, mult in roots:
-        for _ in range(mult):
-            nxt = [0] * (len(out) + 1)
-            for i, c in enumerate(out):
-                nxt[i] -= root * c
-                nxt[i + 1] += c
-            out = nxt
+def _even_poly(scale: int, roots: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """(g, deg) with scale prod (t - c)^e = t^deg g(1/t^2) over the (root c,
+    multiplicity e) pairs.  The roots must pair up as +-c, all of one
+    multiplicity e, or ValueError is raised; f = prod_{c > 0} (1 - c^2 y)
+    is multiplied out and g = scale f^e made by J.C.P. Miller's recurrence
+    k g_k = sum_{i=1..k} ((e+1) i - k) f_i g_{k-i}, exact as f_0 = 1."""
+    mult: dict[int, int] = {}
+    for c, e in roots:
+        mult[c] = mult.get(c, 0) + e
+    e = max(mult.values())
+    if any(mult.get(-c) != e for c in mult):
+        raise ValueError("the roots do not pair up as +-c of one multiplicity")
+    f = [1]
+    for c in sorted(c for c in mult if c > 0):
+        f = [u - c * c * v for u, v in zip(f + [0], [0] + f)]
+    d = len(f) - 1
+    g = [scale]
+    for k in range(1, e * d + 1):
+        g.append(sum(((e + 1) * i - k) * f[i] * g[k - i] for i in range(1, min(k, d) + 1)) // k)
+    return g, sum(mult.values())
+
+
+def _in_x(c: Sequence[int], odd: int, length: int) -> list[int]:
+    """The coefficients in x of x^odd c(x^2), as a list of ``length``."""
+    out = [0] * length
+    out[odd:odd + 2 * len(c):2] = c
     return out
 
 
@@ -527,20 +544,21 @@ def _radius_norms_log10(c: Sequence[int], T: int) -> tuple[float, float, float]:
 class LaurentTail:
     """Expansion R(t) = sum_{s >= D} b_s t^{-s} with exact error control.
 
-    Writing x = 1/t, R = x^D p(x)/q(x) with integer polynomials and
-    q(x) = prod_{|j| <= n} (1 - j x)^a; long division yields integer
-    coefficients b and, after K steps, an exact residual e(x) of degree
-    below degQ with
+    The summand's roots and poles pair up as +-c, so with x = 1/t and
+    y = x^2, R = x^D p(y)/q(y) with q(y) = prod_{j=1..n} (1 - j^2 y)^a and
+    p(y) = scale prod_c (1 - c^2 y)^3 (``_even_poly``).  Long division in y
+    yields the integer b_{D+2i}, with the zero b_{D+2i+1} written between,
+    and after K steps in x an exact residual e(x) = x^(K mod 2) e_y(x^2)
+    (e_y after ceil(K/2) steps in y) of degree below degQ = a(2n+1) with
 
-        R(t) - W_K(t) = t^{-D-K} e(1/t) / q(1/t).
+        R(t) - W_K(t) = t^{-D-K} e(1/t) / q(1/t^2).
 
     For t >= T > n every factor |1 - j/t| is at least 1 - n/T, so
-    |q(1/t)| >= (1 - n/T)^degQ, and the coefficient norms of e and q at
+    |q| >= (1 - n/T)^degQ, and the coefficient norms in x of e and q at
     radius 1/T turn the residual into explicit tail bounds, for the
     function itself and for (1/2) of its second derivative
-    (``tail_bound_log10``).  The residual is kept at K = 0 and at every
-    K = 64 2^j the division passes, the counts the search of ``_route``
-    asks for, so a tail divided further still bounds each of them.
+    (``tail_bound_log10``).  Only the residual at the count divided to is
+    held, and each tail is built by the call that reads it.
     """
 
     def __init__(self, summand: Summand):
@@ -553,26 +571,18 @@ class LaurentTail:
                 "Large n has a steep decay exponent: use plain truncation.")
         self.n = spec.n
         self.min_t = 2 * self.n + 2
-        P = _int_poly_from_roots(summand.scale, summand.numerator_roots)
-        Q = _int_poly_from_roots(1, [(j, summand.pole_order) for j in summand.poles])
-        assert Q[-1] == 1
-        self.D = (len(Q) - 1) - (len(P) - 1)
-        self.degQ = len(Q) - 1
-        self.q_rev = Q[::-1]
-        self._q_tail = self.q_rev[1:]
+        p, deg_p = _even_poly(summand.scale, summand.numerator_roots)
+        q, self.degQ = _even_poly(1, [(j, summand.pole_order) for j in summand.poles])
+        self.D = self.degQ - deg_p
+        self._q_tail = q[1:]
+        self._q_x = _in_x(q, 0, self.degQ + 1)
         self.b: list[int] = []
-        # e_0..e_{degQ-1} after len(b) steps; each step makes a new list,
-        # so the residuals kept (K -> e) are not copies
-        self._e = P[::-1] + [0] * (self.D - 1)
-        self._kept = {0: self._e}
-        # T -> log10 of 1/(1 - n/T)^degQ and of q's norms at radius 1/T
-        self._at_T: dict[int, tuple[float, float, float, float]] = {}
+        # e_y after ceil(len(b)/2) steps, of degree below deg q
+        self._e = p + [0] * (len(q) - 1 - len(p))
 
     def _step(self, e: list[int]) -> list[int]:
-        """The residual one division step after e: e/x - e_0 q/x."""
+        """The residual in y one division step after e: e/y - e_0 q/y."""
         c = e[0]
-        if not c:
-            return e[1:] + [0]
         q = self._q_tail
         out = [x - c * y for x, y in zip(islice(e, 1, None), q)]
         out.append(-c * q[-1])
@@ -581,34 +591,21 @@ class LaurentTail:
     def extend(self, K: int) -> None:
         e = self._e
         for k in range(len(self.b), K):
-            self.b.append(e[0])
-            e = self._step(e)
-            if k + 1 >= 64 and not k & (k + 1):     # k + 1 = 64 2^j
-                self._kept[k + 1] = e
+            if k & 1:
+                self.b.append(0)
+            else:
+                self.b.append(e[0])
+                e = self._step(e)
         self._e = e
 
-    def _residual(self, K: int) -> list[int]:
-        """e after K steps: the current one, or the division redone from
-        the nearest residual kept below K."""
-        self.extend(K)
-        if K == len(self.b):
-            return self._e
-        start = max(k for k in self._kept if k <= K)
-        e = self._kept[start]
-        for _ in range(start, K):
-            e = self._step(e)
-        return e
-
-    def _q_at(self, T: int) -> tuple[float, float, float, float]:
-        held = self._at_T.get(T)
-        if held is None:
-            held = self._at_T[T] = (self.degQ * math.log10(T / (T - self.n)),
-                                    *_radius_norms_log10(self.q_rev, T))
-        return held
+    def _held_residual(self) -> list[int]:
+        """e(x) after len(b) steps in x, its zero coefficients put back."""
+        return _in_x(self._e, len(self.b) & 1, self.degQ)
 
     def tail_bound_log10(self, kind: str, K: int, T: int) -> float:
         """Certified log10 bound for |sum_{t >= T} (R - W_K)(t)| (plain)
-        or the same for (1/2)(R - W_K)'' (double-derived).  T >= 2n+2.
+        or the same for (1/2)(R - W_K)'' (double-derived).  T >= 2n+2, and
+        K no less than the count the tail is divided to.
 
         Proof.  Let x = 1/t <= 1/T and v = D + K, so (R - W_K)(t) =
         x^v g(x) with g = e/q.  Every pole j has |j| <= n < T, so
@@ -629,10 +626,14 @@ class LaurentTail:
         """
         if T < self.min_t:
             raise ValueError(f"T must be >= {self.min_t}")
-        E0, E1, E2 = _radius_norms_log10(self._residual(K), T)
+        self.extend(K)
+        if K < len(self.b):
+            raise ValueError(f"the tail holds its residual at K = {len(self.b)}, not at {K}")
+        E0, E1, E2 = _radius_norms_log10(self._held_residual(), T)
         if E0 == float("-inf"):
             return E0
-        lm, Q0, Q1, Q2 = self._q_at(T)
+        lm = self.degQ * math.log10(T / (T - self.n))
+        Q0, Q1, Q2 = _radius_norms_log10(self._q_x, T)
         lgT = math.log10(T)
         v = self.D + K
         if kind == PLAIN:
@@ -669,19 +670,6 @@ class LaurentTail:
         tols = [tol_log10 - math.log10(abs(w)) - spread if w else None for w in weights]
         P, tails = _em_tail_range(self.D + shift, self.D + K - 1 + shift, T, tols)
         return sum(w * z for w, z in zip(weights, tails) if w), P
-
-
-# spec -> its Laurent tail: exact b_s and kept residuals, read for values
-# and bounds; no route reads whether a tail is held
-_LAURENT_CACHE: dict[FormSpec, LaurentTail] = {}
-
-
-def _laurent_for(spec: FormSpec) -> LaurentTail:
-    lt = _LAURENT_CACHE.get(spec)
-    if lt is None:
-        lt = LaurentTail(build_summand(spec))
-        _LAURENT_CACHE[spec] = lt
-    return lt
 
 
 # ---------------------------------------------------------------------------
@@ -839,11 +827,13 @@ def _direct_split(spec: FormSpec, kind: str, t0: int, tol: float) -> int | None:
 @dataclass(frozen=True)
 class _Route:
     """The split point T, the Laurent coefficient count K (None for the
-    direct route) and the log10 tail bound at them."""
+    direct route), the log10 tail bound at them, and the Laurent tail the
+    search divided to K (None for the direct route)."""
 
     T: int
     K: int | None
     bound: float
+    tail: LaurentTail | None = field(default=None, compare=False, repr=False)
 
 
 def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
@@ -864,7 +854,8 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
     * w = 3: a double-derived term makes three products at the head's
       scale 2^P where a plain one makes one (timings of the two loops put
       the ratio at 3.2).
-    * degQ^2: building the tail multiplies out degQ linear factors.
+    * degQ^2: building the tail multiplied out degQ linear factors when
+      0.41 was fitted; it stays until it is refitted to the build in y.
     * 0.41 (_DIRECT_PER_DEGQ2): between the two criterion-1 forms nearest
       the boundary at 250 digits, guard 25, timed with the Laurent split at
       max(2 t0, 48).  (13,1,5) plain sits at 0.400 and stays direct,
@@ -882,10 +873,9 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
       only the m from T to X, 6 to 71 on the criterion-1 grid, and the
       tail needs about half the K.
 
-    The rule reads only the arguments, and a certified bound at K is the
-    same from a held tail divided further (its residual at K is kept), so
-    the route does not depend on what earlier calls left in
-    ``_LAURENT_CACHE``; a direct route builds no tail.  Each decision is
+    The rule reads only the arguments.  The Laurent route builds its tail
+    here, divides it forward through the K it tries and carries it to
+    ``eval_S_direct``; a direct route builds no tail.  Each decision is
     logged at DEBUG on the "zetaforms" logger: the route, T and what set
     it, K and the bound, and both sides of the comparison.
     """
@@ -907,16 +897,17 @@ def _route(spec: FormSpec, kind: str, t0: int, tol: float) -> _Route:
     splits = {"2 t0": 2 * t0, "48": 48, "the target's digits": math.ceil(-tol)}
     why = max(splits, key=splits.get)
     T = splits[why]
+    tail = LaurentTail(build_summand(spec))
     K = 64
     while K <= _LAURENT_K_CAP:
-        bound = _laurent_for(spec).tail_bound_log10(kind, K, T)
+        bound = tail.tail_bound_log10(kind, K, T)
         if bound < tol:
-            return decided(_Route(T, K, bound), f"laurent split at {why}")
+            return decided(_Route(T, K, bound, tail), f"laurent split at {why}")
         K *= 2
     if direct is None:
         raise ArithmeticError(
-            f"Laurent tail for {spec} does not reach 10^{tol}; "
-            "raise the split point or lower the precision target")
+            f"Laurent tail for {spec} does not reach 10^{tol} within K = {_LAURENT_K_CAP}; "
+            "lower the precision target (--residual-digits of the forms command)")
     return decided(direct, f"direct, no K <= {_LAURENT_K_CAP} at T = {T}")
 
 
@@ -944,7 +935,7 @@ def eval_S_direct(spec: FormSpec, kind: str, ctx: PrecisionContext,
     total, err, P = _head_value(spec, kind, t0, route.T, tol)
     scale, bound = P, route.bound
     if route.K is not None:
-        tail, tail_P = _laurent_for(spec).tail_value(kind, route.K, route.T, tol)
+        tail, tail_P = route.tail.tail_value(kind, route.K, route.T, tol)
         scale = max(P, tail_P)
         total = (total << (scale - P)) + (tail << (scale - tail_P))
         err <<= scale - P

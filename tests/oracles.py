@@ -5,7 +5,8 @@ sums, the product form of the saddle polynomial Q with an
 argument-principle root count, the permutation product inequality,
 Gauss-Jordan elimination in Fraction arithmetic, the brute-force float
 sweep of the projective distance, direct summation in mpf, Borwein's
-zeta series summed for one exponent at a time, exact Bernoulli numbers,
+zeta series summed for one exponent at a time, the Laurent tail built
+from linear factors and divided in 1/t, exact Bernoulli numbers,
 an Euler-Maclaurin expansion built term by term, and the partial-fraction
 table and zeta forms accumulated in reduced Fractions, with the JSON
 readers of tables and forms: slow, transparent routes that the package's
@@ -420,6 +421,49 @@ def zeta_borwein_per_s(s: int, digits: int) -> tuple[int, int]:
         total += -q if k & 1 else q
     p = max(0, math.ceil((digits + 4) * math.log2(10)) - g)
     return (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1)), g + p
+
+
+class LinearFactorTail(highprec.LaurentTail):
+    """``highprec.LaurentTail`` built and divided in x = 1/t: P(t) and
+    Q(t) multiplied out one linear factor (t - root) at a time, reversed
+    into p(x) = x^degP P(1/t) and q(x) = prod_{|j| <= n} (1 - j x)^a, and
+    p/q divided one step in x per coefficient, the zeros at odd s - D
+    included.  It assumes no symmetry of the roots, and holds the residual
+    in x as it is, so the certified bound the package reads from it is the
+    reference for the build and the division in y = x^2."""
+
+    def __init__(self, summand):
+        self.summand = summand
+        self.n = summand.spec.n
+        self.min_t = 2 * self.n + 2
+
+        def expand(scale, roots):
+            out = [scale]
+            for root, mult in roots:
+                for _ in range(mult):
+                    nxt = [0] * (len(out) + 1)
+                    for i, c in enumerate(out):
+                        nxt[i] -= root * c
+                        nxt[i + 1] += c
+                    out = nxt
+            return out
+
+        P = expand(summand.scale, summand.numerator_roots)
+        Q = expand(1, [(j, summand.pole_order) for j in summand.poles])
+        self.degQ = len(Q) - 1
+        self.D = self.degQ - (len(P) - 1)
+        self._q_x = Q[::-1]
+        self._q_tail = self._q_x[1:]
+        self.b = []
+        self._e = P[::-1] + [0] * (self.D - 1)
+
+    def extend(self, K: int) -> None:
+        for _ in range(len(self.b), K):
+            self.b.append(self._e[0])
+            self._e = self._step(self._e)
+
+    def _held_residual(self) -> list[int]:
+        return self._e
 
 
 def bernoulli_exact(n: int) -> Fraction:

@@ -112,6 +112,25 @@ def test_forms_residual_out_of_reach_is_numeric_failure(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "residual"
     assert "does not reach" in err["error"]["message"]
+    assert "lower the precision target (--residual-digits" in err["error"]["message"]
+    assert "split point" not in err["error"]["message"]
+
+
+def test_forms_past_the_int_string_cap():
+    # the constant of (7,1,320) has 4454 digits, past Python's default cap
+    # of 4300 on int <-> str conversion; run in a child with its address
+    # space limited, as a large input would be
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from zetaforms.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, "forms", "--a", "7", "--r", "1",
+                           "--n", "320"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert max(len(form["constant"]["num"]) for form in doc["forms"]) > 4300
 
 
 def test_asymptotics_command(tmp_path):

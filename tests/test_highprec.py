@@ -20,11 +20,13 @@ from zetaforms.highprec import (
     measure_rates,
     zeta_value,
 )
-from zetaforms.linear_forms import (FormSpec, build_summand, half_second_derivative_exact,
-                                   table_for, zeta_form_derived, zeta_form_plain)
+from zetaforms.linear_forms import (FormSpec, Summand, build_summand,
+                                   half_second_derivative_exact, table_for, zeta_form_derived,
+                                   zeta_form_plain)
 from zetaforms.saddle import compute_constants
 
-from oracles import bernoulli_exact, direct_sum_mpf, em_at_per_term, zeta_borwein_per_s
+from oracles import (LinearFactorTail, bernoulli_exact, direct_sum_mpf, em_at_per_term,
+                     zeta_borwein_per_s)
 
 
 CTX = PrecisionContext(digits=60, guard=20)
@@ -313,7 +315,7 @@ def _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, K, T, tol):
 @pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
 def test_laurent_tail_value_against_hurwitz_oracle(kind):
     # (7,1,6) has Laurent coefficients up to 1e76
-    lt = highprec._laurent_for(FormSpec(7, 1, 6))
+    lt = highprec.LaurentTail(build_summand(FormSpec(7, 1, 6)))
     _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, 64, 48, -100)
 
 
@@ -321,7 +323,7 @@ def test_laurent_tail_value_against_hurwitz_oracle(kind):
 def test_laurent_tail_value_expands_only_nonzero_weights(kind, monkeypatch):
     # every other Laurent coefficient of (9,1,1) is 0; those exponents
     # are neither expanded nor certified
-    lt = highprec._laurent_for(FormSpec(9, 1, 1))
+    lt = highprec.LaurentTail(build_summand(FormSpec(9, 1, 1)))
     K = 64
     lt.extend(K)
     shift = 0 if kind == PLAIN else 2
@@ -378,7 +380,7 @@ def _laurent_remainder_log10(lt, kind, K, T):
 def test_laurent_tail_bound_against_the_remainder(abc, T, Ks, kind):
     # the bound holds, and stays within 30 digits of what it bounds (a
     # vacuous bound fails the second check)
-    lt = highprec._laurent_for(FormSpec(*abc))
+    lt = highprec.LaurentTail(build_summand(FormSpec(*abc)))
     for K in Ks:
         bound = lt.tail_bound_log10(kind, K, T)
         remainder = _laurent_remainder_log10(lt, kind, K, T)
@@ -387,22 +389,54 @@ def test_laurent_tail_bound_against_the_remainder(abc, T, Ks, kind):
 
 @pytest.mark.parametrize("abc", [(7, 1, 1), (11, 1, 6)])
 @pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
-def test_laurent_tail_bound_unchanged_by_further_division(abc, kind):
-    # a held tail is divided as far as any caller asked; the bound at K
-    # is still that of the residual at K
+def test_laurent_tail_bound_below_the_divided_count_raises(abc, kind):
+    # a tail holds only the residual of the count it is divided to: a
+    # bound asked below it raises, and one at it is a fresh tail's
     summand = build_summand(FormSpec(*abc))
-    for K in (64, 96, 256):
-        fresh = highprec.LaurentTail(summand)
-        divided = highprec.LaurentTail(summand)
-        divided.extend(4 * K)
-        assert divided.tail_bound_log10(kind, K, 48) == fresh.tail_bound_log10(kind, K, 48)
+    lt = highprec.LaurentTail(summand)
+    lt.extend(256)
+    for K in (64, 255):
+        with pytest.raises(ValueError):
+            lt.tail_bound_log10(kind, K, 48)
+    assert lt.tail_bound_log10(kind, 256, 48) == \
+        highprec.LaurentTail(summand).tail_bound_log10(kind, 256, 48)
+
+
+@pytest.mark.parametrize("abc", [(7, 1, 1), (11, 1, 6), (13, 1, 6), (13, 2, 6), (13, 2, 20),
+                                 (21, 3, 10)])
+def test_laurent_tail_in_y_equals_the_linear_factor_build(abc):
+    # the build in y = 1/t^2 and its division give the coefficients, the
+    # residual at every K (odd ones too) and the certified bounds of the
+    # build from linear factors divided in 1/t, bit for bit
+    summand = build_summand(FormSpec(*abc))
+    tails = {kind: (highprec.LaurentTail(summand), LinearFactorTail(summand))
+             for kind in (PLAIN, DOUBLE_DERIVED)}
+    for K in (1, 64, 97, 128, 256):
+        for kind, (lt, ref) in tails.items():
+            for T in (48, 262):
+                assert lt.tail_bound_log10(kind, K, T) == ref.tail_bound_log10(kind, K, T)
+            assert (lt.D, lt.degQ, lt.b) == (ref.D, ref.degQ, ref.b)
+            assert lt._held_residual() == ref._held_residual()
+    lt = tails[PLAIN][0]
+    assert lt._q_x == tails[PLAIN][1]._q_x
+    assert not any(lt.b[1::2]) and all(lt.b[::2])
+
+
+@pytest.mark.parametrize("roots", [
+    ((3, 3), (2, 3)),               # no partner
+    ((3, 3), (-3, 2)),              # partners of other multiplicities
+])
+def test_laurent_tail_refuses_roots_that_do_not_pair(roots):
+    summand = Summand(spec=FormSpec(7, 1, 1), scale=1, numerator_roots=roots)
+    with pytest.raises(ValueError, match="pair"):
+        highprec.LaurentTail(summand)
 
 
 def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
     # Laurent coefficients up to 1e72 push the per-s tolerances to 1e-140,
     # far below the 60-digit working precision; the direct part must be
     # summed at the scale of the hardest tolerance, not of the context
-    lt = highprec._laurent_for(FormSpec(7, 1, 6))
+    lt = highprec.LaurentTail(build_summand(FormSpec(7, 1, 6)))
     K, wdps = 64, 60
     lt.extend(K)
     spread = math.log10(K) + 2
@@ -550,7 +584,8 @@ def test_certified_values_do_not_depend_on_the_callers_precision():
         for res in (laurent, direct):
             out += [res.value, res.tail_bound_log10, res.work_bits, res.laurent_K]
         out.append(_em_tail_range(9, 40, 48, [-70] * 32))
-        out.append(highprec._laurent_for(FormSpec(7, 1, 6)).tail_value(PLAIN, 64, 48, -100))
+        lt = highprec.LaurentTail(build_summand(FormSpec(7, 1, 6)))
+        out.append(lt.tail_value(PLAIN, 64, 48, -100))
         return out
 
     with mp.workprec(53):
@@ -690,18 +725,17 @@ def test_direct_first_choice_builds_no_laurent_tail(monkeypatch):
     # (13,1,6) plain sums 4k direct terms; building its Laurent tail and
     # finding K would cost more than that
     built = []
-    real = highprec._laurent_for
 
-    def spy(spec):
-        built.append(spec)
-        return real(spec)
+    class Spy(highprec.LaurentTail):
+        def __init__(self, summand):
+            built.append(summand.spec)
+            super().__init__(summand)
 
-    monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
-    monkeypatch.setattr(highprec, "_laurent_for", spy)
+    monkeypatch.setattr(highprec, "LaurentTail", Spy)
     plain = zeta_form_plain(table_for(FormSpec(13, 1, 6)))
     res = _residual_and_sides(plain, CRITERION_1, monkeypatch)[1]
     assert res.method == "direct"
-    assert not built and not highprec._LAURENT_CACHE
+    assert not built
 
 
 @pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
@@ -709,14 +743,15 @@ def test_route_at_large_n(kind, monkeypatch):
     # at (13,2,20) the derived series took 0.33-0.34 s by the Laurent tail
     # (K = 512, T = 212) and 1.20-1.27 s by direct summation; the plain one
     # stays direct and builds no tail.  Only the choice is made here
-    monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
     spec = FormSpec(13, 2, 20)
     ctx = PrecisionContext(200, 25)
     t0 = build_summand(spec).first_nonzero_term()
     route = highprec._route(spec, kind, t0, -(ctx.digits + ctx.guard // 2))
     K = None if kind == PLAIN else 512
     assert route.K == K
-    assert bool(highprec._LAURENT_CACHE) == (K is not None)
+    assert (route.tail is None) == (K is None)
+    if K is not None:
+        assert len(route.tail.b) == K
 
 
 def _criterion_1_grid():
@@ -745,16 +780,15 @@ CRITERION_1_K256 = {(7, 1, 3), (7, 1, 4), (7, 1, 5), (7, 1, 6),
 def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
     # every decision of highprec is a function of its call's arguments:
     # two series values, a range of power sums and the routes of all 60
-    # criterion-1 forms are the same from emptied caches, after the
-    # tangent numbers are made far ahead, after two tails are divided
-    # far past their routes' K, and with the grid in reverse order
+    # criterion-1 forms are the same from emptied tangent-number tables,
+    # after the tangent numbers are made far ahead, and with the grid in
+    # reverse order; no Laurent tail outlives its call
     grid = _criterion_1_grid()
     tol = -(CRITERION_1.digits + CRITERION_1.guard // 2)
     derived_wdps = next(w for spec, kind, _t0, w in grid
                         if spec == FormSpec(13, 1, 6) and kind == DOUBLE_DERIVED)
 
     def run(order, before=lambda: None):
-        monkeypatch.setattr(highprec, "_LAURENT_CACHE", {})
         monkeypatch.setattr(highprec, "_TANGENT", [])
         monkeypatch.setattr(highprec, "_TANGENT_STAGES", [])
         before()
@@ -766,10 +800,6 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
                 _em_tail_range(9, 40, 48, [-70] * 32),
                 routes]
 
-    def divide_tails():
-        for abc in ((13, 1, 4), (13, 1, 6)):
-            highprec._laurent_for(FormSpec(*abc)).extend(1024)
-
     fresh = run(grid)
     assert fresh[0].method == "direct+laurent"
     # the routes of demos/laurent_routes.py
@@ -780,7 +810,6 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
         else:
             assert (route.T, route.K) == (262, 256 if abc in CRITERION_1_K256 else 128)
     assert run(grid, lambda: highprec._tangent(700)) == fresh
-    assert run(grid, divide_tails) == fresh
     assert run(grid[::-1]) == fresh
 
 
@@ -872,7 +901,7 @@ def test_laurent_and_direct_paths_agree():
 
     from zetaforms.linear_forms import build_summand
 
-    lt = highprec._laurent_for(spec)
+    lt = highprec.LaurentTail(build_summand(spec))
     t0 = build_summand(spec).first_nonzero_term()
     P = math.ceil(ctx.workdps * math.log2(10)) + 64
     head, _err = highprec._direct_sum(spec, PLAIN, t0, 64, P)
