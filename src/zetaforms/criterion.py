@@ -11,10 +11,13 @@ parts are implemented here as standalone checkers over exact data:
 * rank_lower_bound, zeta_rank_bound -- the rank arithmetic
 * oscillation_subsequence   -- greedy cosine-avoiding subsequence
 
-All smallness data is exact (Fractions), and the permutation and
-hypothesis inequalities are decided by integer cross-multiplication of
-their numerators and denominators, so every check is decisive rather than
-a floating-point judgement.
+All smallness data is exact (Fractions).  The permutation and hypothesis
+inequalities compare products of the entries' integer numerators and
+denominators, and are decided from the bit lengths of the factors first:
+an integer x >= 1 has 2^(bits(x)-1) <= x < 2^bits(x), so the bit lengths
+bound each product between two powers of two.  Only the near ties, where
+those bounds overlap, are multiplied out (_exceeds).  Every check is
+decisive rather than a floating-point judgement.
 """
 from __future__ import annotations
 
@@ -110,6 +113,13 @@ def choose_eps1(k: int, tau1, eps) -> Fraction:
 # Exact smallness tables
 
 
+def _exceeds(lhs: Sequence[int], rhs: Sequence[int]) -> bool:
+    """prod(lhs) > prod(rhs), multiplied out: the near ties that the
+    bit-length bounds of permutation_product_check and
+    EpsTable.hypothesis_violations leave open come here, and nothing else."""
+    return math.prod(lhs) > math.prod(rhs)
+
+
 @dataclass(frozen=True)
 class EpsTable:
     """eps_{j,n} = |L_n(e_j)| > 0 over a finite support of n values."""
@@ -117,22 +127,13 @@ class EpsTable:
     k: int
     eps: dict[tuple[int, int], Fraction] = field(hash=False)
 
-    def value(self, j: int, n: int) -> Fraction:
-        try:
-            v = self.eps[(j, n)]
-        except KeyError:
-            raise ValueError(f"eps_({j},{n}) is not in the table") from None
-        if v <= 0:
-            raise ValueError(f"eps_({j},{n}) must be positive")
-        return v
-
     def support(self) -> list[int]:
         return sorted({n for (_j, n) in self.eps})
 
     def _row(self, n: int, rows: dict) -> tuple[list[int], list[int]]:
         """Numerators and denominators of eps_{1,n} .. eps_{k,n}, each read
-        once and kept in ``rows``; the same errors as value() for an entry
-        that is missing or not positive."""
+        once and kept in ``rows``; ValueError names an entry that is
+        missing or not positive."""
         row = rows.get(n)
         if row is None:
             nums, dens = [], []
@@ -153,21 +154,32 @@ class EpsTable:
         eps_{i,n'} / eps_{i,n} <= (1/(k+1)!) eps_{i+1,n'} / eps_{i+1,n},
         decided on the entries' integer numerators and denominators: with
         eps_{i,n} / eps_{i+1,n} = a_i(n) / b_i(n), a violation is
-        a_i(n') (k+1)! b_i(n) > a_i(n) b_i(n').  ``rows`` keeps the entries
+        a_i(n') b_i(n) (k+1)! > a_i(n) b_i(n').  ``rows`` keeps the entries
         read (see _row), so that a caller checking more inequalities on the
-        same table reads each entry once."""
+        same table reads each entry once.
+
+        Each comparison is decided from bit lengths first.  With l the sum
+        of the bit lengths of the three left factors and r that of the two
+        right ones, 2^(l-3) <= left < 2^l and 2^(r-2) <= right < 2^r: so
+        l - r <= -2 gives left < right, l - r >= 3 gives left > right, and
+        only -1 <= l - r <= 2 is multiplied out.  Here
+        l - r = d_i(n') - d_i(n) + bits((k+1)!), d_i = bits(a_i) - bits(b_i)
+        being kept once per n."""
         rows = {} if rows is None else rows
         fact = math.factorial(self.k + 1)
+        fact_bits = fact.bit_length()
         ns = self.support()
-        ratios: dict[int, list[tuple[int, int]]] = {}
+        ratios: dict[int, list[tuple[int, int, int]]] = {}
 
-        def ratio(n: int) -> list[tuple[int, int]]:
-            """(a_i, b_i) for i = 1..k-1 at n."""
+        def ratio(n: int) -> list[tuple[int, int, int]]:
+            """(a_i, b_i, d_i) for i = 1..k-1 at n."""
             out = ratios.get(n)
             if out is None:
                 num, den = self._row(n, rows)
-                out = ratios[n] = [(num[i] * den[i + 1], den[i] * num[i + 1])
-                                   for i in range(self.k - 1)]
+                out = ratios[n] = []
+                for i in range(self.k - 1):
+                    a, b = num[i] * den[i + 1], den[i] * num[i + 1]
+                    out.append((a, b, a.bit_length() - b.bit_length()))
             return out
 
         bad = []
@@ -181,8 +193,9 @@ class EpsTable:
                 continue
             here = ratio(n)
             for npr in later:
-                for i, ((a, b), (a_p, b_p)) in enumerate(zip(here, ratio(npr))):
-                    if a_p * b * fact > a * b_p:
+                for i, ((a, b, d), (a_p, b_p, d_p)) in enumerate(zip(here, ratio(npr))):
+                    gap = d_p - d + fact_bits                  # l - r
+                    if gap > -2 and (gap >= 3 or _exceeds((a_p, b, fact), (a, b_p))):
                         bad.append({"i": i + 1, "n": n, "n_prime": npr})
         return bad
 
@@ -216,9 +229,16 @@ def permutation_product_check(table: EpsTable, phi: Callable[[int], int], n: int
     eps_{j, phi^{s-1}(n)}, is put over its common denominator
     D_j = lcm of its denominators, so every product along a sigma has the
     same denominator prod_j D_j, and sigma's row holds iff the product of
-    its numerators is at most diag // (k+1)!, diag being the identity's
-    (an integer x has (k+1)! x <= diag iff x <= diag // (k+1)!).  The
-    identity's row always holds; it is the first of itertools.permutations.
+    its numerators is at most limit = diag // (k+1)!, diag being the
+    identity's (an integer x has (k+1)! x <= diag iff x <= diag // (k+1)!).
+    The identity's row always holds; it is the first of
+    itertools.permutations.
+
+    Each row is decided from bit lengths first.  With b the sum of the bit
+    lengths of sigma's k numerators and L = bits(limit),
+    2^(b-k) <= product < 2^b and limit < 2^L, limit >= 2^(L-1) if L > 0: so
+    b <= L - 1 holds, b - k >= L fails, and only L <= b <= L + k - 1 is
+    multiplied out.
     """
     if k != table.k:
         raise ValueError("k mismatch with the table")
@@ -228,21 +248,28 @@ def permutation_product_check(table: EpsTable, phi: Callable[[int], int], n: int
     for _ in range(k - 1):
         iterates.append(phi(iterates[-1]))
     cols = [table._row(m, rows_read) for m in iterates]
-    # scaled[j][s] / D_j = eps_{j+1, phi^{s-1}(n)}; index 0 is unused so
-    # that sigma's 1-based entries index the rows directly.
+    # scaled[j][s] / D_j = eps_{j+1, phi^{s-1}(n)} and bits[j][s] is its bit
+    # length; index 0 is unused so that sigma's 1-based entries index the
+    # rows directly.
     scaled = []
     for j in range(k):
         dens = [col[1][j] for col in cols]
         common = math.lcm(*dens)
         scaled.append((None, *(col[0][j] * (common // d) for col, d in zip(cols, dens))))
+    bits = [(0, *(x.bit_length() for x in row[1:])) for row in scaled]
     identity = tuple(range(1, k + 1))
     fact = math.factorial(k + 1)
     limit = math.prod(map(getitem, scaled, identity)) // fact
+    holds_below = limit.bit_length()
+    fails_from = holds_below + k
     eta_off = Fraction(1, fact)
     sigmas = permutations(identity)
     rows = [(next(sigmas), True, Fraction(1))]
     for sigma in sigmas:
-        rows.append((sigma, math.prod(map(getitem, scaled, sigma)) <= limit, eta_off))
+        b = sum(map(getitem, bits, sigma))
+        ok = b < holds_below or (b < fails_from
+                                 and not _exceeds(list(map(getitem, scaled, sigma)), (limit,)))
+        rows.append((sigma, ok, eta_off))
     return PermutationProductReport(
         k=k, n=n,
         hypothesis_ok=not viol,
@@ -443,12 +470,9 @@ def random_smallness_table(rng, k: int) -> tuple[EpsTable, Callable[[int], int],
     n0 = 1
     support = [n0 + i * gap for i in range(k)]
     support += [support[-1] + 1, support[-1] + gap]
-    eps: dict[tuple[int, int], Fraction] = {}
-    for j in range(1, k + 1):
-        for n in support:
-            jitter = rng.randint(0, 255)                   # jitter/1024 in [0, 1/4]
-            eps[(j, n)] = Fraction(1024 + jitter, 2 ** (n * taus[j - 1] + 10))
-    table = EpsTable(k=k, eps=eps)
+    draw = rng.randrange                 # 1024 + jitter, jitter/1024 in [0, 1/4]
+    table = EpsTable(k=k, eps={(j, n): Fraction(draw(1024, 1280), 1 << (n * tau + 10))
+                               for j, tau in enumerate(taus, 1) for n in support})
 
     def phi(n: int) -> int:
         return n + gap

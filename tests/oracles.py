@@ -247,6 +247,18 @@ def argument_principle_count(f: Callable, df: Callable, corners: Sequence,
     return int(mp.nint(count))
 
 
+def eps_value(table: EpsTable, j: int, n: int) -> Fraction:
+    """eps_{j,n} read from the table as a Fraction, with the ValueError of
+    the package for an entry that is missing or not positive."""
+    try:
+        v = table.eps[(j, n)]
+    except KeyError:
+        raise ValueError(f"eps_({j},{n}) is not in the table") from None
+    if v <= 0:
+        raise ValueError(f"eps_({j},{n}) must be positive")
+    return Fraction(v)
+
+
 def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: int,
                                k: int) -> PermutationProductReport:
     """criterion.permutation_product_check computed entry by entry in
@@ -265,8 +277,8 @@ def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: in
             if mpr < cut:
                 continue
             for i in range(1, k):
-                lhs = table.value(i, mpr) * table.value(i + 1, m)
-                rhs = eta * table.value(i, m) * table.value(i + 1, mpr)
+                lhs = eps_value(table, i, mpr) * eps_value(table, i + 1, m)
+                rhs = eta * eps_value(table, i, m) * eps_value(table, i + 1, mpr)
                 if lhs > rhs:
                     viol.append({"i": i, "n": m, "n_prime": mpr})
     iterates = [n]
@@ -274,13 +286,13 @@ def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: in
         iterates.append(phi(iterates[-1]))
     diag = Fraction(1)
     for j in range(1, k + 1):
-        diag *= table.value(j, iterates[j - 1])
+        diag *= eps_value(table, j, iterates[j - 1])
     rows = []
     for sigma in permutations(range(1, k + 1)):
         eta_sigma = Fraction(1) if sigma == tuple(range(1, k + 1)) else eta
         lhs = Fraction(1)
         for j in range(1, k + 1):
-            lhs *= table.value(j, iterates[sigma[j - 1] - 1])
+            lhs *= eps_value(table, j, iterates[sigma[j - 1] - 1])
         rows.append((sigma, lhs <= eta_sigma * diag, eta_sigma))
     return PermutationProductReport(
         k=k, n=n,

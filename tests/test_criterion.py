@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import permutation_product_oracle
+from zetaforms import criterion
 from zetaforms.criterion import (
     AbstractInstance,
     EpsTable,
@@ -293,6 +294,100 @@ def test_permutation_check_one_unit_past_the_bound_fails():
     rep = permutation_product_check(table, lambda n: n + 1, 1, 2)
     assert rep.rows == (((1, 2), True, Fraction(1)), ((2, 1), False, Fraction(1, 6)))
     assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, 2)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Every (lhs, rhs) that criterion multiplies out, in call order."""
+    seen = []
+    multiply = criterion._exceeds
+
+    def spy(lhs, rhs):
+        seen.append((tuple(lhs), tuple(rhs)))
+        return multiply(lhs, rhs)
+
+    monkeypatch.setattr(criterion, "_exceeds", spy)
+    return seen
+
+
+def _extremes(total: int, parts: int, top: bool) -> list[int]:
+    """``parts`` integers whose bit lengths are as even as possible and sum
+    to ``total``: the largest of each length if ``top``, else the least."""
+    q, r = divmod(total, parts)
+    return [(1 << c) - 1 if top else 1 << (c - 1) for c in (q + (i < r) for i in range(parts))]
+
+
+def _ones_table(k: int) -> dict:
+    return {(j, m): 1 for j in range(1, k + 1) for m in range(1, k + 1)}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_permutation_rows_at_the_bit_length_edges(k, exact_calls):
+    # integer entries, phi(n) = n + 1: eps_{1,1} = (k+1)! 2^(L-1) and the
+    # other entries 1 but those of the cycle sigma = (2, 3, .., k, 1), so
+    # that limit = 2^(L-1) has L bits and sigma's k entries have bit lengths
+    # summing to b.  Only L <= b <= L + k - 1 may be multiplied out.
+    L = 10 * k + 1
+    cycle = tuple(range(2, k + 1)) + (1,)
+    cases = [  # (b, largest entries, row holds, multiplied out)
+        (L - 1, True, True, False), (L - 1, False, True, False),
+        (L, True, False, True), (L, False, True, True),
+        (L + k - 1, True, False, True), (L + k - 1, False, True, True),
+        (L + k, True, False, False), (L + k, False, False, False),
+    ]
+    for b, top, holds, multiplied in cases:
+        entries = _extremes(b, k, top)
+        eps = _ones_table(k)
+        eps[(1, 1)] = math.factorial(k + 1) << (L - 1)
+        eps.update({(j, s): x for j, s, x in zip(range(1, k + 1), cycle, entries)})
+        table = EpsTable(k=k, eps=eps)
+        exact_calls.clear()
+        rep = permutation_product_check(table, lambda n: n + 1, 1, k)
+        assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, k)
+        assert {sigma: ok for sigma, ok, _eta in rep.rows}[cycle] is holds
+        assert ((tuple(entries), (1 << (L - 1),)) in exact_calls) is multiplied
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_hypothesis_comparison_at_the_bit_length_edges(k, exact_calls):
+    # integer entries, i = 1, n = 1, n' = 2: a violation is
+    # eps_{1,2} eps_{2,1} (k+1)! > eps_{1,1} eps_{2,2}.  The right side's two
+    # entries have bit lengths summing to r, the left side's three factors
+    # r + offset; only offsets -1 to 2 may be multiplied out.
+    fact = math.factorial(k + 1)
+    r = 40
+    cases = [  # (offset, largest left and least right, violated, multiplied out)
+        (-2, True, False, False), (-2, False, False, False),
+        (-1, True, True, True), (-1, False, False, True),
+        (2, True, True, True), (2, False, False, True),
+        (3, True, True, False), (3, False, True, False),
+    ]
+    for offset, top, violated, multiplied in cases:
+        e12, e21 = _extremes(r + offset - fact.bit_length(), 2, top)
+        e11, e22 = _extremes(r, 2, not top)
+        eps = _ones_table(k)
+        eps.update({(1, 1): e11, (2, 2): e22, (1, 2): e12, (2, 1): e21})
+        table = EpsTable(k=k, eps=eps)
+        exact_calls.clear()
+        found = table.hypothesis_violations(lambda n: n + 1)
+        oracle = permutation_product_oracle(table, lambda n: n + 1, 1, k)
+        assert found == list(oracle.hypothesis_violations)
+        assert ({"i": 1, "n": 1, "n_prime": 2} in found) is violated
+        assert (((e12, e21, fact), (e11, e22)) in exact_calls) is multiplied
+
+
+def test_bit_length_bounds_decide_nearly_every_row_and_comparison(exact_calls):
+    # a check that multiplies out every row or comparison fails here
+    rng = random.Random(4242)
+    decisions = 0
+    for _ in range(2000):
+        k = rng.randint(2, 5)
+        table, phi, n0 = random_smallness_table(rng, k)
+        rep = permutation_product_check(table, phi, n0, k)
+        ns = table.support()
+        decisions += len(rep.rows) - 1 + (k - 1) * sum(m >= phi(n) for n in ns for m in ns)
+    assert decisions > 100_000
+    assert len(exact_calls) * 1000 < decisions
 
 
 def test_permutation_check_missing_entry_is_value_error():
