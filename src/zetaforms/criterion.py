@@ -16,8 +16,10 @@ inequalities compare products of the entries' integer numerators and
 denominators, and are decided from the bit lengths of the factors first:
 an integer x >= 1 has 2^(bits(x)-1) <= x < 2^bits(x), so the bit lengths
 bound each product between two powers of two.  Only the near ties, where
-those bounds overlap, are multiplied out (_exceeds).  Every check is
-decisive rather than a floating-point judgement.
+those bounds overlap, are multiplied out (_exceeds).  The coefficient
+bound sums each bound's terms on integers over one denominator and makes
+one Fraction per bound.  Every check is decisive rather than a
+floating-point judgement.
 """
 from __future__ import annotations
 
@@ -291,13 +293,6 @@ class AbstractInstance:
     k: int
     values: dict[tuple[int, int], Fraction] = field(hash=False)   # (j, n) -> signed L_n(e_j)
 
-    def form_at_point(self, j: int, n: int) -> Fraction:
-        return self.values[(j, n)]
-
-    def form_at_combination(self, lambdas: Sequence[Fraction], n: int) -> Fraction:
-        return sum((Fraction(l) * self.values[(j + 1, n)] for j, l in enumerate(lambdas)),
-                   Fraction(0))
-
 
 @dataclass(frozen=True)
 class CoefficientBoundReport:
@@ -315,7 +310,15 @@ class CoefficientBoundReport:
 def coefficient_bound_check(instance: AbstractInstance, lambdas: Sequence, n: int,
                 phi: Callable[[int], int]) -> CoefficientBoundReport:
     """|lambda_j| <= (1 + 1/k + 1/k^2) sum_i |L_{phi^{i-1}(n)}(M)| / |L_{phi^{i-1}(n)}(e_j)|
-    with M = sum lambda_j e_j.  All arithmetic exact."""
+    with M = sum lambda_j e_j.  All arithmetic exact, and on integers.
+
+    With B the lcm of the lambdas' denominators and E_m that of the
+    entries L_m(e_j) = n_jm / d_jm, |L_m(M)| = S_m / (B E_m) for the
+    integer S_m = |sum_j (B lambda_j) n_jm (E_m / d_jm)|, and since d_jm
+    divides E_m each term is S_m / (B (E_m / d_jm) |n_jm|).  Summed over
+    the product of those denominators, times (k^2 + k + 1) / k^2 and
+    reduced once, bound_j is the canonical Fraction of the exact sum.
+    """
     k = instance.k
     lambdas = [Fraction(l) for l in lambdas]
     if len(lambdas) != k:
@@ -323,20 +326,29 @@ def coefficient_bound_check(instance: AbstractInstance, lambdas: Sequence, n: in
     iterates = [n]
     for _ in range(k - 1):
         iterates.append(phi(iterates[-1]))
-    m_vals = [abs(instance.form_at_combination(lambdas, m)) for m in iterates]
-    const = Fraction(1) + Fraction(1, k) + Fraction(1, k * k)
+    lam_den = math.lcm(*(l.denominator for l in lambdas))
+    lam_num = [l.numerator * (lam_den // l.denominator) for l in lambdas]
+    entries = [[instance.values[(j, m)] for j in range(1, k + 1)] for m in iterates]
+    m_nums, m_dens = [], []
+    for vals in entries:
+        den = math.lcm(*(v.denominator for v in vals))
+        m_nums.append(abs(sum(a * v.numerator * (den // v.denominator)
+                              for a, v in zip(lam_num, vals))))
+        m_dens.append(den)
+    c_num, c_den = k * k + k + 1, k * k * lam_den
     bounds = []
     ok = []
-    for j in range(1, k + 1):
-        total = Fraction(0)
-        for i, m in enumerate(iterates):
-            denom = abs(instance.form_at_point(j, m))
-            if denom == 0:
-                raise InstanceDefect(f"|L_{m}(e_{j})| = 0; instance unusable")
-            total += m_vals[i] / denom
-        b = const * total
+    for j in range(k):
+        num, den = 0, 1
+        for m, vals, s_m, e_m in zip(iterates, entries, m_nums, m_dens):
+            v = vals[j]
+            if not v.numerator:
+                raise InstanceDefect(f"|L_{m}(e_{j + 1})| = 0; instance unusable")
+            t_den = e_m // v.denominator * abs(v.numerator)
+            num, den = num * t_den + s_m * den, den * t_den
+        b = Fraction(c_num * num, c_den * den)
         bounds.append(b)
-        ok.append(abs(lambdas[j - 1]) <= b)
+        ok.append(abs(lambdas[j]) <= b)
     return CoefficientBoundReport(k=k, n=n, bounds=tuple(bounds), lambdas=tuple(lambdas),
                        ok_per_j=tuple(ok))
 

@@ -4,18 +4,21 @@ Vectors live in R^k with entries that are exact rational combinations of
 named symbols assumed Q-linearly independent ("1" always among them).
 The Q-rank of columns C_1..C_p equals the rank of the Q-linear map
 psi(r_1..r_p) = sum r_i C_i, realized as an exact matrix over Q with one
-row per (coordinate, symbol) pair.  Each row is scaled to integers and
-reduced by the one fraction-free elimination of ``exact_kernel``.  The
+row per (coordinate, symbol) pair.  Each row is scaled to integers, from
+its entries' numerators and denominators, and reduced by the one
+fraction-free elimination of ``exact_kernel``; a nonzero scale per row
+keeps each row's zero set, so the rank and kernel are those over Q.  The
 pivot count and p minus the size of the kernel basis read off the reduced
 rows come from that one elimination, so they agree by construction; the
-independent check is that every kernel vector is re-verified exactly
-against the original rational matrix.
+independent check is that every kernel vector, as an integer vector, is
+re-verified exactly against the entries, each row put over its own
+denominator apart from the scaling the elimination was given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .exact_kernel import echelon
@@ -53,19 +56,22 @@ def entry(**coeffs) -> SymEntry:
     return out
 
 
-def _as_matrix(columns: Sequence[SymVector], fld: SymbolField) -> list[list[Fraction]]:
+def _entry_rows(columns: Sequence[SymVector],
+                fld: SymbolField) -> list[list[tuple[int, int, int]]]:
+    """One row per (coordinate, symbol) pair: the (column, numerator,
+    denominator) of each entry present, in column order."""
     k = len(columns[0])
-    for col in columns:
+    index = {s: i for i, s in enumerate(fld.symbols)}
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(k * len(index))]
+    for c, col in enumerate(columns):
         if len(col) != k:
             raise ValueError("columns must share the same dimension")
-        for ent in col:
-            for s in ent:
-                if s not in fld.symbols:
+        for coord, ent in enumerate(col):
+            for s, x in ent.items():
+                i = index.get(s)
+                if i is None:
                     raise ValueError(f"entry uses unknown symbol {s!r}")
-    rows = []
-    for coord in range(k):
-        for s in fld.symbols:
-            rows.append([col[coord].get(s, Fraction(0)) for col in columns])
+                rows[coord * len(index) + i].append((c, x.numerator, x.denominator))
     return rows
 
 
@@ -85,34 +91,45 @@ def rational_rank(columns: Sequence[SymVector], fld: SymbolField) -> RankResult:
     """Q-rank of the columns, with a kernel basis checked exactly.
 
     The (coordinate x symbol) by column matrix is scaled row by row to
-    integers, which keeps its rank, pivots and kernel, and reduced once.
-    The rank is the pivot count; the kernel basis is read off the reduced
-    rows, and each vector is re-verified against the original rational
-    matrix.  The rank is also the dimension of the smallest rationally
-    defined subspace containing the row vectors.
+    integers, each row by the lcm of its entries' denominators, and
+    reduced once.  Scaling a row by a nonzero integer keeps its zero set
+    {v : row . v = 0}, so the rank, pivots and kernel are those of the
+    rational matrix.  The rank is the pivot count.  Each kernel vector is
+    read off the reduced rows as the integer vector w = scale v, and
+    w . row = 0 iff v . row = 0, so w is re-verified on integers against
+    the entries, each row put over the product of its own denominators
+    (not the elimination's scaling), before the one division by scale.
+    The rank is also the dimension of the smallest rationally defined
+    subspace containing the row vectors.
     """
     p = len(columns)
     if p == 0:
         raise ValueError("need at least one column")
-    original = _as_matrix(columns, fld)
+    entries = _entry_rows(columns, fld)
     scaled = []
-    for row in original:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    for row in entries:
+        den = lcm(*(d for _c, _n, d in row))
+        out = [0] * p
+        for c, n, d in row:
+            out[c] = n * (den // d)
+        scaled.append(out)
     ech = echelon(scaled)
-    rank, pivots = ech.rank, ech.pivots
+    rank, pivots, scale = ech.rank, ech.pivots, ech.scale
     free_cols = [c for c in range(p) if c not in pivots]
+    checks = []
+    if free_cols:
+        for row in entries:
+            den = prod(d for _c, _n, d in row)
+            checks.append([(c, n * (den // d)) for c, n, d in row])
     kernel = []
     for fc in free_cols:
-        v = [Fraction(0)] * p
-        v[fc] = Fraction(1)
+        w = [0] * p
+        w[fc] = scale
         for rr, pc in enumerate(pivots):
-            v[pc] = Fraction(-ech.rows[rr][fc], ech.scale)
-        for row in original:
-            s = sum((row[c] * v[c] for c in range(p)), Fraction(0))
-            if s != 0:
-                raise ArithmeticError("kernel vector fails re-verification")
-        kernel.append(tuple(v))
+            w[pc] = -ech.rows[rr][fc]
+        if any(sum(n * w[c] for c, n in row) for row in checks):
+            raise ArithmeticError("kernel vector fails re-verification")
+        kernel.append(tuple(Fraction(x, scale) for x in w))
     return RankResult(rank=rank, rank_via_pivots=rank,
                       rank_via_kernel=p - len(kernel),
                       kernel_basis=tuple(kernel))

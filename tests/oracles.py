@@ -2,9 +2,10 @@
 
 Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
-argument-principle root count, the permutation product inequality,
-Gauss-Jordan elimination in Fraction arithmetic, the brute-force float
-sweep of the projective distance, direct summation in mpf, Borwein's
+argument-principle root count, the permutation product inequality, the
+coefficient bound and the rational rank's kernel re-verification summed
+term by term in Fractions, Gauss-Jordan elimination in Fraction
+arithmetic, the brute-force float sweep of the projective distance, direct summation in mpf, Borwein's
 zeta series summed for one exponent at a time, the Laurent tail built
 from linear factors and divided in 1/t, exact Bernoulli numbers,
 an Euler-Maclaurin expansion built term by term, and the partial-fraction
@@ -23,10 +24,12 @@ import mpmath
 from mpmath import mp, mpf
 
 from zetaforms import highprec
-from zetaforms.criterion import EpsTable, PermutationProductReport
-from zetaforms.exact_kernel import binomial, harmonic_prefixes, lcm_upto
+from zetaforms.criterion import (AbstractInstance, CoefficientBoundReport, EpsTable,
+                                 InstanceDefect, PermutationProductReport)
+from zetaforms.exact_kernel import binomial, echelon, harmonic_prefixes, lcm_upto
 from zetaforms.linear_forms import (DOUBLE_DERIVED, PLAIN, FormSpec, PartialFractionTable,
                                     ZetaLinearForm, build_summand, spec_json)
+from zetaforms.symbolic import RankResult, SymbolField, SymVector
 
 
 def pochhammer(alpha, k: int) -> Fraction:
@@ -301,6 +304,75 @@ def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: in
         rows=tuple(rows),
         conclusion_holds=all(ok for _sigma, ok, _eta in rows),
     )
+
+
+def rational_rank_oracle(columns: Sequence[SymVector], fld: SymbolField) -> RankResult:
+    """symbolic.rational_rank through the rational matrix: every entry a
+    Fraction (missing ones Fraction(0)), each row scaled by the lcm of its
+    denominators and reduced by ``echelon``, each kernel vector built in
+    Fractions and re-verified against the Fraction rows."""
+    p = len(columns)
+    if p == 0:
+        raise ValueError("need at least one column")
+    k = len(columns[0])
+    for col in columns:
+        if len(col) != k:
+            raise ValueError("columns must share the same dimension")
+        for ent in col:
+            for s in ent:
+                if s not in fld.symbols:
+                    raise ValueError(f"entry uses unknown symbol {s!r}")
+    original = [[col[coord].get(s, Fraction(0)) for col in columns]
+                for coord in range(k) for s in fld.symbols]
+    scaled = []
+    for row in original:
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    ech = echelon(scaled)
+    kernel = []
+    for fc in (c for c in range(p) if c not in ech.pivots):
+        v = [Fraction(0)] * p
+        v[fc] = Fraction(1)
+        for rr, pc in enumerate(ech.pivots):
+            v[pc] = Fraction(-ech.rows[rr][fc], ech.scale)
+        for row in original:
+            if sum((row[c] * v[c] for c in range(p)), Fraction(0)) != 0:
+                raise ArithmeticError("kernel vector fails re-verification")
+        kernel.append(tuple(v))
+    return RankResult(rank=ech.rank, rank_via_pivots=ech.rank,
+                      rank_via_kernel=p - len(kernel), kernel_basis=tuple(kernel))
+
+
+def coefficient_bound_oracle(instance: AbstractInstance, lambdas: Sequence, n: int,
+                             phi: Callable[[int], int]) -> CoefficientBoundReport:
+    """criterion.coefficient_bound_check summed term by term in Fractions:
+    |L_m(M)| = |sum_j lambda_j L_m(e_j)| per iterate, then each bound as
+    (1 + 1/k + 1/k^2) times the sum of |L_m(M)| / |L_m(e_j)|."""
+    k = instance.k
+    lambdas = [Fraction(l) for l in lambdas]
+    if len(lambdas) != k:
+        raise ValueError("need one lambda per point")
+    iterates = [n]
+    for _ in range(k - 1):
+        iterates.append(phi(iterates[-1]))
+    m_vals = [abs(sum((l * instance.values[(j, m)] for j, l in enumerate(lambdas, 1)),
+                      Fraction(0)))
+              for m in iterates]
+    const = Fraction(1) + Fraction(1, k) + Fraction(1, k * k)
+    bounds = []
+    ok = []
+    for j in range(1, k + 1):
+        total = Fraction(0)
+        for i, m in enumerate(iterates):
+            denom = abs(instance.values[(j, m)])
+            if denom == 0:
+                raise InstanceDefect(f"|L_{m}(e_{j})| = 0; instance unusable")
+            total += m_vals[i] / denom
+        b = const * total
+        bounds.append(b)
+        ok.append(abs(lambdas[j - 1]) <= b)
+    return CoefficientBoundReport(k=k, n=n, bounds=tuple(bounds), lambdas=tuple(lambdas),
+                                  ok_per_j=tuple(ok))
 
 
 def row_echelon(mat: list[list[Fraction]]) -> tuple[int, list[int]]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import permutation_product_oracle
+from oracles import coefficient_bound_oracle, permutation_product_oracle
 from zetaforms import criterion
 from zetaforms.criterion import (
     AbstractInstance,
@@ -150,6 +150,86 @@ def test_coefficient_bound_randomized_draws_hold():
         lambdas = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(3)]
         rep = coefficient_bound_check(inst, lambdas, n0, phi)
         assert rep.passed
+
+
+def _random_instance(rng):
+    """Half hypothesis instances, half arbitrary signed values, where the
+    last point's values are often set so that L_m(M) nearly cancels and
+    the bound fails; zero lambdas now and then."""
+    k = rng.randint(1, 4)
+    lambdas = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) if rng.random() < 0.9 else 0
+               for _ in range(k)]
+    if rng.random() < 0.5:
+        inst, phi, n0 = random_signed_instance(rng, k)
+        return inst, lambdas, n0, phi
+    gap = rng.randint(1, 3)
+    iterates = range(1, 1 + k * gap, gap)
+    values = {(j, m): Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 40))
+              for j in range(1, k + 1) for m in iterates}
+    if k >= 2 and lambdas[-1] and rng.random() < 0.6:
+        for m in iterates:
+            rest = sum(l * values[(j, m)] for j, l in enumerate(lambdas[:-1], 1))
+            near = (Fraction(rng.randint(1, 9), 1000) - rest) / lambdas[-1]
+            values[(k, m)] = near or values[(k, m)]
+    return AbstractInstance(k=k, values=values), lambdas, 1, lambda n: n + gap
+
+
+def test_coefficient_bound_equals_fraction_oracle():
+    rng = random.Random(6174)
+    seen = {"k=1": 0, "zero lambda": 0, "failing j": 0, "passing": 0}
+    for _ in range(2000):
+        inst, lambdas, n0, phi = _random_instance(rng)
+        rep = coefficient_bound_check(inst, lambdas, n0, phi)
+        assert rep == coefficient_bound_oracle(inst, lambdas, n0, phi)
+        seen["k=1"] += inst.k == 1
+        seen["zero lambda"] += 0 in lambdas
+        seen["failing j"] += not rep.passed
+        seen["passing"] += rep.passed
+    assert min(seen.values()) >= 50, seen
+
+
+def test_coefficient_bound_with_lambda_exactly_at_its_bound():
+    # at each iterate m the other points combine to a L_m(e_j), so that
+    # bound_j = c k |a + lambda_j| with c = 1 + 1/k + 1/k^2; it equals
+    # |lambda_j| at lambda_j = -c k a / (c k - 1)
+    rng = random.Random(1729)
+    at_bound = 0
+    for _ in range(300):
+        k = rng.randint(2, 4)
+        j, o = rng.sample(range(1, k + 1), 2)
+        iterates = [1 + 2 * i for i in range(k)]
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        ck = k + 1 + Fraction(1, k)
+        lambdas = [Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(k)]
+        lambdas[j - 1] = -ck * a / (ck - 1)
+        values = {(l, m): Fraction(rng.randint(1, 50), rng.randint(1, 50))
+                  for l in range(1, k + 1) for m in iterates}
+        for m in iterates:
+            rest = sum(lambdas[l - 1] * values[(l, m)] for l in range(1, k + 1) if l not in (j, o))
+            values[(o, m)] = (a * values[(j, m)] - rest) / lambdas[o - 1]
+        if any(v == 0 for v in values.values()):
+            continue
+        inst = AbstractInstance(k=k, values=values)
+        rep = coefficient_bound_check(inst, lambdas, 1, lambda n: n + 2)
+        assert rep == coefficient_bound_oracle(inst, lambdas, 1, lambda n: n + 2)
+        assert rep.bounds[j - 1] == abs(lambdas[j - 1]) and rep.ok_per_j[j - 1]
+        at_bound += 1
+    assert at_bound >= 250
+    # k = 1: the bound is 3 |lambda|, met with equality only at lambda = 0
+    inst = AbstractInstance(k=1, values={(1, 1): Fraction(-7, 3)})
+    rep = coefficient_bound_check(inst, [0], 1, lambda n: n + 1)
+    assert rep == coefficient_bound_oracle(inst, [0], 1, lambda n: n + 1)
+    assert rep.bounds == (0,) and rep.passed
+
+
+def test_coefficient_bound_instance_defect_message_names_the_first_zero():
+    # zeros at (j, m) = (2, 1) and (1, 3): j is scanned first
+    values = {(1, 1): Fraction(1, 2), (2, 1): Fraction(0), (1, 3): Fraction(0), (2, 3): Fraction(5)}
+    inst = AbstractInstance(k=2, values=values)
+    for check in (coefficient_bound_check, coefficient_bound_oracle):
+        with pytest.raises(InstanceDefect) as err:
+            check(inst, [1, Fraction(-2, 3)], 1, lambda n: n + 2)
+        assert str(err.value) == "|L_3(e_1)| = 0; instance unusable"
 
 
 def test_rank_lower_bound():

@@ -227,9 +227,10 @@ def test_em_expansions_need_no_growth_retry(monkeypatch):
 
 
 def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
-    # the seven zeta values of the rate sweep at 899 digits from the
-    # Euler-Maclaurin routine at x0 = 1, where the fixed rule X = 423 built
-    # 555 coefficients
+    # zeta(3..15) at 899 digits through the x0 = 1 path of _em_tail_range,
+    # the tests' oracle for zeta_value, which no command runs (the rate
+    # sweep takes its zeta values from _zeta_borwein); there the fixed
+    # rule X = 423 built 555 coefficients
     entries = {}
     real = highprec._EMTable.extend
 

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rational_rank_oracle
+from zetaforms import symbolic
+from zetaforms.exact_kernel import Echelon
 from zetaforms.symbolic import (
     SymbolField,
     entry,
@@ -98,6 +101,73 @@ def test_two_routes_agree_on_random_symbolic_matrices():
         assert res.routes_agree
         # cross-check against an independent float-rank when entries allow
         assert 0 <= res.rank <= min(p, k * len(fld.symbols))
+
+
+def _random_columns(rng):
+    """Columns with zero entries kept, empty entries and empty columns,
+    and now and then one column a rational combination of two others."""
+    k, p, nsym = rng.randint(1, 4), rng.randint(1, 8), rng.randint(1, 4)
+    fld = SymbolField(symbols=("1",) + tuple(f"s{i}" for i in range(1, nsym)))
+    cols = [[{s: Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+              for s in fld.symbols if rng.random() < 0.35}
+             for _ in range(k)] for _ in range(p)]
+    if p >= 3 and rng.random() < 0.3:
+        a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(1, 5), 3)
+        cols[-1] = [{s: a * ca.get(s, 0) + b * cb.get(s, 0) for s in set(ca) | set(cb)}
+                    for ca, cb in zip(cols[0], cols[1])]
+    return cols, fld
+
+
+def test_rational_rank_equals_fraction_oracle():
+    rng = random.Random(2718)
+    seen = {"p=1": 0, "zero entry": 0, "all-zero row": 0, "kernel": 0}
+    for _ in range(2000):
+        cols, fld = _random_columns(rng)
+        res = rational_rank(cols, fld)
+        assert res == rational_rank_oracle(cols, fld)
+        seen["p=1"] += len(cols) == 1
+        seen["zero entry"] += any(v == 0 for col in cols for ent in col for v in ent.values())
+        seen["all-zero row"] += any(not any(col[c].get(s) for col in cols)
+                                    for c in range(len(cols[0])) for s in fld.symbols)
+        seen["kernel"] += bool(res.kernel_basis)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("cols", [
+    [[{}]],                                          # p = 1, the zero column
+    [[{"1": Fraction(0)}, {}]],                      # p = 1, an explicit zero entry
+    [[{"1": Fraction(-3, 4)}, {"x": Fraction(5, 6)}]],
+    [[{}, {}], [{}, {}], [{}, {}]],                  # the zero matrix
+    [[{"1": Fraction(1, 2)}, {}], [{"1": Fraction(0)}, {}], [{"1": Fraction(-1, 3)}, {}]],
+])
+def test_rational_rank_edge_cases_equal_fraction_oracle(cols):
+    fld = SymbolField(symbols=("1", "x"))
+    assert rational_rank(cols, fld) == rational_rank_oracle(cols, fld)
+
+
+def test_rational_rank_rejects_columns_of_unequal_dimension():
+    fld = SymbolField(symbols=("1",))
+    with pytest.raises(ValueError, match="same dimension"):
+        rational_rank([[{}, {}], [{}]], fld)
+
+
+def test_kernel_reverification_fails_on_an_off_by_one_reduced_entry(monkeypatch):
+    # e_1, e_2, e_1 + e_2 / 3: the free column's reduced entry in the first
+    # pivot row, raised by one, gives a vector that is not in the kernel
+    fld = SymbolField(symbols=("1",))
+    cols = [[entry(one=1), {}], [{}, entry(one=1)], [entry(one=1), entry(one=Fraction(1, 3))]]
+    assert len(rational_rank(cols, fld).kernel_basis) == 1
+    real = symbolic.echelon
+
+    def off_by_one(rows):
+        ech = real(rows)
+        bent = [list(row) for row in ech.rows]
+        bent[0][2] += 1
+        return Echelon(ech.rank, ech.pivots, bent, ech.scale, ech.det)
+
+    monkeypatch.setattr(symbolic, "echelon", off_by_one)
+    with pytest.raises(ArithmeticError, match="kernel vector fails re-verification"):
+        rational_rank(cols, fld)
 
 
 def test_generate_test_vector_spec_cases():
