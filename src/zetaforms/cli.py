@@ -30,6 +30,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 ENV_DIGITS = "ZETAFORMS_DIGITS"
+# Largest digit count of a whose saddle roots certify in a 3 GB address
+# space: 10**226 - 1 does (2.98 GB peak), 10**227 - 1 runs out of memory in
+# mpmath's complex log under the log1p term of saddle._offset_equation.
+MAX_A_DIGITS = 226
 
 
 def _emit(doc: dict, out: str | None, fmt: str, csv_payload=None) -> None:
@@ -56,12 +60,22 @@ class _InputError(Exception):
         self.kind = kind
 
 
+def _checked_a_digits(a: int) -> None:
+    """Refuse an a past MAX_A_DIGITS digits, whose saddle roots run out of memory."""
+    digits = len(str(a))
+    if digits > MAX_A_DIGITS:
+        raise _InputError("a-too-large", f"a has {digits} digits; the saddle roots are "
+                          f"certified for a of at most {MAX_A_DIGITS} digits")
+
+
 def _checked_r(a: int, r: int) -> int:
-    """r, or r_of_a(a) for r = 0, for odd a >= 3 with 6r <= a."""
+    """r, or r_of_a(a) for r = 0, for odd a >= 3 of at most MAX_A_DIGITS
+    digits with 6r <= a."""
     from .saddle import r_of_a
 
     if a % 2 == 0 or a < 3:
         raise _InputError("invalid-a", f"a must be odd and >= 3, got {a}")
+    _checked_a_digits(a)
     if r < 0:
         raise _InputError("invalid-r", f"r must be >= 1 (0 takes r(a)), got {r}")
     if r == 0:
@@ -176,6 +190,10 @@ def cmd_rank_bound(args) -> int:
 
     if args.a % 2 == 0 or args.a < 7:
         return _error_block(EXIT_INPUT_ERROR, "invalid-a", "a must be odd and >= 7")
+    try:
+        _checked_a_digits(args.a)
+    except _InputError as exc:
+        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     try:
         cert = zeta_rank_bound(args.a)
     except ArithmeticError as exc:

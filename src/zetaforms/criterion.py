@@ -11,9 +11,9 @@ parts are implemented here as standalone checkers over exact data:
 * rank_lower_bound, zeta_rank_bound -- the rank arithmetic
 * oscillation_subsequence   -- greedy cosine-avoiding subsequence
 
-All smallness data is exact (Fractions).  The permutation and hypothesis
-inequalities compare products of the entries' integer numerators and
-denominators, and are decided from the bit lengths of the factors first:
+All smallness data is exact, each entry an integer pair (p, q) for p/q.
+The permutation and hypothesis inequalities compare products of those
+integers, and are decided from the bit lengths of the factors first:
 an integer x >= 1 has 2^(bits(x)-1) <= x < 2^bits(x), so the bit lengths
 bound each product between two powers of two.  Only the near ties, where
 those bounds overlap, are multiplied out (_exceeds).  The coefficient
@@ -124,31 +124,29 @@ def _exceeds(lhs: Sequence[int], rhs: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class EpsTable:
-    """eps_{j,n} = |L_n(e_j)| > 0 over a finite support of n values."""
+    """eps_{j,n} = |L_n(e_j)| over a finite support, as integer pairs (p, q), p, q > 0, for p/q."""
 
     k: int
-    eps: dict[tuple[int, int], Fraction] = field(hash=False)
+    eps: dict[tuple[int, int], tuple[int, int]] = field(hash=False)
 
     def support(self) -> list[int]:
         return sorted({n for (_j, n) in self.eps})
 
-    def _row(self, n: int, rows: dict) -> tuple[list[int], list[int]]:
-        """Numerators and denominators of eps_{1,n} .. eps_{k,n}, each read
-        once and kept in ``rows``; ValueError names an entry that is
-        missing or not positive."""
+    def _row(self, n: int, rows: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(p_1 .. p_k), (q_1 .. q_k) of eps_{1,n} .. eps_{k,n}, read once and
+        kept in ``rows``; ValueError names an entry missing or not positive."""
         row = rows.get(n)
         if row is None:
-            nums, dens = [], []
+            pairs = []
             for j in range(1, self.k + 1):
                 try:
-                    p, q = self.eps[(j, n)].as_integer_ratio()
+                    p, q = self.eps[(j, n)]
                 except KeyError:
                     raise ValueError(f"eps_({j},{n}) is not in the table") from None
-                if p <= 0:
+                if p <= 0 or q <= 0:
                     raise ValueError(f"eps_({j},{n}) must be positive")
-                nums.append(p)
-                dens.append(q)
-            row = rows[n] = (nums, dens)
+                pairs.append((p, q))
+            row = rows[n] = tuple(zip(*pairs))
         return row
 
     def hypothesis_violations(self, phi: Callable[[int], int], rows: dict | None = None) -> list[dict]:
@@ -287,11 +285,11 @@ class InstanceDefect(ValueError):
 
 @dataclass(frozen=True)
 class AbstractInstance:
-    """Signed exact values L_n(e_j) over a support; enough for the
-    coefficient-bound argument, which only ever sees these numbers."""
+    """Signed exact values L_n(e_j) = p/q over a support, each an integer
+    pair (p, q) with q > 0; enough for the coefficient-bound argument."""
 
     k: int
-    values: dict[tuple[int, int], Fraction] = field(hash=False)   # (j, n) -> signed L_n(e_j)
+    values: dict[tuple[int, int], tuple[int, int]] = field(hash=False)   # (j, n) -> (p, q)
 
 
 @dataclass(frozen=True)
@@ -313,7 +311,7 @@ def coefficient_bound_check(instance: AbstractInstance, lambdas: Sequence, n: in
     with M = sum lambda_j e_j.  All arithmetic exact, and on integers.
 
     With B the lcm of the lambdas' denominators and E_m that of the
-    entries L_m(e_j) = n_jm / d_jm, |L_m(M)| = S_m / (B E_m) for the
+    entries' pairs L_m(e_j) = (n_jm, d_jm), |L_m(M)| = S_m / (B E_m) for the
     integer S_m = |sum_j (B lambda_j) n_jm (E_m / d_jm)|, and since d_jm
     divides E_m each term is S_m / (B (E_m / d_jm) |n_jm|).  Summed over
     the product of those denominators, times (k^2 + k + 1) / k^2 and
@@ -330,21 +328,21 @@ def coefficient_bound_check(instance: AbstractInstance, lambdas: Sequence, n: in
     lam_num = [l.numerator * (lam_den // l.denominator) for l in lambdas]
     entries = [[instance.values[(j, m)] for j in range(1, k + 1)] for m in iterates]
     m_nums, m_dens = [], []
-    for vals in entries:
-        den = math.lcm(*(v.denominator for v in vals))
-        m_nums.append(abs(sum(a * v.numerator * (den // v.denominator)
-                              for a, v in zip(lam_num, vals))))
+    for m, vals in zip(iterates, entries):
+        if min(q for _p, q in vals) <= 0:
+            raise ValueError(f"L_{m}(e_1..e_{k}) need a positive denominator, got {vals}")
+        den = math.lcm(*(q for _p, q in vals))
+        m_nums.append(abs(sum(a * p * (den // q) for a, (p, q) in zip(lam_num, vals))))
         m_dens.append(den)
     c_num, c_den = k * k + k + 1, k * k * lam_den
-    bounds = []
-    ok = []
+    bounds, ok = [], []
     for j in range(k):
         num, den = 0, 1
         for m, vals, s_m, e_m in zip(iterates, entries, m_nums, m_dens):
-            v = vals[j]
-            if not v.numerator:
+            p, q = vals[j]
+            if not p:
                 raise InstanceDefect(f"|L_{m}(e_{j + 1})| = 0; instance unusable")
-            t_den = e_m // v.denominator * abs(v.numerator)
+            t_den = e_m // q * abs(p)
             num, den = num * t_den + s_m * den, den * t_den
         b = Fraction(c_num * num, c_den * den)
         bounds.append(b)
@@ -468,8 +466,9 @@ def random_smallness_table(rng, k: int) -> tuple[EpsTable, Callable[[int], int],
     eps_{j,n} = 2^{-n tau_j} (1 + jitter) with integer taus of gap >= 1 and
     phi(n) = n + gap where gap covers log2((k+1)!) plus jitter headroom.
     The support is kept sparse: the phi-iterate chain from n0 = 1 plus two
-    trailing points, which is all the checkers quantify over.  Returns
-    (table, phi, n0).
+    trailing points, which is all the checkers quantify over.  Entries are
+    in lowest terms: a draw's trailing zeros are shifted out of both p and
+    q.  Returns (table, phi, n0).
     """
     taus = []
     t = rng.randint(1, 4)
@@ -483,17 +482,18 @@ def random_smallness_table(rng, k: int) -> tuple[EpsTable, Callable[[int], int],
     support = [n0 + i * gap for i in range(k)]
     support += [support[-1] + 1, support[-1] + gap]
     draw = rng.randrange                 # 1024 + jitter, jitter/1024 in [0, 1/4]
-    table = EpsTable(k=k, eps={(j, n): Fraction(draw(1024, 1280), 1 << (n * tau + 10))
-                               for j, tau in enumerate(taus, 1) for n in support})
+    eps = {(j, n): (p >> z, 1 << (n * tau + 10 - z))
+           for j, tau in enumerate(taus, 1) for n in support
+           for p in (draw(1024, 1280),) for z in ((p & -p).bit_length() - 1,)}
 
     def phi(n: int) -> int:
         return n + gap
 
-    return table, phi, n0
+    return EpsTable(k=k, eps=eps), phi, n0
 
 
 def random_signed_instance(rng, k: int) -> tuple[AbstractInstance, Callable[[int], int], int]:
     """Signed exact instance whose absolute values satisfy the hypothesis."""
     table, phi, n0 = random_smallness_table(rng, k)
-    values = {key: (v if rng.random() < 0.5 else -v) for key, v in table.eps.items()}
+    values = {key: (p if rng.random() < 0.5 else -p, q) for key, (p, q) in table.eps.items()}
     return AbstractInstance(k=k, values=values), phi, n0

@@ -4,9 +4,10 @@ Dense polynomials over the rationals, rising factorials, exact power
 sums, the product form of the saddle polynomial Q with an
 argument-principle root count, the permutation product inequality, the
 coefficient bound and the rational rank's kernel re-verification summed
-term by term in Fractions, Gauss-Jordan elimination in Fraction
-arithmetic, the brute-force float sweep of the projective distance, direct summation in mpf, Borwein's
-zeta series summed for one exponent at a time, the Laurent tail built
+term by term in Fractions (the criterion's integer pairs read as
+Fractions), Gauss-Jordan elimination in Fraction arithmetic, the
+brute-force float sweep of the projective distance, direct summation in
+mpf, Borwein's zeta series summed for one exponent at a time, the Laurent tail built
 from linear factors and divided in 1/t, exact Bernoulli numbers,
 an Euler-Maclaurin expansion built term by term, and the partial-fraction
 table and zeta forms accumulated in reduced Fractions, with the JSON
@@ -251,15 +252,25 @@ def argument_principle_count(f: Callable, df: Callable, corners: Sequence,
 
 
 def eps_value(table: EpsTable, j: int, n: int) -> Fraction:
-    """eps_{j,n} read from the table as a Fraction, with the ValueError of
-    the package for an entry that is missing or not positive."""
+    """eps_{j,n} read from the table's pair (p, q) as the Fraction p/q, with
+    the ValueError of the package for an entry that is missing or whose p
+    or q is not positive."""
     try:
-        v = table.eps[(j, n)]
+        p, q = table.eps[(j, n)]
     except KeyError:
         raise ValueError(f"eps_({j},{n}) is not in the table") from None
-    if v <= 0:
+    if p <= 0 or q <= 0:
         raise ValueError(f"eps_({j},{n}) must be positive")
-    return Fraction(v)
+    return Fraction(p, q)
+
+
+def instance_value(instance: AbstractInstance, j: int, m: int) -> Fraction:
+    """L_m(e_j) read from the instance's signed pair (p, q) as the Fraction
+    p/q; a pair with q <= 0 is a ValueError."""
+    p, q = instance.values[(j, m)]
+    if q <= 0:
+        raise ValueError(f"L_{m}(e_{j}) needs a positive denominator, got {(p, q)}")
+    return Fraction(p, q)
 
 
 def permutation_product_oracle(table: EpsTable, phi: Callable[[int], int], n: int,
@@ -355,7 +366,7 @@ def coefficient_bound_oracle(instance: AbstractInstance, lambdas: Sequence, n: i
     iterates = [n]
     for _ in range(k - 1):
         iterates.append(phi(iterates[-1]))
-    m_vals = [abs(sum((l * instance.values[(j, m)] for j, l in enumerate(lambdas, 1)),
+    m_vals = [abs(sum((l * instance_value(instance, j, m) for j, l in enumerate(lambdas, 1)),
                       Fraction(0)))
               for m in iterates]
     const = Fraction(1) + Fraction(1, k) + Fraction(1, k * k)
@@ -364,7 +375,7 @@ def coefficient_bound_oracle(instance: AbstractInstance, lambdas: Sequence, n: i
     for j in range(1, k + 1):
         total = Fraction(0)
         for i, m in enumerate(iterates):
-            denom = abs(instance.values[(j, m)])
+            denom = abs(instance_value(instance, j, m))
             if denom == 0:
                 raise InstanceDefect(f"|L_{m}(e_{j})| = 0; instance unusable")
             total += m_vals[i] / denom

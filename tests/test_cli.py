@@ -13,7 +13,7 @@ from mpmath import mp
 
 import zetaforms
 from zetaforms import criterion, linear_forms, saddle
-from zetaforms.cli import main
+from zetaforms.cli import MAX_A_DIGITS, main
 
 
 def run(argv):
@@ -131,6 +131,27 @@ def test_forms_past_the_int_string_cap():
     assert "Traceback" not in proc.stderr
     doc = json.loads(proc.stdout)
     assert max(len(form["constant"]["num"]) for form in doc["forms"]) > 4300
+
+
+@pytest.mark.parametrize("argv", [["asymptotics", "--a", str(10**300 + 1)],
+                                  ["rank-bound", "--a", str(10**400 + 1)]],
+                         ids=["asymptotics-1e300", "rank-bound-1e400"])
+def test_saddle_roots_past_the_digit_bound_are_refused(argv):
+    # such an a ran out of memory in the saddle roots (a MemoryError
+    # traceback within a second); it is refused on its digit count, in a
+    # child with its address space limited as in the probes of that bound
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from zetaforms.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "a-too-large"
+    assert f"at most {MAX_A_DIGITS} digits" in err["message"]
 
 
 def test_asymptotics_command(tmp_path):
@@ -349,8 +370,10 @@ def test_criterion_unknown_kind(tmp_path):
     (["rates", "--a", "13", "--r", "-2", "--n-range", "1..2"], "invalid-r"),
     (["asymptotics", "--a", "13", "--r", "-1"], "invalid-r"),
     (["asymptotics", "--a", "13", "--dps", "-5"], "invalid-digits"),
+    (["asymptotics", "--a", str(10**226 + 1)], "a-too-large"),
+    (["rates", "--a", str(10**226 + 1), "--n-range", "1..2"], "a-too-large"),
 ], ids=["rates-a1", "rates-a5", "rates-r3", "rates-n0", "rates-empty-range", "rates-r-2",
-        "asymptotics-r-1", "asymptotics-dps-5"])
+        "asymptotics-r-1", "asymptotics-dps-5", "asymptotics-227-digits", "rates-227-digits"])
 def test_input_errors_exit_2_before_computing(argv, kind, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the input was checked")

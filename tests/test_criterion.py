@@ -22,6 +22,11 @@ from zetaforms.criterion import (
 )
 
 
+def _pairs(values: dict) -> dict:
+    """Fraction, int or float entries as the integer pairs the criterion reads."""
+    return {key: v.as_integer_ratio() for key, v in values.items()}
+
+
 def test_phi_build_powers_of_two():
     q = [2 ** n for n in range(1, 16)]
     assert phi_build(q, 1, 5) == 11          # smallest m with 2^m > 2^10
@@ -96,7 +101,7 @@ def test_permutation_check_power_table_all_sigmas():
     for j, tau in enumerate((3, 2, 1), start=1):
         for n in range(1, 46):
             eps[(j, n)] = Fraction(1, 2 ** (n * tau))
-    table = EpsTable(k=3, eps=eps)
+    table = EpsTable(k=3, eps=_pairs(eps))
     eps1 = 5
 
     def phi(n):
@@ -115,7 +120,7 @@ def test_permutation_check_adversarial_table_flags_hypothesis():
         for n in (1, 2, 3, 4):
             eps[(j, n)] = Fraction(1, 2 ** n) if j == 1 else Fraction(1, 3 ** n)
     # j = 1 decays slower than j = 2: hypothesis reversed
-    table = EpsTable(k=2, eps=eps)
+    table = EpsTable(k=2, eps=_pairs(eps))
     rep = permutation_product_check(table, lambda n: n + 1, 1, 2)
     assert not rep.hypothesis_ok
     assert rep.hypothesis_violations
@@ -123,22 +128,22 @@ def test_permutation_check_adversarial_table_flags_hypothesis():
 
 
 def test_coefficient_bound_k1_is_three_m_over_eps():
-    inst = AbstractInstance(k=1, values={(1, n): Fraction(1, 2 ** n) for n in (1, 2, 3)})
+    inst = AbstractInstance(k=1, values=_pairs({(1, n): Fraction(1, 2 ** n) for n in (1, 2, 3)}))
     rep = coefficient_bound_check(inst, [Fraction(5)], 1, lambda n: n + 1)
     assert rep.bounds[0] == 3 * Fraction(5)
     assert rep.passed
 
 
 def test_coefficient_bound_zero_combination():
-    inst = AbstractInstance(k=2, values={(j, n): Fraction((-1) ** n, 2 ** (n * j))
-                                         for j in (1, 2) for n in range(1, 9)})
+    inst = AbstractInstance(k=2, values=_pairs({(j, n): Fraction((-1) ** n, 2 ** (n * j))
+                                                for j in (1, 2) for n in range(1, 9)}))
     rep = coefficient_bound_check(inst, [0, 0], 1, lambda n: n + 2)
     assert all(b == 0 for b in rep.bounds)
     assert rep.passed
 
 
 def test_coefficient_bound_instance_defect_on_zero_eps():
-    inst = AbstractInstance(k=1, values={(1, 1): Fraction(0), (1, 2): Fraction(1, 2)})
+    inst = AbstractInstance(k=1, values=_pairs({(1, 1): Fraction(0), (1, 2): Fraction(1, 2)}))
     with pytest.raises(InstanceDefect):
         coefficient_bound_check(inst, [1], 1, lambda n: n + 1)
 
@@ -171,7 +176,7 @@ def _random_instance(rng):
             rest = sum(l * values[(j, m)] for j, l in enumerate(lambdas[:-1], 1))
             near = (Fraction(rng.randint(1, 9), 1000) - rest) / lambdas[-1]
             values[(k, m)] = near or values[(k, m)]
-    return AbstractInstance(k=k, values=values), lambdas, 1, lambda n: n + gap
+    return AbstractInstance(k=k, values=_pairs(values)), lambdas, 1, lambda n: n + gap
 
 
 def test_coefficient_bound_equals_fraction_oracle():
@@ -209,14 +214,14 @@ def test_coefficient_bound_with_lambda_exactly_at_its_bound():
             values[(o, m)] = (a * values[(j, m)] - rest) / lambdas[o - 1]
         if any(v == 0 for v in values.values()):
             continue
-        inst = AbstractInstance(k=k, values=values)
+        inst = AbstractInstance(k=k, values=_pairs(values))
         rep = coefficient_bound_check(inst, lambdas, 1, lambda n: n + 2)
         assert rep == coefficient_bound_oracle(inst, lambdas, 1, lambda n: n + 2)
         assert rep.bounds[j - 1] == abs(lambdas[j - 1]) and rep.ok_per_j[j - 1]
         at_bound += 1
     assert at_bound >= 250
     # k = 1: the bound is 3 |lambda|, met with equality only at lambda = 0
-    inst = AbstractInstance(k=1, values={(1, 1): Fraction(-7, 3)})
+    inst = AbstractInstance(k=1, values=_pairs({(1, 1): Fraction(-7, 3)}))
     rep = coefficient_bound_check(inst, [0], 1, lambda n: n + 1)
     assert rep == coefficient_bound_oracle(inst, [0], 1, lambda n: n + 1)
     assert rep.bounds == (0,) and rep.passed
@@ -225,7 +230,7 @@ def test_coefficient_bound_with_lambda_exactly_at_its_bound():
 def test_coefficient_bound_instance_defect_message_names_the_first_zero():
     # zeros at (j, m) = (2, 1) and (1, 3): j is scanned first
     values = {(1, 1): Fraction(1, 2), (2, 1): Fraction(0), (1, 3): Fraction(0), (2, 3): Fraction(5)}
-    inst = AbstractInstance(k=2, values=values)
+    inst = AbstractInstance(k=2, values=_pairs(values))
     for check in (coefficient_bound_check, coefficient_bound_oracle):
         with pytest.raises(InstanceDefect) as err:
             check(inst, [1, Fraction(-2, 3)], 1, lambda n: n + 2)
@@ -282,7 +287,7 @@ def test_permutation_check_randomized_suite_small():
 def _old_entry_table(seed: int, k: int):
     """random_smallness_table's parameters and entries as first written:
     each entry 2^{-n tau_j} (1 + jitter/1024) as a Fraction product, drawing
-    from the RNG in the same order."""
+    from the RNG in the same order.  Returns (entries, gap, n0)."""
     rng = random.Random(seed)
     taus = []
     t = rng.randint(1, 4)
@@ -299,7 +304,7 @@ def _old_entry_table(seed: int, k: int):
         for n in support:
             jitter = Fraction(rng.randint(0, 255), 1024)
             eps[(j, n)] = Fraction(1, 2 ** (n * taus[j - 1])) * (1 + jitter)
-    return EpsTable(k=k, eps=eps), gap, 1
+    return eps, gap, 1
 
 
 def test_random_smallness_table_entries_unchanged():
@@ -307,7 +312,8 @@ def test_random_smallness_table_entries_unchanged():
         for k in (1, 2, 3, 5):
             old, gap, n0_old = _old_entry_table(seed, k)
             table, phi, n0 = random_smallness_table(random.Random(seed), k)
-            assert table == old and table.eps == old.eps
+            assert table == EpsTable(k=k, eps=_pairs(old)) and table.eps == _pairs(old)
+            assert all(math.gcd(p, q) == 1 for p, q in table.eps.values())
             assert n0 == n0_old
             assert all(phi(n) == n + gap for n in table.support())
 
@@ -332,10 +338,10 @@ def test_permutation_check_equals_oracle_on_perturbed_tables():
     for _ in range(500):
         k = rng.randint(2, 5)
         table, phi, n0 = random_smallness_table(rng, k)
-        eps = {key: v * Fraction(rng.randrange(1, 2 ** rng.randint(1, 40)),
-                                 rng.randrange(1, 2 ** rng.randint(1, 40)))
+        eps = {key: Fraction(*v) * Fraction(rng.randrange(1, 2 ** rng.randint(1, 40)),
+                                            rng.randrange(1, 2 ** rng.randint(1, 40)))
                for key, v in table.eps.items()}
-        table = EpsTable(k=k, eps=eps)
+        table = EpsTable(k=k, eps=_pairs(eps))
         rep = permutation_product_check(table, phi, n0, k)
         assert rep == permutation_product_oracle(table, phi, n0, k)
         failed_rows += not rep.conclusion_holds
@@ -349,7 +355,7 @@ def _bound_table(bump: Fraction = Fraction(0)) -> EpsTable:
     # (1/3!) eps_{1,1} eps_{2,2} exactly, times (1 + bump)
     e11, e22, e21 = Fraction(5, 7), Fraction(11, 13), Fraction(3, 2)
     e12 = e11 * e22 / (6 * e21) * (1 + bump)
-    return EpsTable(k=2, eps={(1, 1): e11, (2, 1): e21, (1, 2): e12, (2, 2): e22})
+    return EpsTable(k=2, eps=_pairs({(1, 1): e11, (2, 1): e21, (1, 2): e12, (2, 2): e22}))
 
 
 def test_permutation_check_equality_at_the_bound_passes():
@@ -360,7 +366,7 @@ def test_permutation_check_equality_at_the_bound_passes():
 
 def test_permutation_check_just_past_the_bound_fails():
     table = _bound_table(Fraction(1, 2 ** 200))
-    assert float(table.eps[(1, 2)]) == float(_bound_table().eps[(1, 2)])
+    assert float(Fraction(*table.eps[(1, 2)])) == float(Fraction(*_bound_table().eps[(1, 2)]))
     rep = permutation_product_check(table, lambda n: n + 1, 1, 2)
     assert rep.rows == (((1, 2), True, Fraction(1)), ((2, 1), False, Fraction(1, 6)))
     assert rep.hypothesis_violations == ({"i": 1, "n": 1, "n_prime": 2},)
@@ -370,7 +376,7 @@ def test_permutation_check_just_past_the_bound_fails():
 
 def test_permutation_check_one_unit_past_the_bound_fails():
     # integer entries: the swapped product 2 is one unit past diag // 3! = 1
-    table = EpsTable(k=2, eps={(1, 1): 6, (2, 1): 1, (1, 2): 2, (2, 2): 1})
+    table = EpsTable(k=2, eps=_pairs({(1, 1): 6, (2, 1): 1, (1, 2): 2, (2, 2): 1}))
     rep = permutation_product_check(table, lambda n: n + 1, 1, 2)
     assert rep.rows == (((1, 2), True, Fraction(1)), ((2, 1), False, Fraction(1, 6)))
     assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, 2)
@@ -420,7 +426,7 @@ def test_permutation_rows_at_the_bit_length_edges(k, exact_calls):
         eps = _ones_table(k)
         eps[(1, 1)] = math.factorial(k + 1) << (L - 1)
         eps.update({(j, s): x for j, s, x in zip(range(1, k + 1), cycle, entries)})
-        table = EpsTable(k=k, eps=eps)
+        table = EpsTable(k=k, eps=_pairs(eps))
         exact_calls.clear()
         rep = permutation_product_check(table, lambda n: n + 1, 1, k)
         assert rep == permutation_product_oracle(table, lambda n: n + 1, 1, k)
@@ -447,7 +453,7 @@ def test_hypothesis_comparison_at_the_bit_length_edges(k, exact_calls):
         e11, e22 = _extremes(r, 2, not top)
         eps = _ones_table(k)
         eps.update({(1, 1): e11, (2, 2): e22, (1, 2): e12, (2, 1): e21})
-        table = EpsTable(k=k, eps=eps)
+        table = EpsTable(k=k, eps=_pairs(eps))
         exact_calls.clear()
         found = table.hypothesis_violations(lambda n: n + 1)
         oracle = permutation_product_oracle(table, lambda n: n + 1, 1, k)
@@ -471,16 +477,16 @@ def test_bit_length_bounds_decide_nearly_every_row_and_comparison(exact_calls):
 
 
 def test_permutation_check_missing_entry_is_value_error():
-    table = EpsTable(k=2, eps={(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4),
-                               (1, 2): Fraction(1, 8)})
+    table = EpsTable(k=2, eps=_pairs({(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4),
+                                      (1, 2): Fraction(1, 8)}))
     with pytest.raises(ValueError, match=r"eps_\(2,2\)"):
         permutation_product_check(table, lambda n: n + 1, 1, 2)
 
 
-@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 8)])
+@pytest.mark.parametrize("bad", [(0, 1), (-1, 8), (1, -8), (1, 0)])
 def test_permutation_check_nonpositive_entry_on_chain(bad):
-    table = EpsTable(k=2, eps={(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4),
-                               (1, 2): Fraction(1, 8), (2, 2): bad})
+    # (1, -8) has a positive numerator but the value -1/8
+    table = EpsTable(k=2, eps={(1, 1): (1, 2), (2, 1): (1, 4), (1, 2): (1, 8), (2, 2): bad})
     with pytest.raises(ValueError, match=r"eps_\(2,2\) must be positive"):
         permutation_product_check(table, lambda n: n + 1, 1, 2)
 
@@ -488,8 +494,57 @@ def test_permutation_check_nonpositive_entry_on_chain(bad):
 def test_permutation_check_reads_int_and_float_entries_exactly():
     exact = {(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4), (1, 2): Fraction(1, 64),
              (2, 2): Fraction(1)}
-    mixed = EpsTable(k=2, eps={(1, 1): 0.5, (2, 1): Fraction(1, 4), (1, 2): 2.0 ** -6,
-                               (2, 2): 1})
+    mixed = EpsTable(k=2, eps=_pairs({(1, 1): 0.5, (2, 1): Fraction(1, 4), (1, 2): 2.0 ** -6,
+                                      (2, 2): 1}))
     phi = lambda n: n + 1
     assert (permutation_product_check(mixed, phi, 1, 2)
-            == permutation_product_check(EpsTable(k=2, eps=exact), phi, 1, 2))
+            == permutation_product_check(EpsTable(k=2, eps=_pairs(exact)), phi, 1, 2))
+
+
+def test_coefficient_bound_nonpositive_denominator_is_value_error():
+    for bad in ((1, -8), (1, 0), (0, 0)):
+        inst = AbstractInstance(k=2, values={(1, 1): (1, 2), (2, 1): bad, (1, 3): (3, 4),
+                                             (2, 3): (-5, 1)})
+        for check in (coefficient_bound_check, coefficient_bound_oracle):
+            with pytest.raises(ValueError, match="positive denominator") as err:
+                check(inst, [1, Fraction(-2, 3)], 1, lambda n: n + 2)
+            assert not isinstance(err.value, InstanceDefect)
+
+
+def test_fraction_entries_are_refused():
+    # a Fraction where a pair is expected raises, and never yields a report
+    eps = {(j, n): Fraction(1, 2 ** (n * (3 - j))) for j in (1, 2) for n in (1, 2)}
+    with pytest.raises(TypeError):
+        permutation_product_check(EpsTable(k=2, eps=eps), lambda n: n + 1, 1, 2)
+    with pytest.raises(TypeError):
+        coefficient_bound_check(AbstractInstance(k=2, values=eps), [1, 1], 1, lambda n: n + 1)
+
+
+def test_generators_and_checks_build_no_fraction_per_entry(monkeypatch):
+    # every Fraction criterion builds is counted: the generators build none,
+    # a permutation check only its two etas, a coefficient check one per
+    # lambda and one per bound
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(criterion, "Fraction", counted)
+    rng = random.Random(31)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        table, phi, n0 = random_smallness_table(rng, k)
+        assert not made
+        rep = permutation_product_check(table, phi, n0, k)
+        assert rep.passed and len(made) == 2
+        made.clear()
+    rng = random.Random(9)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        inst, phi, n0 = random_signed_instance(rng, k)
+        assert not made
+        lambdas = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(k)]
+        assert coefficient_bound_check(inst, lambdas, n0, phi).passed
+        assert len(made) == 2 * k
+        made.clear()
