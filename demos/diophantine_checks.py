@@ -29,9 +29,6 @@ t2 = type2_box_check(xis=[xi], forms=[[p, q] for p, q in cs],
                      qseq=[q for _p, q in cs], taus=[1.0], eps=0.2, Q=100)
 print(f"\ntype-II box for sqrt(2): decay slope {t2.decay_slopes[0]:.4f} "
       f"(target -1), boxes checked {t2.boxes_checked}, violations {len(t2.violations)}")
-for s in t2.identity_samples[:3]:
-    print(f"  identity replay at a = {s['a']}, n = {s['n']}: "
-          f"lhs {s['lhs']:.6f} vs rhs {s['rhs']:.6f}")
 
 forms = []
 qseq = []

@@ -29,7 +29,6 @@ from .highprec import (              # noqa: F401
     RateReport,
 )
 from .saddle import (                # noqa: F401
-    SaddlePlane,
     SaddleData,
     find_mu1,
     find_tau0,

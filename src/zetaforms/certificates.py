@@ -51,11 +51,15 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        write_csv_rows(fh, header, rows)
     return path
+
+
+def write_csv_rows(fh, header: list[str], rows) -> None:
+    """header and rows as CSV on the open text stream fh."""
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 RATE_CSV_COLUMNS = ["n", "logSn_over_n", "logSppn_over_n", "sign", "cos_reference"]

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .certificates import (
     rate_report_rows,
     saddle_json,
     write_csv,
+    write_csv_rows,
     write_json,
 )
 
@@ -29,19 +29,22 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
-ENV_DIGITS = "ZETAFORMS_DIGITS"
 # Largest digit count of a whose saddle roots certify in a 3 GB address
 # space: 10**226 - 1 does (2.98 GB peak), 10**227 - 1 runs out of memory in
 # mpmath's complex log under the log1p term of saddle._offset_equation.
 MAX_A_DIGITS = 226
 
 
-def _emit(doc: dict, out: str | None, fmt: str, csv_payload=None) -> None:
-    if out:
-        if fmt == "csv" and csv_payload is not None:
+def _emit(doc: dict, out: str | None, csv_payload=None) -> None:
+    """doc as JSON, or csv_payload (header, rows) as CSV where given, to
+    the file out or else to stdout."""
+    if csv_payload is not None:
+        if out:
             write_csv(out, *csv_payload)
         else:
-            write_json(out, doc)
+            write_csv_rows(sys.stdout, *csv_payload)
+    elif out:
+        write_json(out, doc)
     else:
         print(json.dumps(doc, indent=2))
 
@@ -90,18 +93,12 @@ def _checked_r(a: int, r: int) -> int:
     return r
 
 
-def _checked_digits(given: int) -> int:
-    """The digits option, else the ZETAFORMS_DIGITS environment variable,
-    else 0 (the default); a negative or unreadable value is an input error."""
-    text = os.environ.get(ENV_DIGITS) or "0"
-    try:
-        digits = given or int(text)
-    except ValueError:
-        raise _InputError("invalid-digits", f"{ENV_DIGITS}={text!r} is not an integer")
-    if digits < 0:
+def _checked_dps(dps: int) -> int | None:
+    """The dps option, or None (the default) for 0; negative is an input error."""
+    if dps < 0:
         raise _InputError("invalid-digits",
-                          f"digits must be >= 0 (0 takes the default), got {digits}")
-    return digits
+                          f"dps must be >= 0 (0 takes the default), got {dps}")
+    return dps or None
 
 
 def cmd_forms(args) -> int:
@@ -160,7 +157,7 @@ def cmd_forms(args) -> int:
         "residuals": residual_digits,
         "pass": all(checks),
     }
-    _emit(doc, args.out, "json")
+    _emit(doc, args.out)
     return EXIT_OK if all(checks) else EXIT_CHECK_FAILED
 
 
@@ -169,7 +166,7 @@ def cmd_asymptotics(args) -> int:
 
     try:
         r = _checked_r(args.a, args.r)
-        dps = _checked_digits(args.dps) or None
+        dps = _checked_dps(args.dps)
     except _InputError as exc:
         return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     try:
@@ -181,7 +178,7 @@ def cmd_asymptotics(args) -> int:
     doc["provenance"] = provenance("asymptotics", {"a": args.a, "r": r}, data.dps)
     asserted = bool(data.log_eps_gap > 0 and data.log_eps_a < 0)
     doc["pass"] = asserted
-    _emit(doc, args.out, "json")
+    _emit(doc, args.out)
     return EXIT_OK if asserted else EXIT_CHECK_FAILED
 
 
@@ -204,7 +201,7 @@ def cmd_rank_bound(args) -> int:
         **cert,
         "pass": mp.mpf(cert["tau_gap"]) > 0 and cert["tau1"] > 0,
     }
-    _emit(doc, args.out, "json")
+    _emit(doc, args.out)
     return EXIT_OK if doc["pass"] else EXIT_CHECK_FAILED
 
 
@@ -227,20 +224,19 @@ def cmd_rates(args) -> int:
     try:
         r = _checked_r(args.a, args.r)
         nrange = _parse_range(args.n_range)
-        min_digits = _checked_digits(args.digits)
     except _InputError as exc:
         return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     try:
         data = compute_constants(args.a, r)
-        report = measure_rates(args.a, r, list(nrange), data, min_digits=min_digits)
+        report = measure_rates(args.a, r, list(nrange), data)
     except (ArithmeticError, ValueError) as exc:
         return _error_block(EXIT_NUMERIC_ERROR, "rates", str(exc))
     doc = rate_report_json(report)
     doc["provenance"] = provenance("rates", {"a": args.a, "r": r, "n_range": args.n_range})
+    csv_payload = None
     if args.format == "csv" or (args.out or "").endswith(".csv"):
-        _emit(doc, args.out, "csv", csv_payload=(RATE_CSV_COLUMNS, rate_report_rows(report)))
-    else:
-        _emit(doc, args.out, "json")
+        csv_payload = (RATE_CSV_COLUMNS, rate_report_rows(report))
+    _emit(doc, args.out, csv_payload)
     return EXIT_OK
 
 
@@ -272,7 +268,7 @@ def cmd_criterion(args) -> int:
     except ArithmeticError as exc:
         return _error_block(EXIT_NUMERIC_ERROR, "criterion", str(exc))
     report["provenance"] = provenance("criterion", {"in": str(args.infile)})
-    _emit(report, args.out, "json")
+    _emit(report, args.out)
     return EXIT_OK if report.get("pass", True) else EXIT_CHECK_FAILED
 
 
@@ -330,12 +326,14 @@ def _criterion_type2(doc: dict) -> dict:
 def _criterion_projective_distance(doc: dict) -> dict:
     from .diophantine import projective_distance_sweep
 
+    # without a norm_threshold key the library's default burn-in applies
+    optional = {"norm_threshold": float(doc["norm_threshold"])} if "norm_threshold" in doc else {}
     report = projective_distance_sweep(
         xi=float(doc["xi"]),
         tau=float(doc["tau"]),
         eps=float(doc["eps"]),
         p_max=int(doc["p_max"]),
-        norm_threshold=float(doc.get("norm_threshold", 10.0)),
+        **optional,
     )
     return {
         "schema": "zetaforms/criterion-report@1",
@@ -386,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--dps", type=int, default=0,
-                   help="working decimal precision (default scales with a; "
-                        f"the {ENV_DIGITS} environment variable applies "
-                        "where the option is not given)")
+                   help="working decimal precision (default scales with a)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_asymptotics)
 
@@ -401,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--n-range", required=True, help="e.g. 20..40")
-    p.add_argument("--digits", type=int, default=0,
-                   help="floor on the auto-scaled zeta budget (digits) "
-                        f"(the {ENV_DIGITS} environment variable also applies)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_rates)

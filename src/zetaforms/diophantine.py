@@ -448,7 +448,6 @@ class TypeIIReport:
     taus: tuple[float, ...]
     boxes_checked: int
     violations: tuple
-    identity_samples: tuple
 
     @property
     def passed(self) -> bool:
@@ -469,13 +468,7 @@ def type2_box_check(xis: Sequence,
     The decay hypothesis is checked by regression of log error against
     log Q_n (drift tolerance ``slope_drift``); the conclusion by exact
     enumeration of the box, testing only the integer a_0 nearest to
-    -sum a_j xi_j (any other a_0 leaves a gap >= 1/2 > Q^(-1-eps)).  For a
-    sample of candidates the direct-proof identity
-
-        |l_{k+1,n}| |a_0 + sum a_j xi_j|
-            = |sum_j a_j (l_{k+1,n} xi_j - l_{j,n}) + l_{k+1,n} a_0 + sum_j a_j l_{j,n}|
-
-    is replayed at the maximal n with Q_n |a_0 + sum a_j xi_j| < 1/2.
+    -sum a_j xi_j (any other a_0 leaves a gap >= 1/2 > Q^(-1-eps)).
     The regression takes log Q_n from the integers, so Q_n may lie far
     beyond the double-precision range.
     """
@@ -501,7 +494,6 @@ def type2_box_check(xis: Sequence,
                 hypo_ok = False
         threshold = mpf(Q) ** (-1 - eps)
         violations = []
-        samples = []
         boxes = 0
         caps = [int(math.floor(Q ** t)) for t in taus]
         for avec in product(*(range(-c, c + 1) for c in caps)):
@@ -514,23 +506,7 @@ def type2_box_check(xis: Sequence,
                 v = abs((a0 + da) + x)
                 if v < threshold:
                     violations.append(((a0 + da,) + tuple(avec), float(v)))
-            if boxes % max(1, (2 * caps[0] + 1) // 3) == 0:
-                v = abs(a0 + x)
-                n_star = 0
-                for idx, q in enumerate(qseq):
-                    if q * v < mpf(1) / 2:
-                        n_star = idx + 1
-                if n_star:
-                    l = forms[n_star - 1]
-                    lhs = abs(l[k]) * v
-                    rhs = abs(sum((a * (l[k] * xs_mp[j] - l[j]) for j, a in enumerate(avec)),
-                                  mpf(0))
-                              + l[k] * a0 + sum(a * l[j] for j, a in enumerate(avec)))
-                    samples.append({"a": (a0,) + tuple(avec), "n": n_star,
-                                    "lhs": float(lhs), "rhs": float(rhs),
-                                    "gap": float(abs(lhs - rhs))})
     return TypeIIReport(k=k, Q=Q, eps=eps, hypothesis_ok=hypo_ok,
                         decay_slopes=tuple(slopes), taus=tuple(float(t) for t in taus),
-                        boxes_checked=boxes, violations=tuple(violations),
-                        identity_samples=tuple(samples[:8]))
+                        boxes_checked=boxes, violations=tuple(violations))
 

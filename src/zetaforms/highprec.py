@@ -1168,15 +1168,14 @@ def _rate_forms(spec: FormSpec) -> tuple[ZetaLinearForm, ZetaLinearForm]:
     return linear_forms.zeta_form_plain(table), linear_forms.zeta_form_derived(table)
 
 
-def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
-                  min_digits: int = 0) -> RateReport:
+def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data) -> RateReport:
     """High-precision |S_n|, |S''_n| along n, against the saddle constants.
 
     Both values come from their exact zeta forms (``eval_S_form``), which
     share the l_i.  The forms cancel from sum|coeff| down to the value, so
     at n the zeta values need log10 sum|coeff| - tol_n digits plus a guard,
     with target tol_n = n log10 eps''_a - 34.  One budget, the largest over
-    the n values and at least ``min_digits``, serves the whole call, so
+    the n values and at least 50, serves the whole call, so
     the zeta values of all its forms are made in one pass of
     ``_zeta_borwein`` at that budget + 4, as ``eval_S_form`` would make
     each form's own.
@@ -1192,7 +1191,7 @@ def measure_rates(a: int, r: int, n_values: Sequence[int], saddle_data,
     omega = float(saddle_data.omega_a)
     phi = float(saddle_data.phi_a)
     forms = []
-    digits = max(50, min_digits)
+    digits = 50
     for n in n_values:
         pair = _rate_forms(FormSpec(a=a, r=r, n=n))
         tol = n * Lpp / math.log(10) - 34

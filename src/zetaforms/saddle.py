@@ -48,7 +48,7 @@ from mpmath import mp, mpf, mpc
 
 def default_dps(a: int) -> int:
     """Working precision scaling with a; root gaps shrink as a grows."""
-    return max(60, 30 + 10 * len(str(a)) + 30)
+    return 60 + 10 * len(str(a))
 
 
 def nu_of(a: int) -> mpf:
@@ -57,68 +57,15 @@ def nu_of(a: int) -> mpf:
 
 
 def r_of_a(a: int) -> int:
-    """max(1, floor(a exp(-sqrt(log a)))), clamped so 6r <= a."""
+    """max(1, floor(a exp(-sqrt(log a)))), clamped so 6r <= a.
+
+    The product is evaluated at 20 digits past those of a (at least 50),
+    so its floor is exact unless it lies that close to an integer."""
     if a < 3 or a % 2 == 0:
         raise ValueError("need odd a >= 3")
-    with mp.workdps(50):
+    with mp.workdps(max(50, len(str(a)) + 20)):
         raw = int(mp.floor(a * mp.exp(-mp.sqrt(mp.log(a)))))
     return max(1, min(raw, a // 6) if a >= 6 else 1)
-
-
-@dataclass(frozen=True)
-class SaddlePlane:
-    """Cut-plane context: cuts along (-inf, 1] and [2r+1, +inf).
-
-    Principal logarithms give the real-on-(1, c) determination; points on
-    [c, +inf) must be tagged bank="upper" and use log(c - tau) =
-    log(tau - c) - i pi.
-    """
-
-    a: int
-    r: int
-
-    def __post_init__(self):
-        if self.a % 2 == 0 or self.a < 1:
-            raise ValueError("a must be odd and positive")
-        if 6 * self.r > self.a:
-            raise ValueError("need 6r <= a")
-
-    @property
-    def c(self) -> int:
-        return 2 * self.r + 1
-
-    def _check_point(self, tau, bank):
-        im = mp.im(tau)
-        re = mp.re(tau)
-        if im == 0:
-            if re >= self.c:
-                if bank != "upper":
-                    raise ValueError(
-                        f"tau={tau} lies on the cut [c, inf); pass bank='upper'")
-            elif re <= 1:
-                raise ValueError(f"tau={tau} lies on the cut (-inf, 1]")
-
-    def _log_middle(self, tau, bank):
-        # log(c - tau), continued onto the upper bank of [c, inf)
-        if bank == "upper" and mp.im(tau) == 0 and mp.re(tau) > self.c:
-            return mp.log(tau - self.c) - mpc(0, mp.pi)
-        return mp.log(self.c - tau)
-
-    def _phase_at(self, tau, bank):
-        self._check_point(tau, bank)
-        return _phase(self.a, self.r, self.c - tau, self._log_middle(tau, bank))
-
-    def f(self, tau, bank: str | None = None):
-        return self._phase_at(tau, bank)[0]
-
-    def f_prime(self, tau, bank: str | None = None):
-        return self._phase_at(tau, bank)[1]
-
-    def f_second(self, tau):
-        return _f_second(self.a, self.r, self.c - tau)
-
-    def f0(self, tau, bank: str | None = None):
-        return self._phase_at(tau, bank)[2]
 
 
 def _phase(a: int, r: int, z, log_z):
@@ -305,9 +252,14 @@ def compute_constants(a: int, r: int, dps: int | None = None) -> SaddleData:
     Everything is evaluated from the root offsets delta = mu1 - c and
     z = c - tau0 (log(c - tau), 3/(c - tau) and arg(c - tau) included), so
     the constants stay right where c + delta rounds to c.  Raises
-    ArithmeticError when either root fails its certificate."""
+    ValueError for an even or negative a or 6r > a, and ArithmeticError
+    when either root fails its certificate."""
+    if a % 2 == 0 or a < 1:
+        raise ValueError("a must be odd and positive")
+    if 6 * r > a:
+        raise ValueError("need 6r <= a")
     dps = dps or default_dps(a)
-    c = SaddlePlane(a=a, r=r).c
+    c = 2 * r + 1
     mu1, cert_mu = find_mu1(a, r, dps)
     tau0, cert_tau = find_tau0(a, r, dps)
     with mp.workdps(dps):

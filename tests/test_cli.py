@@ -303,6 +303,23 @@ def test_criterion_projective_distance_fixture(tmp_path):
     assert -2.25 <= doc["best_exponent"] <= -1.95
 
 
+def test_criterion_projective_distance_without_threshold_takes_the_library_default(tmp_path):
+    from zetaforms.diophantine import projective_distance_sweep
+
+    doc = json.loads((resources.files("zetaforms.data")
+                      / "golden_projective_distance.json").read_text())
+    del doc["norm_threshold"]
+    src, out = tmp_path / "instance.json", tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    assert run(["criterion", "--in", str(src), "--out", str(out)]) == 0
+    lib = projective_distance_sweep(xi=float(doc["xi"]), tau=float(doc["tau"]),
+                                    eps=float(doc["eps"]), p_max=int(doc["p_max"]))
+    report = json.loads(out.read_text())
+    assert report["pass"] and report["checked"] == lib.checked == 21
+    assert report["violations"] == [list(v) for v in lib.violations] == []
+    assert report["best_exponent"] == lib.best_exponent
+
+
 def test_import_leaves_numpy_out():
     code = "import sys, zetaforms, zetaforms.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
@@ -385,20 +402,13 @@ def test_input_errors_exit_2_before_computing(argv, kind, tmp_path, capsys, monk
     assert not out.exists()
 
 
-def test_unreadable_digits_variable_is_input_error(monkeypatch, capsys):
-    monkeypatch.setenv("ZETAFORMS_DIGITS", "abc")
-    for argv in (["asymptotics", "--a", "13"], ["rates", "--a", "13", "--n-range", "20..20"]):
-        assert run(argv) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "invalid-digits"
-
-
-def test_dps_option_takes_precedence_over_the_digits_variable(monkeypatch, tmp_path):
-    # the variable applies only where the option is not given
+def test_precision_is_set_on_the_command_line_only(monkeypatch, tmp_path):
+    # no environment variable is read: ZETAFORMS_DIGITS changes no byte
+    argv = ["asymptotics", "--a", "13", "--r", "2", "--out"]
+    assert run(argv + [str(tmp_path / "plain.json")]) == 0
     monkeypatch.setenv("ZETAFORMS_DIGITS", "30")
-    out = tmp_path / "saddle.json"
-    for argv, dps in ((["--dps", "60"], 60), ([], 30)):
-        assert run(["asymptotics", "--a", "13", "--r", "2", *argv, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["provenance"]["precision_dps"] == dps
+    assert run(argv + [str(tmp_path / "env.json")]) == 0
+    assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_rates_csv(tmp_path):
@@ -413,6 +423,16 @@ def test_rates_csv(tmp_path):
     # the same bytes
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "05c011b2cff667341884c48e088d4330c18f87bc597e407ddc4a0586850e66af"
+
+
+def test_rates_csv_without_out_goes_to_stdout(tmp_path, capsysbinary):
+    # the bytes test_rates_csv pins, on stdout instead of a file
+    argv = ["rates", "--a", "13", "--r", "2", "--n-range", "20..22", "--format", "csv"]
+    out = tmp_path / "rates.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert run(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_every_command_writes_the_same_bytes_whatever_ran_before(tmp_path):

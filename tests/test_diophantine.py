@@ -323,8 +323,6 @@ def test_type2_box_sqrt2():
     assert rep.hypothesis_ok, rep.decay_slopes
     assert rep.passed, rep.violations[:3]
     assert rep.boxes_checked == 200            # a1 in [-100, 100] minus zero
-    for sample in rep.identity_samples:
-        assert sample["gap"] < 1e-6 * max(1.0, sample["lhs"])
 
 
 def test_type2_box_beyond_float_range():

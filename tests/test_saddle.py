@@ -3,7 +3,8 @@ from mpmath import mp, mpf, mpc
 
 from zetaforms import saddle
 from zetaforms.saddle import (
-    SaddlePlane,
+    _f_second,
+    _phase,
     angle_distance,
     check_assumptions,
     compute_constants,
@@ -82,47 +83,61 @@ def test_tau0_closer_to_c_than_mu1_at_1001():
     assert abs(tau0 - c) < mu1 - c
 
 
+def _phase_at(a, r, tau, upper_bank=False):
+    """f, f' and f0 at tau = c - z on the branch compute_constants uses:
+    the principal log(c - tau) on (1, c), log(tau - c) - i pi on the
+    upper bank of [c, +inf)."""
+    c = 2 * r + 1
+    log_z = mp.log(tau - c) - mpc(0, mp.pi) if upper_bank else mp.log(c - tau)
+    return _phase(a, r, c - tau, log_z)
+
+
 def test_f_real_on_inner_interval_and_bank_rules():
-    plane = SaddlePlane(a=13, r=2)
     with mp.workdps(50):
         for x in (mpf(3) / 2, mpf(3), mpf("4.99")):
-            assert abs(mp.im(plane.f(x))) < mpf(10) ** -45
+            assert abs(mp.im(_phase_at(13, 2, x)[0])) < mpf(10) ** -45
         # upper bank: Im f(tau + i0) = 3 (tau - c) pi
         for x in (mpf(6), mpf("11.5")):
-            imf = mp.im(plane.f(x, bank="upper"))
+            imf = mp.im(_phase_at(13, 2, x, upper_bank=True)[0])
             assert abs(imf - 3 * (x - 5) * mp.pi) < mpf(10) ** -40
-        with pytest.raises(ValueError):
-            plane.f(mpf(6))              # on the cut without a bank tag
-        with pytest.raises(ValueError):
-            plane.f(mpf(0))              # left cut unsupported
 
 
 def test_fprime_at_mu1_is_3_i_pi():
-    plane = SaddlePlane(a=13, r=2)
     mu1, _ = find_mu1(13, 2)
     with mp.workdps(60):
-        v = plane.f_prime(mu1, bank="upper")
+        v = _phase_at(13, 2, mu1, upper_bank=True)[1]
         assert abs(v - mpc(0, 3 * mp.pi)) < mpf(10) ** -40
 
 
+def test_phase_at_mu1_from_the_offset_where_mu1_rounds_to_c():
+    # at (1001, 1) mu1 - c is about 1.08e-100, below the resolution of
+    # c = 3 at 100 digits; from the certified offset delta the upper-bank
+    # phase still gives f'(mu1 + i0) = 3 i pi and Re f0 = log eps
+    data = compute_constants(1001, 1)
+    with mp.workdps(data.dps):
+        delta = data.mu1_offset
+        _, fp, f0 = _phase(1001, 1, -delta, mp.log(delta) - mpc(0, mp.pi))
+        assert abs(fp - mpc(0, 3 * mp.pi)) < mpf(10) ** -40
+        assert abs(mp.re(f0) - data.log_eps_a) < mpf(10) ** -40
+        assert abs(data.log_eps_a - mpf("-2763.904")) < mpf("1e-3")
+
+
 def test_fprime_finite_difference_consistency():
-    plane = SaddlePlane(a=13, r=2)
     with mp.workdps(80):
         tau = mpf(2 * 2) + mpf(1) / 2           # 2r + 0.5, inside (1, c)
         h = mpf(10) ** -20
-        fd = (plane.f(tau + h) - plane.f(tau - h)) / (2 * h)
-        assert abs(fd - plane.f_prime(tau)) < mpf(10) ** -35
+        fd = (_phase_at(13, 2, tau + h)[0] - _phase_at(13, 2, tau - h)[0]) / (2 * h)
+        assert abs(fd - _phase_at(13, 2, tau)[1]) < mpf(10) ** -35
 
 
 def test_f_increases_to_mu1_then_decreases_on_upper_bank():
-    plane = SaddlePlane(a=13, r=2)
     mu1, _ = find_mu1(13, 2)
     with mp.workdps(50):
         xs = [5 + (mu1 - 5) * mpf(i) / 12 for i in range(1, 12)]
-        vals = [mp.re(plane.f(x, bank="upper")) for x in xs]
+        vals = [mp.re(_phase_at(13, 2, x, upper_bank=True)[0]) for x in xs]
         assert all(v0 < v1 for v0, v1 in zip(vals, vals[1:]))
         ys = [mu1 + i for i in range(1, 8)]
-        vals2 = [mp.re(plane.f(y, bank="upper")) for y in ys]
+        vals2 = [mp.re(_phase_at(13, 2, y, upper_bank=True)[0]) for y in ys]
         assert all(v0 > v1 for v0, v1 in zip(vals2, vals2[1:]))
 
 
@@ -136,14 +151,22 @@ def test_constants_13_2():
     assert data.fprime_tau0_minus_ipi < mpf(10) ** -40
 
 
+def test_constants_refuse_even_a_and_6r_above_a():
+    for a in (14, -13):
+        with pytest.raises(ValueError, match="a must be odd and positive"):
+            compute_constants(a, 2)
+    with pytest.raises(ValueError, match=r"need 6r <= a"):
+        compute_constants(13, 3)
+
+
 def test_angle_limits_drift_decreasing():
     # arg f''(tau0) -> pi/3 with decreasing drift as a grows
     drifts = []
     for a in (1001, 10001):
-        data = compute_constants(a, r_of_a(a))
-        plane = SaddlePlane(a=a, r=r_of_a(a))
+        r = r_of_a(a)
+        data = compute_constants(a, r)
         with mp.workdps(data.dps):
-            argf = mp.arg(plane.f_second(data.tau0))
+            argf = mp.arg(_f_second(a, r, 2 * r + 1 - data.tau0))
             drifts.append(float(abs(argf - mp.pi / 3)))
     assert drifts[1] < drifts[0]
 
@@ -273,6 +296,10 @@ def test_r_of_a_values_and_monotonicity():
     vals = [r_of_a(a) for a in (1001, 10001, 100001)]
     assert vals == sorted(vals)
     assert vals[0] == 72
+    # exact floors past 50 digits (taken at digits(a) + 40)
+    assert r_of_a(10**60 + 1) == 7858302023665033443441471583819535745319050443453773549
+    assert r_of_a(10**100 + 1) == int("25697904461171171159909042189732801147873274316078"
+                                      "35091665478339969749361888689576085461953331")
     with pytest.raises(ValueError):
         r_of_a(8)
 
