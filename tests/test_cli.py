@@ -411,6 +411,28 @@ def test_precision_is_set_on_the_command_line_only(monkeypatch, tmp_path):
     assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+def test_dps_option_takes_precedence_over_the_digits_variable(monkeypatch, tmp_path):
+    # --dps sets the precision; without it the default applies, not the variable
+    from zetaforms.saddle import default_dps
+
+    monkeypatch.setenv("ZETAFORMS_DIGITS", "30")
+    out = tmp_path / "saddle.json"
+    for argv, dps in ((["--dps", "60"], 60), ([], default_dps(13))):
+        assert run(["asymptotics", "--a", "13", "--r", "2", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["precision_dps"] == dps
+
+
+def test_unreadable_digits_variable_is_ignored(monkeypatch, tmp_path):
+    # a value that once exited 2 with invalid-digits is no longer read
+    for name, argv in (("saddle.json", ["asymptotics", "--a", "13"]),
+                       ("rates.json", ["rates", "--a", "13", "--n-range", "20..20"])):
+        monkeypatch.delenv("ZETAFORMS_DIGITS", raising=False)
+        assert run(argv + ["--out", str(tmp_path / name)]) == 0
+        monkeypatch.setenv("ZETAFORMS_DIGITS", "abc")
+        assert run(argv + ["--out", str(tmp_path / ("env-" + name))]) == 0
+        assert (tmp_path / ("env-" + name)).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_rates_csv(tmp_path):
     out = tmp_path / "rates.csv"
     code = run(["rates", "--a", "13", "--r", "2", "--n-range", "20..22",
