@@ -1,7 +1,10 @@
 """Command-line pipeline: certificates, tables, CSV/JSON artifacts.
 
 Exit codes: 0 all asserted checks pass, 1 a check failed, 2 input error,
-3 numeric failure.  Report-only items never fail a run.
+3 numeric failure.  Report-only items never fail a run.  Inputs are
+checked before any work, the estimated size of an exact table included
+(MAX_TABLE_BYTES); a is not bounded otherwise, and a certificate value
+that its float field cannot hold is a numeric failure.
 """
 from __future__ import annotations
 
@@ -29,10 +32,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
-# Largest digit count of a whose saddle roots certify in a 3 GB address
-# space: 10**226 - 1 does (2.98 GB peak), 10**227 - 1 runs out of memory in
-# mpmath's complex log under the log1p term of saddle._offset_equation.
-MAX_A_DIGITS = 226
+# Largest estimated exact table (linear_forms.table_bytes) that forms and
+# rates build.  Completed forms runs peaked at 1.0-1.9 times the estimate
+# above a 22 MB base (1.05 at (7,1,960): 97 MiB estimated), so a table at
+# the bound fits a 3 GB address space; (50001,1,1), estimated at 14 GiB,
+# ran out of 3 GB there after 7.5 s.
+MAX_TABLE_BYTES = 1 << 30
 
 
 def _emit(doc: dict, out: str | None, csv_payload=None) -> None:
@@ -63,22 +68,12 @@ class _InputError(Exception):
         self.kind = kind
 
 
-def _checked_a_digits(a: int) -> None:
-    """Refuse an a past MAX_A_DIGITS digits, whose saddle roots run out of memory."""
-    digits = len(str(a))
-    if digits > MAX_A_DIGITS:
-        raise _InputError("a-too-large", f"a has {digits} digits; the saddle roots are "
-                          f"certified for a of at most {MAX_A_DIGITS} digits")
-
-
 def _checked_r(a: int, r: int) -> int:
-    """r, or r_of_a(a) for r = 0, for odd a >= 3 of at most MAX_A_DIGITS
-    digits with 6r <= a."""
+    """r, or r_of_a(a) for r = 0, for odd a >= 3 (of any size) with 6r <= a."""
     from .saddle import r_of_a
 
     if a % 2 == 0 or a < 3:
         raise _InputError("invalid-a", f"a must be odd and >= 3, got {a}")
-    _checked_a_digits(a)
     if r < 0:
         raise _InputError("invalid-r", f"r must be >= 1 (0 takes r(a)), got {r}")
     if r == 0:
@@ -91,6 +86,18 @@ def _checked_r(a: int, r: int) -> int:
     elif 6 * r > a:
         raise _InputError("invalid-r", f"need 6r <= a, got a={a}, r={r}")
     return r
+
+
+def _checked_table(a: int, r: int, n: int) -> None:
+    """Refuse (a, r, n) whose exact table is estimated past MAX_TABLE_BYTES."""
+    from .linear_forms import table_bytes
+
+    size = table_bytes(a, r, n)
+    if size > MAX_TABLE_BYTES:
+        raise _InputError("table-too-large",
+                          f"the exact table at (a, r, n) = ({a}, {r}, {n}) would hold about "
+                          f"2^{size.bit_length()} bytes, past the bound of "
+                          f"2^{MAX_TABLE_BYTES.bit_length() - 1}")
 
 
 def _checked_dps(dps: int) -> int | None:
@@ -108,8 +115,11 @@ def cmd_forms(args) -> int:
 
     try:
         spec = FormSpec(a=args.a, r=args.r, n=args.n)
+        _checked_table(spec.a, spec.r, spec.n)
     except ValueError as exc:
         return _error_block(EXIT_INPUT_ERROR, "invalid-spec", str(exc))
+    except _InputError as exc:
+        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     ctx = None
     if args.residual_digits:
         try:
@@ -188,10 +198,6 @@ def cmd_rank_bound(args) -> int:
     if args.a % 2 == 0 or args.a < 7:
         return _error_block(EXIT_INPUT_ERROR, "invalid-a", "a must be odd and >= 7")
     try:
-        _checked_a_digits(args.a)
-    except _InputError as exc:
-        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
-    try:
         cert = zeta_rank_bound(args.a)
     except ArithmeticError as exc:
         return _error_block(EXIT_NUMERIC_ERROR, "rank-bound", str(exc))
@@ -224,6 +230,7 @@ def cmd_rates(args) -> int:
     try:
         r = _checked_r(args.a, args.r)
         nrange = _parse_range(args.n_range)
+        _checked_table(args.a, r, nrange[-1])
     except _InputError as exc:
         return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
     try:

@@ -380,7 +380,9 @@ def zeta_rank_bound(a: int, saddle_data: SaddleData | None = None) -> dict:
     round both exponents to the same double from about a = 1e10 on.  It
     is log eps - log eps'' over log beta, with the numerator taken from
     the root offsets (SaddleData.log_eps_gap): from about a = 1e30 the
-    two exponents agree to working precision.
+    two exponents agree to working precision.  Raises ArithmeticError
+    naming the first float field past the double range (log_beta from
+    about a = 1e308 on).
     """
     r = r_of_a(a)
     data = saddle_data if saddle_data is not None else compute_constants(a, r)
@@ -417,6 +419,10 @@ def zeta_rank_bound(a: int, saddle_data: SaddleData | None = None) -> dict:
             "log_eps_pp_a": float(data.log_eps_pp_a),
             "dps": data.dps,
         }
+    for name, value in cert.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArithmeticError(f"{name} is {value} as a double at a of {len(str(a))} "
+                                  "digits; the certificate's float fields cannot hold it")
     return cert
 
 

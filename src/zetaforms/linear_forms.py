@@ -219,6 +219,18 @@ def partial_fractions(summand: Summand) -> PartialFractionTable:
     return PartialFractionTable(spec=spec, num=num, den=den)
 
 
+def table_bytes(a: int, r: int, n: int) -> int:
+    """Estimated bytes that ``partial_fractions`` holds at (a, r, n), from
+    the parameters alone: a - 1 harmonic prefix rows of (2r+2)n + 1
+    entries, then a(2n+1) numerators.  An entry of order k has about
+    k log2 L bits, a numerator also log2 k! <= k log2 a, so each kind sums
+    to a^2/2 times its width; log2 L < 1.5 (2r+2)n, as log lcm(1..N) <
+    1.04 N (Rosser-Schoenfeld)."""
+    log2_l = 3 * (r + 1) * n
+    width = ((2 * r + 2) * n + 1) * log2_l + (2 * n + 1) * (log2_l + a.bit_length())
+    return a * a * width // 16
+
+
 @lru_cache(maxsize=32)
 def table_for(spec: FormSpec) -> PartialFractionTable:
     return partial_fractions(build_summand(spec))

@@ -37,7 +37,11 @@ evaluated from them.  The polynomial is never expanded.  Each root
 carries a certificate (Newton trace plus the scaled residual
 |A - B| / max(|A|, |B|), computed as |expm1(F)|), and a root whose
 residual is not small at the working precision is refused with
-ArithmeticError.
+ArithmeticError.  Every complex log1p is `_log1p`, which splits off
+log1p(Re w) and takes the argument by atan2: mpmath's own forms
+|1 + w|^2 exactly, whose mantissa spans the exponent gap down to
+(Im w)^2, and Im w shrinks with the tau0 offset (to about 2^-3e7 at
+a = 1e140+1), so that no a is out of reach.
 """
 from __future__ import annotations
 
@@ -118,12 +122,30 @@ def _certify_root(name: str, resid, dps: int) -> None:
 _STEP_CAP = 200
 
 
+def _log1p(w):
+    """log(1 + w) on the principal branch for every w != -1; mp.log1p(w) if w is real.
+    With u = 1 + Re w, y = Im w: M = max(|u|, |y|) > 0 as w != -1, t is the other over
+    M, log|1 + w| = log M + l, l = log1p(t^2)/2, where log M = log1p(Re w) if M = u > 0,
+    and arg(1 + w) = atan2(y, u).  Each step is one mpmath operation rounded at working
+    precision, none formed exactly, so the cost ignores the exponent gap of Re w and Im w.
+    As |t| <= 1 and a relative error e in u moves atan2 by |e sin(2 arg)|/2 <= |e arg|, the
+    imaginary part is within 2 ulp, the real part within 8 ulp of |log M| + l (9 if u < 0)."""
+    if not isinstance(w, mpc):
+        return mp.log1p(w)
+    y, u = w.imag, 1 + w.real
+    if abs(y) > abs(u):
+        log_m, t = mp.log(abs(y)), u / y
+    else:
+        log_m, t = (mp.log1p(w.real) if u > 0 else mp.log(-u)), y / u
+    return mpc(log_m + mp.log1p(t * t) / 2, mp.atan2(y, u))
+
+
 def _offset_equation(a: int, r: int, v, quadrant: bool):
     """z = c - X and F(v) = log B - log A at X = c + e^v (mu1) or c - e^v
     (tau0, on the branch F = i pi - f'(X)); e^F = B/A in both cases."""
     c = 2 * r + 1
     z = mp.exp(v) if quadrant else -mp.exp(v)
-    F = 3 * v - 3 * mp.log(2 * c - z) + (a + 3) * mp.log1p(2 / (c - 1 - z))
+    F = 3 * v - 3 * mp.log(2 * c - z) + (a + 3) * _log1p(2 / (c - 1 - z))
     return z, (F + mpc(0, mp.pi) if quadrant else F)
 
 
@@ -273,7 +295,7 @@ def compute_constants(a: int, r: int, dps: int | None = None) -> SaddleData:
         # log eps - log eps'' from the root equations, so that its sign is
         # decided also where the two agree to working precision
         s = delta + z
-        p, m, q = (mp.re(mp.log1p(s / (k - z))) for k in (2 * c, c - 1, c + 1))
+        p, m, q = (mp.re(_log1p(s / (k - z))) for k in (2 * c, c - 1, c + 1))
         gap = 6 * c * p - (a + 3) * ((c + 1) * q - (c - 1) * m)
         omega = mp.im(f0_t)
         alpha_p = mp.arg(c - 1 - z)

@@ -13,11 +13,23 @@ from mpmath import mp
 
 import zetaforms
 from zetaforms import criterion, linear_forms, saddle
-from zetaforms.cli import MAX_A_DIGITS, main
+from zetaforms.cli import MAX_TABLE_BYTES, main
 
 
 def run(argv):
     return main(argv)
+
+
+def _limited_cli(argv, limit_bytes):
+    """The CLI on argv in a child process whose address space is limited to
+    limit_bytes, as a large input would run; returns the CompletedProcess."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit_bytes}, {limit_bytes}))\n"
+            "from zetaforms.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_forms_command_writes_certificate(tmp_path):
@@ -120,38 +132,67 @@ def test_forms_past_the_int_string_cap():
     # the constant of (7,1,320) has 4454 digits, past Python's default cap
     # of 4300 on int <-> str conversion; run in a child with its address
     # space limited, as a large input would be
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from zetaforms.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code, "forms", "--a", "7", "--r", "1",
-                           "--n", "320"], env=env, capture_output=True, text=True, timeout=120)
+    proc = _limited_cli(["forms", "--a", "7", "--r", "1", "--n", "320"], 1 << 30)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     doc = json.loads(proc.stdout)
     assert max(len(form["constant"]["num"]) for form in doc["forms"]) > 4300
 
 
-@pytest.mark.parametrize("argv", [["asymptotics", "--a", str(10**300 + 1)],
-                                  ["rank-bound", "--a", str(10**400 + 1)]],
-                         ids=["asymptotics-1e300", "rank-bound-1e400"])
-def test_saddle_roots_past_the_digit_bound_are_refused(argv):
-    # such an a ran out of memory in the saddle roots (a MemoryError
-    # traceback within a second); it is refused on its digit count, in a
-    # child with its address space limited as in the probes of that bound
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-            "from zetaforms.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(zetaforms.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2, proc.stderr[-2000:]
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
-    err = json.loads(proc.stderr)["error"]
-    assert err["kind"] == "a-too-large"
-    assert f"at most {MAX_A_DIGITS} digits" in err["message"]
+@pytest.mark.parametrize("argv, code", [
+    (["asymptotics", "--a", str(10**300 + 1)], 0),
+    (["asymptotics", "--a", str(10**400 + 1)], 0),
+    (["rank-bound", "--a", str(10**300 + 1)], 0),
+    (["rank-bound", "--a", str(10**400 + 1)], 3),
+], ids=["asymptotics-1e300", "asymptotics-1e400", "rank-bound-1e300", "rank-bound-1e400"])
+def test_saddle_roots_certify_past_226_digits(argv, code):
+    # past 226 digits mpmath's complex log1p ran out of 3 GB in the saddle
+    # roots; now both roots certify there, and rank-bound at 1e400+1 stops
+    # where log_beta leaves the double range of its float fields
+    proc = _limited_cli(argv, 3 << 30)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    if code:
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "rank-bound" and err["message"].startswith("log_beta is inf")
+        assert proc.stdout == ""
+    else:
+        doc = json.loads(proc.stdout)
+        assert doc["pass"] is True
+        if argv[0] == "asymptotics":
+            certs = doc["certificates"]
+            assert set(certs) == {"mu1", "tau0"}
+            for cert in certs.values():
+                assert mp.mpf(cert["scaled_residual"]) < mp.mpf(10) ** -(cert["dps"] // 2)
+
+
+def test_saddle_roots_at_227_digits_fit_512_mb():
+    # mpmath's complex log1p peaked near 3 GB here; the split log1p needs
+    # tens of MB
+    proc = _limited_cli(["asymptotics", "--a", str(10**226 + 1)], 512 << 20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_oversized_exact_table_is_refused_before_computing(capsys, monkeypatch):
+    # this table (about 58 GiB estimated) ended in a MemoryError traceback
+    # after 5 s under a 3 GB address space
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the table size was checked")
+
+    monkeypatch.setattr(linear_forms, "partial_fractions", refuse)
+    assert run(["forms", "--a", "100001", "--r", "1", "--n", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "table-too-large" and "past the bound of 2^30" in err["message"]
+
+
+def test_table_bound_admits_the_tables_that_are_run():
+    # the largest table the tests build through the CLI, (7,1,320), and the
+    # tables probed when the bound was set stay under it
+    for spec in ((7, 1, 320), (7, 1, 960), (601, 1, 2), (1001, 1, 1), (13, 2, 60),
+                 (41, 6, 20), (10001, 1, 1)):
+        assert linear_forms.table_bytes(*spec) <= MAX_TABLE_BYTES, spec
 
 
 def test_asymptotics_command(tmp_path):
@@ -387,10 +428,9 @@ def test_criterion_unknown_kind(tmp_path):
     (["rates", "--a", "13", "--r", "-2", "--n-range", "1..2"], "invalid-r"),
     (["asymptotics", "--a", "13", "--r", "-1"], "invalid-r"),
     (["asymptotics", "--a", "13", "--dps", "-5"], "invalid-digits"),
-    (["asymptotics", "--a", str(10**226 + 1)], "a-too-large"),
-    (["rates", "--a", str(10**226 + 1), "--n-range", "1..2"], "a-too-large"),
+    (["rates", "--a", str(10**226 + 1), "--n-range", "1..2"], "table-too-large"),
 ], ids=["rates-a1", "rates-a5", "rates-r3", "rates-n0", "rates-empty-range", "rates-r-2",
-        "asymptotics-r-1", "asymptotics-dps-5", "asymptotics-227-digits", "rates-227-digits"])
+        "asymptotics-r-1", "asymptotics-dps-5", "rates-227-digits"])
 def test_input_errors_exit_2_before_computing(argv, kind, tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the input was checked")

@@ -315,3 +315,44 @@ def test_nu_of_magnitudes():
     with mp.workdps(30):
         assert nu_of(100001) < mpf(10) ** -4
         assert nu_of(1001) < mpf("0.002")
+
+
+def _log1p_cases(rng):
+    # (w, relative): w anywhere off -1, 1 + Re w <= 0 included, and w with
+    # Im w far below Re w, down to 2^-3e7, where the real part is relative
+    for _ in range(60):
+        yield mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)), False
+    for _ in range(20):
+        yield mpc(rng.uniform(-3, -1), rng.choice((-1, 1)) * 2.0 ** -rng.randrange(1, 200)), False
+    for bits in (10, 200, 750, 10**4, 10**6, 3 * 10**7):
+        x = rng.choice((-1, 1)) * mpf(2) ** -rng.randrange(1, 800) * rng.uniform(1, 2)
+        y = rng.choice((-1, 1)) * mpf(2) ** -bits
+        yield mpc(x, y), True
+
+
+def test_log1p_matches_mpmath_at_twice_the_precision():
+    import random
+
+    rng = random.Random(31)
+    with mp.workdps(50):
+        prec = mp.prec
+        cases = list(_log1p_cases(rng)) + [(mpc(-1, 0.5), False), (mpc(-1, -2), False)]
+        for w, relative in cases:
+            got = saddle._log1p(w)
+            with mp.workprec(2 * prec):
+                ref = mp.log1p(w)
+            unit = mpf(2) ** -prec
+            scale = abs(ref.real) if relative else max(1, abs(ref.real))
+            assert abs(got.real - ref.real) <= 32 * unit * scale, w
+            assert abs(got.imag - ref.imag) <= 4 * unit * abs(ref.imag), w
+
+
+def test_log1p_of_a_real_argument_is_mpmath_log1p():
+    import random
+
+    rng = random.Random(37)
+    with mp.workdps(80):
+        for _ in range(50):
+            x = mpf(rng.uniform(-0.999, 5)) * mpf(2) ** -rng.randrange(0, 300)
+            got = saddle._log1p(x)
+            assert type(got) is type(x) and got == mp.log1p(x)
