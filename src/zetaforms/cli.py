@@ -336,7 +336,7 @@ def _criterion_projective_distance(doc: dict) -> dict:
     # without a norm_threshold key the library's default burn-in applies
     optional = {"norm_threshold": float(doc["norm_threshold"])} if "norm_threshold" in doc else {}
     report = projective_distance_sweep(
-        xi=float(doc["xi"]),
+        xi=doc["xi"],                       # a decimal string is the exact rational it states
         tau=float(doc["tau"]),
         eps=float(doc["eps"]),
         p_max=int(doc["p_max"]),

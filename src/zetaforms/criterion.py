@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 from mpmath import mp
 
+from .diophantine import ENUMERATION_CAP
 from .saddle import SaddleData, compute_constants, r_of_a
 
 
@@ -443,9 +444,13 @@ def oscillation_subsequence(omegas: Sequence[float], varphis: Sequence[float],
                             eps: float, horizon: int) -> OscillationReport:
     """Greedy increasing psi with |cos(psi(n) omega_j + varphi_j)| >= eps
     for every j, scanning m = 1..horizon.  The empirical density psi(N)/N
-    estimates the thinning factor lambda.  Raises if nothing qualifies."""
+    estimates the thinning factor lambda.  Raises ArithmeticError if
+    nothing qualifies, and ValueError before any work for a horizon past
+    ENUMERATION_CAP."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
+    if horizon > ENUMERATION_CAP:
+        raise ValueError(f"horizon {horizon} exceeds cap {ENUMERATION_CAP}")
     if len(omegas) != len(varphis):
         raise ValueError("omega/varphi length mismatch")
     kept = []

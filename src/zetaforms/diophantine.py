@@ -21,6 +21,10 @@ from mpmath import mp, mpf
 
 from .exact_kernel import echelon
 
+# Largest number of lattice points, box vectors or indices that one
+# checker enumerates; a larger input is refused before any work.
+ENUMERATION_CAP = 10_000_000
+
 
 def convergents(cf_terms: Sequence[int], count: int) -> list[tuple[int, int]]:
     """(p_k, q_k) from continued-fraction terms; cf_terms[0] is the integer
@@ -383,7 +387,7 @@ class ConvexBodyReport:
 def convex_body_emptiness(points: Sequence[Sequence[float]],
                           taus: Sequence[float],
                           qn: int, n: int, eps: float,
-                          volume_cap: int = 10_000_000) -> ConvexBodyReport:
+                          volume_cap: int = ENUMERATION_CAP) -> ConvexBodyReport:
     """Enumerate integer P = sum lambda_j e_j + u with |lambda_j| <= Q_n^(tau_j - eps)
     and ||u|| <= Q_n^(-1-eps); only the origin may survive.
 
@@ -470,8 +474,16 @@ def type2_box_check(xis: Sequence,
     enumeration of the box, testing only the integer a_0 nearest to
     -sum a_j xi_j (any other a_0 leaves a gap >= 1/2 > Q^(-1-eps)).
     The regression takes log Q_n from the integers, so Q_n may lie far
-    beyond the double-precision range.
+    beyond the double-precision range.  Before any work the box caps
+    floor(Q^tau_j) are formed as doubles (OverflowError, an
+    ArithmeticError, past the double range) and a box of more than
+    ENUMERATION_CAP vectors, prod (2 floor(Q^tau_j) + 1), is refused with
+    ValueError.
     """
+    caps = [int(math.floor(Q ** t)) for t in taus]
+    box = math.prod(2 * c + 1 for c in caps)
+    if box > ENUMERATION_CAP:
+        raise ValueError(f"type-II box of {box} vectors exceeds cap {ENUMERATION_CAP}")
     k = len(xis)
     # the residues |l_{k+1} xi - l_j| cancel to ~ 1/Q_n; evaluate them at a
     # precision covering the largest Q_n, never in double precision
@@ -495,7 +507,6 @@ def type2_box_check(xis: Sequence,
         threshold = mpf(Q) ** (-1 - eps)
         violations = []
         boxes = 0
-        caps = [int(math.floor(Q ** t)) for t in taus]
         for avec in product(*(range(-c, c + 1) for c in caps)):
             if not any(avec):
                 continue

@@ -14,29 +14,30 @@ calls is the exact tangent numbers, which no estimate reads.  Five layers:
   every s a call asks for.  At each k the smallest exponent's summand is
   floored once at a small scale 2^g and each larger one is the previous
   one floored by (k+1)^gap; an exponent leaves the pass at its first zero
-  quotient, and each value is floored once at a scale 2^B set by the
-  digits asked for.  No zeta value is held: each call that reads them
-  makes them (``zeta_value`` one, ``eval_S_form`` its form's, and
-  ``measure_rates`` all of its forms' in one pass), and ``zeta_value``
-  converts its one once, at the caller's workdps.
+  quotient, and each value is floored once at one scale 2^B, the same
+  for every exponent, set by the digits asked for.  No zeta value is
+  held: each call that reads them makes them (``zeta_value`` one,
+  ``eval_S_form`` its form's, and ``measure_rates`` all of its forms' in
+  one pass), and ``zeta_value`` converts its one once, at the caller's
+  workdps.
 
 * Euler-Maclaurin power sums.  One routine, ``_em_tail_range``, gives
-  sum_{m >= x0} m^{-s} for a range of s at one start x0; the Laurent
-  tails call it at x0 = T.  The direct part up to the expansion point X
-  and the expansion at X are both summed on Python integers at one scale
-  2^P, set by the hardest tolerance and the bits of their floor errors,
-  and returned as integers at that scale.  X comes from the tolerance
-  of the smallest exponent (``_em_point``): about its digit count, a
-  little more for a single exponent.  For the completely monotone
-  integrand x^{-s} the Euler-Maclaurin remainder is no larger than the
-  first omitted correction term, so each expansion stops once that term
-  is below its tolerance (X grows if the terms bottom out too early),
-  and the kernel carries an integer bound on its floor errors.  The
-  coefficients B_2k/(2k)! X^(1-2k) do not depend on s: one table of them
-  as integers, made by the call for X and the bits of its scale, serves
-  every s it expands at X.  B_2k comes from exact integer tangent
-  numbers, whose one table serves every scale.  A Laurent exponent whose
-  weight is 0 is neither expanded nor summed.
+  sum_{m >= x0} m^{-s} for a list of ascending (s, tolerance) pairs at
+  one start x0; the Laurent tails call it at x0 = T.  The direct part up
+  to the expansion point X and the expansion at X are both summed on
+  Python integers at one scale 2^P, set by the hardest tolerance and the
+  bits of their floor errors, and returned as integers at that scale.
+  X comes from the tolerance of the smallest exponent (``_em_point``):
+  about its digit count, a little more for a single exponent.  For the
+  completely monotone integrand x^{-s} the Euler-Maclaurin remainder is
+  no larger than the first omitted correction term, so each expansion
+  stops once that term is below its tolerance (X grows if the terms
+  bottom out too early), and the kernel carries an integer bound on its
+  floor errors.  The coefficients B_2k/(2k)! X^(1-2k) do not depend on
+  s: one table of them as integers, made by the call for X and the bits
+  of its scale, serves every s it expands at X.  B_2k comes from exact
+  integer tangent numbers, whose one table serves every scale.  The
+  Laurent tail holds only its nonzero coefficients.
 
 * Exact forms.  ``eval_S_form`` evaluates S_n = l_0 + sum l_i zeta(i)
   (or S''_n) from its exact coefficients and the zeta integers, summed
@@ -65,7 +66,8 @@ calls is the exact tangent numbers, which no estimate reads.  Five layers:
   where the decay exponent D lets it truncate outright, or the exact
   Laurent expansion of R at infinity after a head up to the target's
   digits, about where the power sums start their expansion: R = sum b_s t^-s
-  with integer b_s from long division in y = 1/t^2 (every other b_s is 0),
+  with integer b_s from long division in y = 1/t^2 (every other b_s is 0
+  and is not held),
   whose truncation error is bounded from the division residual at the
   split point T, where each pole factor |1 - j/t| is at least 1 - n/T.
   The tail then becomes a finite combination of certified power-sum
@@ -148,7 +150,7 @@ def _borwein_d(n: int) -> list[int]:
     return table
 
 
-def _zeta_borwein(exponents: Iterable[int], digits: int) -> dict[int, tuple[int, int]]:
+def _zeta_borwein(exponents: Iterable[int], digits: int) -> tuple[int, dict[int, int]]:
     """zeta(s) for every integer s >= 2 in ``exponents`` from Borwein's
     alternating series ("An efficient algorithm for the Riemann zeta
     function", 2000), summed for all of them in one pass over k:
@@ -159,8 +161,9 @@ def _zeta_borwein(exponents: Iterable[int], digits: int) -> dict[int, tuple[int,
 
     with d_k from ``_borwein_d``.  For real s >= 2, t = 0 and
     |1 - 2^(1-s)| >= 1/2, so |gamma_n(s)| <= 6 (3+sqrt 8)^-n.  Returns
-    {s: (z, B)}: z 2^-B is within 10^-digits + 10^-(digits+3) of zeta(s),
-    the truncation below the first and the floors below the second.
+    (B, {s: z}), one scale for every exponent: z 2^-B is within
+    10^-digits + 10^-(digits+3) of zeta(s), the truncation below the first
+    and the floors below the second.
 
     * Truncation.  n = ceil((digits ln 10 + ln 6) / ln(3+sqrt 8)), and
       d_n > 3 10^digits is checked on integers, so
@@ -207,8 +210,8 @@ def _zeta_borwein(exponents: Iterable[int], digits: int) -> dict[int, tuple[int,
             break
     # value = total 2^(s-1) / (2^g d_n (2^(s-1) - 1))
     p = max(0, math.ceil((digits + 4) * _LOG2_10) - g)
-    return {s: ((total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1)), g + p)
-            for s, total in zip(order, totals)}
+    return g + p, {s: (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1))
+                   for s, total in zip(order, totals)}
 
 
 def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
@@ -224,9 +227,9 @@ def zeta_value(s: int, ctx: PrecisionContext) -> mpf:
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_value needs an integer s >= 2, got {s!r}")
-    z, B = _zeta_borwein([s], ctx.digits + 4)[s]
+    B, z = _zeta_borwein([s], ctx.digits + 4)
     with mp.workdps(ctx.workdps):
-        return mp.ldexp(mpf(z), -B)
+        return mp.ldexp(mpf(z[s]), -B)
 
 
 # ---------------------------------------------------------------------------
@@ -407,51 +410,47 @@ def _em_point(x0: int, needed: Sequence[tuple[int, float]]) -> int:
     return max(x0, math.ceil(-needed[0][1] * (1 + 0.3 / len(needed))))
 
 
-def _em_tail_range(s_lo: int, s_hi: int, x0: int,
-                   tols_log10: Sequence[float | None]) -> tuple[int, list[int | None]]:
-    """sum_{m >= x0} m^{-s} for every integer s in [s_lo, s_hi], the one
-    Euler-Maclaurin power sum, behind the Laurent tails (x0 = T).  Its
-    x0 = 1 case, zeta(s), is the tests' oracle for ``zeta_value``.
+def _em_tail_range(x0: int, needed: Sequence[tuple[int, float]]) -> tuple[int, list[int]]:
+    """sum_{m >= x0} m^{-s} for every (s, log10 tolerance) pair of
+    ``needed``, the one Euler-Maclaurin power sum, behind the Laurent
+    tails (x0 = T).  Its x0 = 1 case, zeta(s), is the tests' oracle for
+    ``zeta_value``.
 
-    Returns (P, sums): each sum an integer, the power sum scaled by 2^P.
-    ``tols_log10`` holds one log10 tolerance per s, or None for an s that
-    is not needed: it is neither expanded nor certified, and its entry of
-    the sums is None.  The direct part, m from x0 to the expansion point
-    X, is shared by all s; the expansion at X stops each needed s at its
-    own tolerance, reading the coefficient table that all of them share
-    (``_EMTable``, made here for X and 2^P).  Both are summed on integers
-    at one scale 2^P (``_em_scale``) and added; nothing is converted.
-    The direct loop advances only the rows of needed s, and leaves each m
-    once its term is floored to 0.  X starts at about the digits of the
-    smallest needed s's tolerance (``_em_point``) and grows while some
-    expansion bottoms out above its tolerance.  Needs s_lo >= 2, x0 >= 1
-    and at least one needed s.
+    Returns (P, sums): one integer per pair, in the order of ``needed``,
+    the power sum scaled by 2^P.  The s must be strictly ascending, from
+    s >= 2, with x0 >= 1 and at least one pair; ValueError otherwise.  The
+    direct part, m from x0 to the expansion point X, is shared by all s;
+    the expansion at X stops each s at its own tolerance, reading the
+    coefficient table that all of them share (``_EMTable``, made here for
+    X and 2^P).  Both are summed on integers at one scale 2^P
+    (``_em_scale``) and added; nothing is converted.  The direct loop
+    steps from one s to the next by m^gap, and leaves each m once its
+    term is floored to 0.  X starts at about the digits of the smallest
+    s's tolerance (``_em_point``) and grows while some expansion bottoms
+    out above its tolerance.
 
-    Each needed sum is within 10^tol 2^P units of the power sum scaled by
-    2^P.  At every needed s the direct part's w is
-    floor(2^P / m^s) (nested floors by integers are one floor by their
-    product), so each (m, s) is within 2 units, and a w floored to 0
-    stays below them: d = 2 (X - x0) units in all.  The expansion is
-    stopped at 2^F units, F = P + floor(tol log2 10 - 2^-16), and is
-    within 2^F + e units (``_em_at``).  P is raised by the shortfall
-    until d + e < 2^(F-20) at every s, so sum 2^-P is within
-    2^(F-P) (1 + 2^-20) < 2^(F-P) 2^(2^-16) <= 10^tol: the float rounding
-    of tol log2 10 is far below 2^-16.
+    Each sum is within 10^tol 2^P units of the power sum scaled by 2^P.
+    At every s the direct part's w is floor(2^P / m^s) (nested floors by
+    integers are one floor by their product), so each (m, s) is within 2
+    units, and a w floored to 0 stays below them: d = 2 (X - x0) units in
+    all.  The expansion is stopped at 2^F units,
+    F = P + floor(tol log2 10 - 2^-16), and is within 2^F + e units
+    (``_em_at``).  P is raised by the shortfall until d + e < 2^(F-20) at
+    every s, so sum 2^-P is within 2^(F-P) (1 + 2^-20) < 2^(F-P) 2^(2^-16)
+    <= 10^tol: the float rounding of tol log2 10 is far below 2^-16.
     """
-    if s_lo < 2:
-        raise ValueError("need s >= 2")
     if x0 < 1:
         raise ValueError("need x0 >= 1")
-    count = s_hi - s_lo + 1
-    if len(tols_log10) != count:
-        raise ValueError("one tolerance per s value required")
-    needed = [(s, float(t)) for s, t in zip(range(s_lo, s_hi + 1), tols_log10)
-              if t is not None]
     if not needed:
         raise ValueError("no exponent is needed")
+    if needed[0][0] < 2:
+        raise ValueError("need s >= 2")
+    # the loops step from one s to the next by m^gap and X^gap
+    gaps = [b - a for (a, _), (b, _) in zip(needed, needed[1:])]
+    if min(gaps, default=1) < 1:
+        raise ValueError("the exponents must be strictly ascending")
+    gaps.append(0)
     hardest = min(t for _, t in needed)
-    # the loops step from one needed s to the next by m^gap and X^gap
-    steps = [(s - s_lo, nxt - s) for (s, _), (nxt, _) in zip(needed, needed[1:] + needed[-1:])]
     first = needed[0][0]
     X = _em_point(x0, needed)
     raised = 0
@@ -459,20 +458,20 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
         err = 2 * (X - x0)
         P = _em_scale(hardest, X - x0) + raised
         one = 1 << P
-        direct = [0] * count
+        direct = [0] * len(needed)
         for m in range(x0, X):
             w = one // m ** first
             mm = m * m                  # the gap between exponents of one parity
-            for idx, gap in steps:
-                direct[idx] += w
+            for i, gap in enumerate(gaps):
+                direct[i] += w
                 w //= mm if gap == 2 else m ** gap
                 if not w:
                     break
         table = _EMTable(X, P)
-        acc: list[int | None] = [None] * count
+        acc = []
         Xs = X ** first
         short = 0
-        for (s, tol), (idx, gap) in zip(needed, steps):
+        for (s, tol), gap, d in zip(needed, gaps, direct):
             F = P + math.floor(tol * _LOG2_10 - _EM_TOL_MARGIN)
             got = _em_at(s, X, Xs, P, F, table)
             if got is None:
@@ -480,7 +479,7 @@ def _em_tail_range(s_lo: int, s_hi: int, x0: int,
                 break
             value, e = got
             short = max(short, (err + e).bit_length() + 20 - F)
-            acc[idx] = direct[idx] + value
+            acc.append(d + value)
             Xs *= X ** gap
         else:
             if short <= 0:
@@ -514,30 +513,27 @@ def _even_poly(scale: int, roots: Iterable[tuple[int, int]]) -> tuple[list[int],
     return g, sum(mult.values())
 
 
-def _in_x(c: Sequence[int], odd: int, length: int) -> list[int]:
-    """The coefficients in x of x^odd c(x^2), as a list of ``length``."""
-    out = [0] * length
-    out[odd:odd + 2 * len(c):2] = c
-    return out
-
-
 _LAURENT_DEGREE_CAP = 2000     # largest degQ = a(2n+1) expanded
 
 
-def _radius_norms_log10(c: Sequence[int], T: int) -> tuple[float, float, float]:
+def _radius_norms_log10(c: Sequence[int], m: int, T: int) -> tuple[float, float, float]:
     """log10 of sum |c_u| T^-u, sum u |c_u| T^(1-u) and
     sum u(u-1) |c_u| T^(2-u): bounds on |f|, |f'| and |f''| of
-    f(x) = sum c_u x^u over |x| <= 1/T.  Each is an integer over T^m,
-    m = len(c) - 1, made by Horner's rule in T; -inf for a zero norm."""
-    m = len(c) - 1
+    f(x) = sum c_u x^u over |x| <= 1/T, for f(x) = c(x^2) of degree at
+    most m, c given by its coefficients in y = x^2.  Each is an integer
+    over T^m, made by Horner's rule in T^2 times T^(m - 2 last), last the
+    degree of c in y; -inf for a zero norm."""
     h0 = h1 = h2 = 0
-    for u, cu in enumerate(c):
-        v = abs(cu)
-        h0 = h0 * T + v
-        h1 = h1 * T + u * v
-        h2 = h2 * T + u * (u - 1) * v
+    TT = T * T
+    for i, ci in enumerate(c):
+        v = abs(ci)
+        u = 2 * i
+        h0 = h0 * TT + v
+        h1 = h1 * TT + u * v
+        h2 = h2 * TT + u * (u - 1) * v
+    lift = T ** (m - 2 * (len(c) - 1))
     lgT = math.log10(T)
-    return tuple(math.log10(h) - (m - i) * lgT if h else float("-inf")
+    return tuple(math.log10(h * lift) - (m - i) * lgT if h else float("-inf")
                  for i, h in enumerate((h0, h1, h2)))
 
 
@@ -547,16 +543,16 @@ class LaurentTail:
     The summand's roots and poles pair up as +-c, so with x = 1/t and
     y = x^2, R = x^D p(y)/q(y) with q(y) = prod_{j=1..n} (1 - j^2 y)^a and
     p(y) = scale prod_c (1 - c^2 y)^3 (``_even_poly``).  Long division in y
-    yields the integer b_{D+2i}, with the zero b_{D+2i+1} written between,
-    and after K steps in x an exact residual e(x) = x^(K mod 2) e_y(x^2)
-    (e_y after ceil(K/2) steps in y) of degree below degQ = a(2n+1) with
+    yields the integer b_D, b_(D+2), ... held in ``b`` (every other b_s is
+    0 and is not held), and after i steps an exact residual e_y of degree
+    below deg q.  K counts coefficients in x and must be even: K = 2i and
 
-        R(t) - W_K(t) = t^{-D-K} e(1/t) / q(1/t^2).
+        R(t) - W_K(t) = t^{-D-K} e_y(1/t^2) / q(1/t^2).
 
     For t >= T > n every factor |1 - j/t| is at least 1 - n/T, so
-    |q| >= (1 - n/T)^degQ, and the coefficient norms in x of e and q at
-    radius 1/T turn the residual into explicit tail bounds, for the
-    function itself and for (1/2) of its second derivative
+    |q| >= (1 - n/T)^degQ, and the coefficient norms in x of e_y(x^2) and
+    q(x^2) at radius 1/T turn the residual into explicit tail bounds, for
+    the function itself and for (1/2) of its second derivative
     (``tail_bound_log10``).  Only the residual at the count divided to is
     held, and each tail is built by the call that reads it.
     """
@@ -572,48 +568,37 @@ class LaurentTail:
         self.n = spec.n
         self.min_t = 2 * self.n + 2
         p, deg_p = _even_poly(summand.scale, summand.numerator_roots)
-        q, self.degQ = _even_poly(1, [(j, summand.pole_order) for j in summand.poles])
+        self._q, self.degQ = _even_poly(1, [(j, summand.pole_order) for j in summand.poles])
         self.D = self.degQ - deg_p
-        self._q_tail = q[1:]
-        self._q_x = _in_x(q, 0, self.degQ + 1)
         self.b: list[int] = []
-        # e_y after ceil(len(b)/2) steps, of degree below deg q
-        self._e = p + [0] * (len(q) - 1 - len(p))
-
-    def _step(self, e: list[int]) -> list[int]:
-        """The residual in y one division step after e: e/y - e_0 q/y."""
-        c = e[0]
-        q = self._q_tail
-        out = [x - c * y for x, y in zip(islice(e, 1, None), q)]
-        out.append(-c * q[-1])
-        return out
+        # e_y after len(b) steps, of degree below deg q
+        self._e = p + [0] * (len(self._q) - 1 - len(p))
 
     def extend(self, K: int) -> None:
-        e = self._e
-        for k in range(len(self.b), K):
-            if k & 1:
-                self.b.append(0)
-            else:
-                self.b.append(e[0])
-                e = self._step(e)
+        """Divide on to the coefficients b_s, s < D + K; K even."""
+        if K % 2:
+            raise ValueError(f"K counts coefficients in x and must be even, got {K}")
+        e, q = self._e, self._q
+        for _ in range(len(self.b), K // 2):
+            c = e[0]
+            self.b.append(c)
+            # one division step in y: e/y - c q/y
+            e = [x - c * y for x, y in zip(islice(e, 1, None), islice(q, 1, None))]
+            e.append(-c * q[-1])
         self._e = e
-
-    def _held_residual(self) -> list[int]:
-        """e(x) after len(b) steps in x, its zero coefficients put back."""
-        return _in_x(self._e, len(self.b) & 1, self.degQ)
 
     def tail_bound_log10(self, kind: str, K: int, T: int) -> float:
         """Certified log10 bound for |sum_{t >= T} (R - W_K)(t)| (plain)
         or the same for (1/2)(R - W_K)'' (double-derived).  T >= 2n+2, and
-        K no less than the count the tail is divided to.
+        K even and no less than the count the tail is divided to.
 
         Proof.  Let x = 1/t <= 1/T and v = D + K, so (R - W_K)(t) =
-        x^v g(x) with g = e/q.  Every pole j has |j| <= n < T, so
-        |q(x)| = prod |1 - j x|^a >= (1 - n/T)^degQ =: m.  With
-        E_i = sum_u u!/(u-i)! |e_u| T^(i-u) and Q_i the same for q
-        (``_radius_norms_log10``), |e^(i)(x)| <= E_i and |q^(i)(x)| <= Q_i,
-        so from g' = (e'q - eq')/q^2 and g'' = ((e''q - eq'')q
-        - 2q'(e'q - eq'))/q^3:
+        x^v g(x) with g = e/q, e(x) = e_y(x^2) of degree below degQ.  Every
+        pole j has |j| <= n < T, so |q(x)| = prod |1 - j x|^a >=
+        (1 - n/T)^degQ =: m.  With E_i = sum_u u!/(u-i)! |e_u| T^(i-u) and
+        Q_i the same for q (``_radius_norms_log10``), |e^(i)(x)| <= E_i and
+        |q^(i)(x)| <= Q_i, so from g' = (e'q - eq')/q^2 and
+        g'' = ((e''q - eq'')q - 2q'(e'q - eq'))/q^3:
 
             |g| <= E_0/m,  |g'| <= (E_1 Q_0 + E_0 Q_1)/m^2,
             |g''| <= ((E_2 Q_0 + E_0 Q_2) Q_0 + 2 Q_1 (E_1 Q_0 + E_0 Q_1))/m^3.
@@ -627,13 +612,13 @@ class LaurentTail:
         if T < self.min_t:
             raise ValueError(f"T must be >= {self.min_t}")
         self.extend(K)
-        if K < len(self.b):
-            raise ValueError(f"the tail holds its residual at K = {len(self.b)}, not at {K}")
-        E0, E1, E2 = _radius_norms_log10(self._held_residual(), T)
+        if K < 2 * len(self.b):
+            raise ValueError(f"the tail holds its residual at K = {2 * len(self.b)}, not at {K}")
+        E0, E1, E2 = _radius_norms_log10(self._e, self.degQ - 1, T)
         if E0 == float("-inf"):
             return E0
         lm = self.degQ * math.log10(T / (T - self.n))
-        Q0, Q1, Q2 = _radius_norms_log10(self._q_x, T)
+        Q0, Q1, Q2 = _radius_norms_log10(self._q, self.degQ, T)
         lgT = math.log10(T)
         v = self.D + K
         if kind == PLAIN:
@@ -652,24 +637,21 @@ class LaurentTail:
         """sum_{t >= T} W_K(t) (plain) or sum (1/2) W_K''(t) (derived), as
         (Y, P): Y is the tail scaled by 2^P, an exact integer sum.
 
-        Both are sum_i w_i sum_{t >= T} t^{-(s_i + shift)} with s_i = D + i:
-        plain has w_i = b_i and shift 0, derived w_i = b_i s_i (s_i+1)/2
-        and shift 2.  Each power sum with w_i != 0 is an integer Z_i at
-        the scale 2^P (``_em_tail_range``) certified to
-        10^tol_log10 / (100 K |w_i|), so Y = sum w_i Z_i is within
-        10^(tol_log10 - 2) 2^P units of the tail; one with w_i = 0 is
-        neither expanded nor summed.
+        Both are sum_i w_i sum_{t >= T} t^{-(s_i + shift)} over the held
+        coefficients, s_i = D + 2i: plain has w_i = b_(s_i) and shift 0,
+        derived w_i = b_(s_i) s_i (s_i+1)/2 and shift 2.  Each power sum
+        with w_i != 0 is an integer Z_i at the scale 2^P (``_em_tail_range``)
+        certified to 10^tol_log10 / (100 K |w_i|), so Y = sum w_i Z_i is
+        within 10^(tol_log10 - 2) 2^P units of the tail.
         """
         self.extend(K)
-        if kind == PLAIN:
-            shift, weights = 0, self.b[:K]
-        else:
-            shift = 2
-            weights = [b * (s * (s + 1) // 2) for s, b in enumerate(self.b[:K], self.D)]
+        shift = 0 if kind == PLAIN else 2
+        weights = [(s + shift, b if kind == PLAIN else b * (s * (s + 1) // 2))
+                   for s, b in zip(range(self.D, self.D + K, 2), self.b) if b]
         spread = math.log10(max(K, 1)) + 2
-        tols = [tol_log10 - math.log10(abs(w)) - spread if w else None for w in weights]
-        P, tails = _em_tail_range(self.D + shift, self.D + K - 1 + shift, T, tols)
-        return sum(w * z for w, z in zip(weights, tails) if w), P
+        P, tails = _em_tail_range(
+            T, [(s, tol_log10 - math.log10(abs(w)) - spread) for s, w in weights])
+        return sum(w * z for (_s, w), z in zip(weights, tails)), P
 
 
 # ---------------------------------------------------------------------------
@@ -962,12 +944,11 @@ def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
     """S_n or S''_n as l_0 + sum l_i zeta(.) from the exact form.
 
     The sum is taken on integers: each zeta(s) is an integer z_s at the
-    scale 2^(B_s), from one pass of ``_zeta_borwein`` over the form's
-    exponents at digits + 4, within 10^-(digits+4) + 10^-(digits+7) <
+    one scale 2^B of a pass of ``_zeta_borwein`` over the form's exponents
+    at digits + 4, within 10^-(digits+4) + 10^-(digits+7) <
     10^-(digits+3) of it.  With the coefficients as N_i / D over their
-    common denominator and B the largest B_s, N_0 2^B + sum N_i z_i
-    2^(B - B_i) over D 2^B is within sum|coeff| 10^-(digits+3) of the
-    value.  It is divided once, rounded to workdps: at most 2^-prec of a
+    common denominator, N_0 2^B + sum N_i z_i over D 2^B is within
+    sum|coeff| 10^-(digits+3) of the value.  It is divided once, rounded to workdps: at most 2^-prec of a
     quotient below 2 sum|coeff| (every zeta(s) is below 2), prec >=
     (workdps+1) log2 10 - 1/2 bits, so below sum|coeff| 10^-workdps.
     Callers pick digits at least log10 sum|coeff| minus their target.
@@ -977,15 +958,15 @@ def eval_S_form(form: ZetaLinearForm, ctx: PrecisionContext) -> EvalResult:
 
 
 def _form_value(form: ZetaLinearForm, ctx: PrecisionContext,
-                zetas: dict[int, tuple[int, int]]) -> EvalResult:
-    """``eval_S_form`` from ``zetas``, {s: (z, B)} of ``_zeta_borwein`` at
+                zetas: tuple[int, dict[int, int]]) -> EvalResult:
+    """``eval_S_form`` from ``zetas``, (B, {s: z}) of ``_zeta_borwein`` at
     ctx.digits + 4 for at least the form's exponents."""
     size = _log10_abs_sum(form.all_coefficients())
-    coeffs = [(c, zetas[s]) for s, _i, c in form.terms()]
+    B, z = zetas
+    coeffs = [(c, z[s]) for s, _i, c in form.terms()]
     D = math.lcm(form.constant.denominator, *(c.denominator for c, _z in coeffs))
-    B = max(b for _c, (_z, b) in coeffs)
     num = (form.constant.numerator * (D // form.constant.denominator) << B) + sum(
-        c.numerator * (D // c.denominator) * z << (B - b) for c, (z, b) in coeffs)
+        c.numerator * (D // c.denominator) * zs for c, zs in coeffs)
     with mp.workdps(ctx.workdps):
         value = mp.ldexp(mp.fdiv(num, D), -B)
     rounding = size - ctx.workdps
@@ -1086,7 +1067,7 @@ _COS_EXCLUSION = 1e-3
 
 
 def _certified_value(form: ZetaLinearForm, ctx: PrecisionContext,
-                     zetas: dict[int, tuple[int, int]]) -> EvalResult:
+                     zetas: tuple[int, dict[int, int]]) -> EvalResult:
     """``eval_S_form`` with its bound more than _RATE_SIG_DIGITS digits below
     |value|, first from the zeta integers ``zetas`` made for ctx.  A value
     that misses is evaluated again, by ``eval_S_form`` and its own zeta

@@ -8,7 +8,8 @@ term by term in Fractions (the criterion's integer pairs read as
 Fractions), Gauss-Jordan elimination in Fraction arithmetic, the
 brute-force float sweep of the projective distance, direct summation in
 mpf, Borwein's zeta series summed for one exponent at a time, the Laurent tail built
-from linear factors and divided in 1/t, exact Bernoulli numbers,
+from linear factors, divided in 1/t and bounded from its norms in 1/t,
+exact Bernoulli numbers,
 an Euler-Maclaurin expansion built term by term, and the partial-fraction
 table and zeta forms accumulated in reduced Fractions, with the JSON
 readers of tables and forms: slow, transparent routes that the package's
@@ -500,7 +501,8 @@ def direct_sum_mpf(spec: FormSpec, kind: str, t_start: int, t_stop: int) -> mpf:
 
 
 def zeta_borwein_per_s(s: int, digits: int) -> tuple[int, int]:
-    """(z, B) of ``highprec._zeta_borwein`` for the one exponent s, from
+    """(z, B) of ``highprec._zeta_borwein`` for the one exponent s (its
+    value and the scale that the kernel shares among exponents), from
     its own pass over k: every quotient floor((d_n - d_k) 2^g / (k+1)^s)
     is one division, and the pass stops at the first zero quotient.  The
     term count n, the scale 2^g and the final division are the kernel's."""
@@ -518,14 +520,39 @@ def zeta_borwein_per_s(s: int, digits: int) -> tuple[int, int]:
     return (total << (s - 1 + p)) // (top * ((1 << (s - 1)) - 1)), g + p
 
 
-class LinearFactorTail(highprec.LaurentTail):
-    """``highprec.LaurentTail`` built and divided in x = 1/t: P(t) and
-    Q(t) multiplied out one linear factor (t - root) at a time, reversed
-    into p(x) = x^degP P(1/t) and q(x) = prod_{|j| <= n} (1 - j x)^a, and
-    p/q divided one step in x per coefficient, the zeros at odd s - D
-    included.  It assumes no symmetry of the roots, and holds the residual
-    in x as it is, so the certified bound the package reads from it is the
-    reference for the build and the division in y = x^2."""
+def in_x(c: Sequence[int], length: int) -> list[int]:
+    """The coefficients in x of c(x^2), as a list of ``length``."""
+    out = [0] * length
+    out[:2 * len(c):2] = c
+    return out
+
+
+def radius_norms_log10_x(c: Sequence[int], T: int) -> tuple[float, float, float]:
+    """log10 of sum |c_u| T^-u, sum u |c_u| T^(1-u) and
+    sum u(u-1) |c_u| T^(2-u) for f(x) = sum c_u x^u given in x, every
+    zero coefficient included: integers over T^m, m = len(c) - 1, by
+    Horner's rule in T; -inf for a zero norm."""
+    m = len(c) - 1
+    h0 = h1 = h2 = 0
+    for u, cu in enumerate(c):
+        v = abs(cu)
+        h0 = h0 * T + v
+        h1 = h1 * T + u * v
+        h2 = h2 * T + u * (u - 1) * v
+    lgT = math.log10(T)
+    return tuple(math.log10(h) - (m - i) * lgT if h else float("-inf")
+                 for i, h in enumerate((h0, h1, h2)))
+
+
+class LinearFactorTail:
+    """``highprec.LaurentTail`` built, divided and bounded in x = 1/t: P(t)
+    and Q(t) multiplied out one linear factor (t - root) at a time,
+    reversed into p(x) = x^degP P(1/t) and q(x) = prod_{|j| <= n} (1 - j x)^a,
+    and p/q divided one step in x per coefficient, the zeros at odd s - D
+    included.  It assumes no symmetry of the roots, holds the residual in
+    x as it is, and takes the radius norms of the certified bound from
+    the coefficients in x (``radius_norms_log10_x``), at any K, so it is
+    the reference for the build, the division and the bound in y = x^2."""
 
     def __init__(self, summand):
         self.summand = summand
@@ -548,17 +575,45 @@ class LinearFactorTail(highprec.LaurentTail):
         self.degQ = len(Q) - 1
         self.D = self.degQ - (len(P) - 1)
         self._q_x = Q[::-1]
-        self._q_tail = self._q_x[1:]
         self.b = []
         self._e = P[::-1] + [0] * (self.D - 1)
 
     def extend(self, K: int) -> None:
+        q = self._q_x
         for _ in range(len(self.b), K):
-            self.b.append(self._e[0])
-            self._e = self._step(self._e)
+            e = self._e
+            c = e[0]
+            self.b.append(c)
+            self._e = [x - c * y for x, y in zip(e[1:], q[1:])] + [-c * q[-1]]
 
-    def _held_residual(self) -> list[int]:
-        return self._e
+    def tail_bound_log10(self, kind: str, K: int, T: int) -> float:
+        """The bound of ``highprec.LaurentTail.tail_bound_log10``, its norms
+        taken in x."""
+        if T < self.min_t:
+            raise ValueError(f"T must be >= {self.min_t}")
+        self.extend(K)
+        if K < len(self.b):
+            raise ValueError(f"the tail holds its residual at K = {len(self.b)}, not at {K}")
+        add = highprec._log10_add
+        lg2 = math.log10(2)
+        E0, E1, E2 = radius_norms_log10_x(self._e, T)
+        if E0 == float("-inf"):
+            return E0
+        lm = self.degQ * math.log10(T / (T - self.n))
+        Q0, Q1, Q2 = radius_norms_log10_x(self._q_x, T)
+        lgT = math.log10(T)
+        v = self.D + K
+        if kind == PLAIN:
+            c_log = E0 + lm
+            power = v
+        else:
+            g1 = add(E1 + Q0, E0 + Q1)
+            g2 = add(add(E2 + Q0, E0 + Q2) + Q0, lg2 + Q1 + g1)
+            c_log = add(math.log10(v * (v + 1)) + E0 + lm,
+                        math.log10(2 * v + 2) + g1 + 2 * lm - lgT)
+            c_log = add(c_log, g2 + 3 * lm - 2 * lgT) - lg2
+            power = v + 2
+        return c_log + add(-power * lgT, (1 - power) * lgT - math.log10(power - 1))
 
 
 def bernoulli_exact(n: int) -> Fraction:

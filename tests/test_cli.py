@@ -353,12 +353,70 @@ def test_criterion_projective_distance_without_threshold_takes_the_library_defau
     src, out = tmp_path / "instance.json", tmp_path / "report.json"
     src.write_text(json.dumps(doc))
     assert run(["criterion", "--in", str(src), "--out", str(out)]) == 0
-    lib = projective_distance_sweep(xi=float(doc["xi"]), tau=float(doc["tau"]),
+    lib = projective_distance_sweep(xi=doc["xi"], tau=float(doc["tau"]),
                                     eps=float(doc["eps"]), p_max=int(doc["p_max"]))
     report = json.loads(out.read_text())
     assert report["pass"] and report["checked"] == lib.checked == 21
     assert report["violations"] == [list(v) for v in lib.violations] == []
     assert report["best_exponent"] == lib.best_exponent
+
+
+@pytest.mark.parametrize("p_max, checked", [(10**6, 21), (10**9, 35)])
+def test_criterion_projective_distance_reads_xi_to_its_stated_digits(p_max, checked, tmp_path):
+    # the instance states xi to 50 digits; read as a double it is another
+    # number, which gives another best exponent and, by p_max = 1e9, decides
+    # 32 points where the stated xi decides 35
+    from zetaforms.diophantine import projective_distance_sweep
+
+    doc = json.loads((resources.files("zetaforms.data")
+                      / "golden_projective_distance.json").read_text())
+    doc["p_max"] = p_max
+    src, out = tmp_path / "instance.json", tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    assert run(["criterion", "--in", str(src), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    args = dict(tau=1.0, eps=0.2, p_max=p_max, norm_threshold=100.0)
+    stated = projective_distance_sweep(xi=doc["xi"], **args)
+    double = projective_distance_sweep(xi=float(doc["xi"]), **args)
+    assert report["checked"] == stated.checked == checked
+    assert report["best_exponent"] == stated.best_exponent == -2.173044268513107
+    assert double.best_exponent != stated.best_exponent
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("enumerated before the input was checked")
+
+
+@pytest.mark.parametrize("Q", [5_000_000, 10**12])
+def test_criterion_type2_box_past_the_cap_is_refused(Q, tmp_path, capsys, monkeypatch):
+    # 2 floor(Q) + 1 box vectors at tau = 1: 10^7 + 1 is one past the cap,
+    # and 2e12 would take many hours at about 12 us a box
+    from zetaforms import diophantine
+
+    monkeypatch.setattr(diophantine, "product", _fail_if_called)
+    doc = json.loads((resources.files("zetaforms.data") / "sqrt2_type2.json").read_text())
+    doc["Q"] = Q
+    src = tmp_path / "box.json"
+    src.write_text(json.dumps(doc))
+    assert run(["criterion", "--in", str(src)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "malformed-instance" and "exceeds cap 10000000" in err["message"]
+
+
+@pytest.mark.parametrize("horizon", [10**7 + 1, 10**12])
+def test_criterion_oscillation_horizon_past_the_cap_is_refused(horizon, tmp_path, capsys,
+                                                               monkeypatch):
+    # horizon 1e6 took 0.9 s; 1e12 would run for days and hold its psi list
+    import math
+
+    monkeypatch.setattr(math, "cos", _fail_if_called)
+    doc = json.loads((resources.files("zetaforms.data") / "golden_oscillation.json").read_text())
+    doc["horizon"] = horizon
+    src = tmp_path / "oscillation.json"
+    src.write_text(json.dumps(doc))
+    assert run(["criterion", "--in", str(src)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "malformed-instance" and "exceeds cap 10000000" in err["message"]
 
 
 def test_import_leaves_numpy_out():

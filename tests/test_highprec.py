@@ -25,17 +25,22 @@ from zetaforms.linear_forms import (FormSpec, Summand, build_summand,
                                    zeta_form_plain)
 from zetaforms.saddle import compute_constants
 
-from oracles import (LinearFactorTail, bernoulli_exact, direct_sum_mpf, em_at_per_term,
+from oracles import (LinearFactorTail, bernoulli_exact, direct_sum_mpf, em_at_per_term, in_x,
                      zeta_borwein_per_s)
 
 
 CTX = PrecisionContext(digits=60, guard=20)
 
 
-def _em_values(s_lo, s_hi, x0, tols):
-    """``_em_tail_range`` read as exact mpf values (None where not needed)."""
-    P, sums = _em_tail_range(s_lo, s_hi, x0, tols)
-    return [None if z is None else mp.ldexp(z, -P) for z in sums]
+def _em_values(x0, needed):
+    """``_em_tail_range`` read as exact mpf values."""
+    P, sums = _em_tail_range(x0, needed)
+    return [mp.ldexp(z, -P) for z in sums]
+
+
+def _pairs(exponents, tol):
+    """(s, tol) for every s of ``exponents``: one tolerance for all."""
+    return [(s, tol) for s in exponents]
 
 
 def _tail_value(lt, kind, K, T, tol):
@@ -118,7 +123,7 @@ def test_zeta_agrees_with_mpmath_and_euler_maclaurin_oracle(digits):
     for s in (2, 3, 4, 5, 15, 21, 45, 120):
         v = zeta_value(s, ctx)
         with mp.workdps(ctx.workdps):
-            (em,) = _em_values(s, s, 1, [-(digits + 4)])
+            (em,) = _em_values(1, [(s, -(digits + 4))])
         with mp.workdps(digits + 50):
             assert abs(v - mpmath.zeta(s)) < mpf(10) ** -digits, s
             assert abs(v - em) < mpf(10) ** -digits, s
@@ -150,8 +155,10 @@ def test_one_pass_equals_the_per_exponent_oracle(digits):
     # 3997 whose larger exponent leaves the pass at k = 1, and single ones
     for exponents in ((2, 3, 5, 21, 45), tuple(range(3, 16, 2)), (3, 4000),
                       (2,), (3,), (15,), (4000,)):
-        got = highprec._zeta_borwein(exponents, digits)
-        assert got == {s: zeta_borwein_per_s(s, digits) for s in exponents}, exponents
+        B, got = highprec._zeta_borwein(exponents, digits)
+        ref = {s: zeta_borwein_per_s(s, digits) for s in exponents}
+        assert got == {s: z for s, (z, _B) in ref.items()}, exponents
+        assert {b for _z, b in ref.values()} == {B}, exponents
 
 
 def test_zeta_value_leaves_precision_as_found():
@@ -193,7 +200,7 @@ def test_tangent_table_started_at_low_precision_serves_higher_ones(monkeypatch):
     held = []
     for digits in (120, 400, 1705):
         with mp.workdps(digits + 20):
-            (v,) = _em_values(5, 5, 1, [-(digits + 4)])
+            (v,) = _em_values(1, [(5, -(digits + 4))])
         held.append(len(highprec._TANGENT))
         with mp.workdps(digits + 50):
             assert abs(v - mpmath.zeta(5)) < mpf(10) ** -digits
@@ -221,7 +228,7 @@ def test_em_expansions_need_no_growth_retry(monkeypatch):
     assert laurent
     for digits in (60, 250, 899, 1705):
         for s in (3, 5, 15):
-            _em_tail_range(s, s, 1, [-(digits + 4)])
+            _em_tail_range(1, [(s, -(digits + 4))])
     assert len(results) > laurent
     assert None not in results
 
@@ -241,7 +248,7 @@ def test_zeta_table_at_rate_sweep_budget_stays_small(monkeypatch):
     monkeypatch.setattr(highprec._EMTable, "extend", spy)
     with mp.workdps(899 + 20):
         for s in range(3, 16, 2):
-            _em_tail_range(s, s, 1, [-(899 + 4)])
+            _em_tail_range(1, [(s, -(899 + 4))])
     assert entries and max(entries.values()) <= 300
 
 
@@ -250,7 +257,7 @@ def test_power_sum_tail_matches_mpmath_hurwitz():
     # against the Hurwitz zeta function
     for s, start in ((3, 7), (9, 48), (25, 240), (120, 64)):
         with mp.workdps(CTX.workdps):
-            (mine,) = _em_values(s, s, start, [-64])
+            (mine,) = _em_values(start, [(s, -64)])
         with mp.workdps(120):
             # the expansion and the direct part each within 10^-64
             assert abs(mine - mpmath.zeta(s, start)) < 3 * mpf(10) ** -64
@@ -259,7 +266,7 @@ def test_power_sum_tail_matches_mpmath_hurwitz():
 def test_em_tail_range_consistent_with_scalar():
     # one shared range of exponents against the Hurwitz zeta function
     with mp.workdps(80):
-        vals = _em_values(9, 40, 48, [-70] * 32)
+        vals = _em_values(48, _pairs(range(9, 41), -70))
     with mp.workdps(120):
         for val, s in zip(vals, range(9, 41)):
             assert abs(val - mpmath.zeta(s, 48)) < 3 * mpf(10) ** -70
@@ -267,13 +274,31 @@ def test_em_tail_range_consistent_with_scalar():
 
 def test_em_tail_range_rejects_bad_input():
     with pytest.raises(ValueError):
-        _em_tail_range(1, 3, 5, [-50] * 3)
+        _em_tail_range(5, _pairs(range(1, 4), -50))
     with pytest.raises(ValueError):
-        _em_tail_range(3, 3, 0, [-50])
-    with pytest.raises(ValueError):
-        _em_tail_range(3, 5, 5, [-50])
+        _em_tail_range(0, [(3, -50)])
+    # one tolerance per s: an exponent given twice is refused
+    with pytest.raises(ValueError, match="ascending"):
+        _em_tail_range(5, [(3, -50), (3, -60), (5, -50)])
     with pytest.raises(ValueError, match="no exponent"):
-        _em_tail_range(3, 5, 5, [None] * 3)
+        _em_tail_range(5, [])
+
+
+@pytest.mark.parametrize("needed", [
+    [(5, -50), (3, -50)],
+    [(3, -50), (7, -50), (5, -50)],
+    [(9, -50), (3, -50), (5, -50)],
+])
+def test_em_tail_range_refuses_a_list_that_does_not_ascend(needed, monkeypatch):
+    # a negative gap would turn m ** gap into a float: the list is refused
+    # before any power is formed
+    def fail(*args):
+        raise AssertionError("expanded a list that does not ascend")
+
+    monkeypatch.setattr(highprec, "_em_at", fail)
+    monkeypatch.setattr(highprec, "_em_point", fail)
+    with pytest.raises(ValueError, match="ascending"):
+        _em_tail_range(5, needed)
 
 
 def test_em_tail_range_against_per_term_oracle_at_two_precisions(monkeypatch):
@@ -286,7 +311,7 @@ def test_em_tail_range_against_per_term_oracle_at_two_precisions(monkeypatch):
     for dps in (120, 400):
         tol = -(dps - 10)
         with mp.workdps(dps):
-            vals = _em_values(lo, hi, X, [tol] * (hi - lo + 1))
+            vals = _em_values(X, _pairs(range(lo, hi + 1), tol))
             # the expansion stops at a power of two at or below 10^tol
             stop = mpf(2) ** math.floor(tol * math.log2(10))
             for s, val in zip(range(lo, hi + 1), vals):
@@ -306,8 +331,8 @@ def _assert_laurent_tail_meets_hurwitz_oracle(lt, kind, K, T, tol):
     shift = 0 if kind == PLAIN else 2
     with mp.workdps(220):
         ref = mpf(0)
-        for i, b in enumerate(lt.b[:K]):
-            s = lt.D + i
+        for i, b in enumerate(lt.b[:K // 2]):
+            s = lt.D + 2 * i
             w = b if kind == PLAIN else b * s * (s + 1) // 2
             ref += w * mpmath.zeta(s + shift, T)
         assert abs(val - ref) < mpf(10) ** tol
@@ -322,13 +347,13 @@ def test_laurent_tail_value_against_hurwitz_oracle(kind):
 
 @pytest.mark.parametrize("kind", [PLAIN, DOUBLE_DERIVED])
 def test_laurent_tail_value_expands_only_nonzero_weights(kind, monkeypatch):
-    # every other Laurent coefficient of (9,1,1) is 0; those exponents
-    # are neither expanded nor certified
+    # every other Laurent coefficient of (9,1,1) is 0 and is not held;
+    # only the exponents of the held nonzero ones are expanded
     lt = highprec.LaurentTail(build_summand(FormSpec(9, 1, 1)))
     K = 64
     lt.extend(K)
     shift = 0 if kind == PLAIN else 2
-    nonzero = [lt.D + i + shift for i, b in enumerate(lt.b[:K]) if b]
+    nonzero = [lt.D + 2 * i + shift for i, b in enumerate(lt.b[:K // 2]) if b]
     assert 0 < len(nonzero) < K
     expanded = []
     real = highprec._em_at
@@ -342,31 +367,38 @@ def test_laurent_tail_value_expands_only_nonzero_weights(kind, monkeypatch):
     assert expanded == nonzero
 
 
+# terms ``_laurent_remainder_log10`` sums at most: it needs about 150 at
+# T = 48 and D + K > 64, and a broken expansion, whose remainder does not
+# fall like t^-(D+K), reaches the cap instead of running on
+_REMAINDER_TERM_CAP = 1000
+
+
 def _laurent_remainder_log10(lt, kind, K, T):
     """log10 |sum_{t >= T} (R - W_K)(t)| (plain) or the same of
     (1/2)(R - W_K)'' (derived), from exact values of R or (1/2) R'' and of
     W_K.  The terms fall like t^-(D+K) with D + K > 64; they are summed
     until one is 40 digits below the first, and the rest is far below the
-    sum."""
+    sum.  Fails if that takes more than _REMAINDER_TERM_CAP terms."""
     if kind == PLAIN:
-        exact, weights, shift = lt.summand.eval_exact, lt.b[:K], 0
+        exact, weights, shift = lt.summand.eval_exact, lt.b[:K // 2], 0
     else:
         exact = partial(half_second_derivative_exact, table_for(lt.summand.spec))
-        weights = [b * (s * (s + 1) // 2) for s, b in enumerate(lt.b[:K], lt.D)]
+        weights = [b * (s * (s + 1) // 2) for s, b in zip(range(lt.D, lt.D + K, 2), lt.b)]
         shift = 2
-    top = lt.D + K - 1 + shift
-    total, first, t = Fraction(0), None, T
-    while True:
+    top = lt.D + K - 2 + shift
+    total, first = Fraction(0), None
+    for t in range(T, T + _REMAINDER_TERM_CAP):
         w = 0
-        for x in weights:               # W_K(t) t^top, by Horner's rule
-            w = w * t + x
+        for x in weights:               # W_K(t) t^top, by Horner's rule in t^2
+            w = w * t * t + x
         term = exact(t) - Fraction(w, t ** top)
         total += term
         if first is None:
             first = abs(term)
         elif abs(term) < first / 10 ** 40:
             break
-        t += 1
+    else:
+        raise AssertionError(f"the remainder did not fall 40 digits in {_REMAINDER_TERM_CAP} terms")
     with mp.workdps(30):
         return float(mp.log10(abs(mpf(total.numerator) / total.denominator)))
 
@@ -407,20 +439,35 @@ def test_laurent_tail_bound_below_the_divided_count_raises(abc, kind):
                                  (21, 3, 10)])
 def test_laurent_tail_in_y_equals_the_linear_factor_build(abc):
     # the build in y = 1/t^2 and its division give the coefficients, the
-    # residual at every K (odd ones too) and the certified bounds of the
-    # build from linear factors divided in 1/t, bit for bit
+    # residual at every K and the certified bounds (norms from the
+    # coefficients in y) of the build from linear factors divided and
+    # bounded in 1/t, bit for bit
     summand = build_summand(FormSpec(*abc))
     tails = {kind: (highprec.LaurentTail(summand), LinearFactorTail(summand))
              for kind in (PLAIN, DOUBLE_DERIVED)}
-    for K in (1, 64, 97, 128, 256):
+    for K in (64, 128, 256):
         for kind, (lt, ref) in tails.items():
             for T in (48, 262):
                 assert lt.tail_bound_log10(kind, K, T) == ref.tail_bound_log10(kind, K, T)
-            assert (lt.D, lt.degQ, lt.b) == (ref.D, ref.degQ, ref.b)
-            assert lt._held_residual() == ref._held_residual()
-    lt = tails[PLAIN][0]
-    assert lt._q_x == tails[PLAIN][1]._q_x
-    assert not any(lt.b[1::2]) and all(lt.b[::2])
+            assert (lt.D, lt.degQ, lt.b) == (ref.D, ref.degQ, ref.b[::2])
+            assert in_x(lt._e, lt.degQ) == ref._e
+    lt, ref = tails[PLAIN]
+    assert in_x(lt._q, lt.degQ + 1) == ref._q_x
+    assert not any(ref.b[1::2]) and all(lt.b)
+
+
+@pytest.mark.parametrize("K", [1, 97])
+def test_laurent_tail_refuses_an_odd_K(K):
+    # K counts coefficients in x, and the tail holds every other one: an
+    # odd K would end between two of them.  The routes only ask for 64 2^j
+    lt = highprec.LaurentTail(build_summand(FormSpec(7, 1, 1)))
+    with pytest.raises(ValueError, match="even"):
+        lt.extend(K)
+    with pytest.raises(ValueError, match="even"):
+        lt.tail_bound_log10(PLAIN, K, 48)
+    with pytest.raises(ValueError, match="even"):
+        lt.tail_value(DOUBLE_DERIVED, K, 48, -100)
+    assert lt.b == []
 
 
 @pytest.mark.parametrize("roots", [
@@ -441,12 +488,13 @@ def test_em_tail_range_meets_tolerances_tighter_than_working_precision():
     K, wdps = 64, 60
     lt.extend(K)
     spread = math.log10(K) + 2
-    tols = [-wdps - (math.log10(abs(b)) if b else 0) - spread for b in lt.b[:K]]
+    exponents = range(lt.D, lt.D + K, 2)
+    tols = [-wdps - (math.log10(abs(b)) if b else 0) - spread for b in lt.b[:K // 2]]
     assert min(tols) < -2 * wdps
     with mp.workdps(wdps):
-        vals = _em_values(lt.D, lt.D + K - 1, 48, tols)
+        vals = _em_values(48, list(zip(exponents, tols)))
     with mp.workdps(3 * wdps):
-        for val, s, tol in zip(vals, range(lt.D, lt.D + K), tols):
+        for val, s, tol in zip(vals, exponents, tols):
             ref = mpmath.zeta(s, 48)
             # the tolerance, plus the rounding of the value to wdps digits
             assert abs(val - ref) <= mpf(10) ** tol + abs(ref) * mpf(10) ** (1 - wdps)
@@ -511,9 +559,8 @@ def test_em_tail_range_raises_the_scale_when_a_bound_misses(monkeypatch):
         return real(s, X, Xs, P, F, table)
 
     monkeypatch.setattr(highprec, "_em_at", spy)
-    tols = [-120.0] * 32
     with mp.workdps(140):
-        vals = _em_values(9, 40, 48, tols)
+        vals = _em_values(48, _pairs(range(9, 41), -120.0))
     assert len(set(scales)) == 2 and scales[-1] > scales[0]
     with mp.workdps(200):
         for val, s in zip(vals, range(9, 41)):
@@ -584,7 +631,7 @@ def test_certified_values_do_not_depend_on_the_callers_precision():
         assert (laurent.method, direct.method) == ("direct+laurent", "direct")
         for res in (laurent, direct):
             out += [res.value, res.tail_bound_log10, res.work_bits, res.laurent_K]
-        out.append(_em_tail_range(9, 40, 48, [-70] * 32))
+        out.append(_em_tail_range(48, _pairs(range(9, 41), -70)))
         lt = highprec.LaurentTail(build_summand(FormSpec(7, 1, 6)))
         out.append(lt.tail_value(PLAIN, 64, 48, -100))
         return out
@@ -752,7 +799,7 @@ def test_route_at_large_n(kind, monkeypatch):
     assert route.K == K
     assert (route.tail is None) == (K is None)
     if K is not None:
-        assert len(route.tail.b) == K
+        assert 2 * len(route.tail.b) == K
 
 
 def _criterion_1_grid():
@@ -798,7 +845,7 @@ def test_routes_and_values_do_not_depend_on_earlier_calls(monkeypatch):
         return [eval_S_direct(FormSpec(7, 1, 2), PLAIN, PrecisionContext(100, 20)),
                 eval_S_direct(FormSpec(13, 1, 6), DOUBLE_DERIVED, CRITERION_1,
                               wdps=derived_wdps),
-                _em_tail_range(9, 40, 48, [-70] * 32),
+                _em_tail_range(48, _pairs(range(9, 41), -70)),
                 routes]
 
     fresh = run(grid)
@@ -827,9 +874,9 @@ def test_laurent_split_at_the_target_digits(abc, kind, monkeypatch):
     starts = []
     real = highprec._em_tail_range
 
-    def spy(s_lo, s_hi, x0, tols):
+    def spy(x0, needed):
         starts.append(x0)
-        return real(s_lo, s_hi, x0, tols)
+        return real(x0, needed)
 
     monkeypatch.setattr(highprec, "_em_tail_range", spy)
     res = eval_S_direct(spec, kind, CRITERION_1)
