@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from mpmath import mp, mpf
 
@@ -458,6 +458,19 @@ class TypeIIReport:
         return self.hypothesis_ok and not self.violations
 
 
+def _box_vectors(caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The integer vectors v with |v_j| <= caps[j], in the order that
+    ``product`` gives over the ranges, made one at a time; ``product``
+    would first copy every range into a tuple."""
+    if not caps:
+        yield ()
+        return
+    last = range(-caps[-1], caps[-1] + 1)
+    for head in _box_vectors(caps[:-1]):
+        for x in last:
+            yield head + (x,)
+
+
 def type2_box_check(xis: Sequence,
                     forms: Sequence[Sequence[int]],
                     qseq: Sequence[int],
@@ -507,7 +520,7 @@ def type2_box_check(xis: Sequence,
         threshold = mpf(Q) ** (-1 - eps)
         violations = []
         boxes = 0
-        for avec in product(*(range(-c, c + 1) for c in caps)):
+        for avec in _box_vectors(caps):
             if not any(avec):
                 continue
             boxes += 1

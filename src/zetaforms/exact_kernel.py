@@ -55,8 +55,8 @@ def harmonic_prefixes(orders: range, lo: int, hi: int) -> tuple[int, list[list[i
     (L/t)^p is an integer and the prefixes cost integer additions, with
     no gcds; L/t is formed once per t and raised through the orders by
     multiplication.  Only the window lo..hi is kept.  This is the one
-    power-sum kernel: partial fractions, zeta-form constants and the
-    partial-sum identity all read it.
+    power-sum kernel: partial fractions and the partial-sum identity read
+    it.
     """
     if not 0 <= lo <= hi or not orders or orders.step != 1:
         raise ValueError("harmonic_prefixes needs 0 <= lo <= hi and consecutive orders")

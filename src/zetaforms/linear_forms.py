@@ -12,13 +12,16 @@ This module produces those coefficients exactly.
 
 The decomposition route is: exact partial fractions c_{i,j} of R at its
 integer poles j in [-n, n] (Taylor coefficients from the log-derivative
-recurrence, whose inputs are harmonic prefixes; no linear solves), then
-re-indexing of the pole tails against zeta tails.  The i = 1
-coefficients sum to zero (forced by decay), which makes the harmonic
-contribution to l_0 finite.
+recurrence on integers, whose inputs are harmonic prefixes; no linear
+solves), then re-indexing of the pole tails against zeta tails.  The
+i = 1 coefficients sum to zero (forced by decay), which makes the
+harmonic contribution to l_0 finite.
 The table is kept as integer numerators over the known denominators
-D_k = lcm(1..(2r+2)n)^k k!, and every output (l_i, l_0, l''_0, a side of
-the partial-sum identity) is summed on integers and made one Fraction.
+D_k = L^k k!, L = lcm(1..(2r+2)n).  Every output is summed on integers
+and made one Fraction: l_i from the column sums, l_0 and l''_0 by Horner
+in L/m over the column prefix sums, the pole sums over one common
+denominator, and the harmonic side of the partial-sum identity over one
+harmonic scale.
 """
 from __future__ import annotations
 
@@ -26,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
+from operator import mul
 from typing import Iterator
 
 from .exact_kernel import binomial, harmonic_prefixes, lcm_upto
@@ -171,17 +176,19 @@ class PartialFractionTable:
 def partial_fractions(summand: Summand) -> PartialFractionTable:
     """Exact Taylor expansion of F(u) = R(t) (t-j)^a, u = t - j, at each pole j.
 
-    F = f0 prod_k (c_k + u)^{e_k}: the roots give c = j-(2r+1)n .. j-n-1
+    F = f0 prod_k (1 + u/c_k)^{e_k}: the roots give c = j-(2r+1)n .. j-n-1
     and j+n+1 .. j+(2r+1)n with e = 3, the other poles c = j-n .. j+n
     without 0 with e = -a.  The log-derivative F'/F = sum_s g_s u^s has
     g_s = (-1)^s sum_k e_k c_k^{-(s+1)}, a signed combination of harmonic
     prefixes H^(s+1)_m with m <= (2r+2)n, and (s+1) f_{s+1} =
-    sum_{i<=s} f_i g_{s-i}.  With L = d_{(2r+2)n}, the integers
-    G_s = L^{s+1} g_s and Hh_k = L^k k! f_k / f0 obey
-    Hh_{s+1} = sum_i Hh_i G_{s-i} s!/i!, so the recurrence runs on ints.
+    sum_{i<=s} f_i g_{s-i}.  With L = d_{(2r+2)n}, every c_k divides L, so
+    each factor (1 + (L/c_k) v)^{e_k} is a binomial series with integer
+    coefficients in v = u/L, and so is F/f0: h_k = L^k f_k / f0 is an
+    integer.  On G_s = L^{s+1} g_s the recurrence reads
+    (s+1) h_{s+1} = sum_{i<=s} h_i G_{s-i}, one exact division per step.
     f0 = F(0) is an integer: (2n)!^(6r) divides the cubed root offsets, two
     products of 2rn consecutive integers.  So c_{a-k,j} = f_k is the integer
-    f0 Hh_k over D_k = L^k k!, and nothing is reduced.  Every pole is
+    f0 k! h_k over D_k = L^k k!, and nothing is reduced.  Every pole is
     computed, so the symmetry c_{i,-j} = (-1)^{i+1} c_{i,j} stays a check.
     """
     spec = summand.spec
@@ -199,6 +206,7 @@ def partial_fractions(summand: Summand) -> PartialFractionTable:
             G[j].append(sign * positive - negative)
     del rows
     num: list[list[int]] = [[] for _ in range(a)]
+    fact = list(accumulate(range(1, a), mul, initial=1))   # k!
     block = math.factorial(2 * n) ** r
     for j in poles:
         # f0 = (-1)^(n-j) (prod of root offsets)^3 C(2n, n+j)^a / (2n)!^(6r),
@@ -206,16 +214,15 @@ def partial_fractions(summand: Summand) -> PartialFractionTable:
         roots = (math.perm(w + j, w - n) // block) * (math.perm(w - j, w - n) // block)
         f0 = (-1) ** (n - j) * roots ** 3 * math.comb(2 * n, n + j) ** a
         g = G.pop(j)                               # frees G as the table fills
-        hh = [1]
+        h = [1]
         for s in range(a - 1):
-            acc, ratio = 0, 1                      # ratio = s!/i!
-            for i in range(s, -1, -1):
-                acc += hh[i] * g[s - i] * ratio
-                ratio *= i
-            hh.append(acc)
-        for row, h in zip(num, hh):
-            row.append(f0 * h)
-    den = [L ** k * math.factorial(k) for k in range(a)]
+            h_next, rem = divmod(sum(map(mul, h, reversed(g[:s + 1]))), s + 1)
+            if rem:
+                raise ArithmeticError(f"h_{s + 1} at pole {j} is not an integer")
+            h.append(h_next)
+        for row, x, k_fact in zip(num, h, fact):
+            row.append(f0 * k_fact * x)
+    den = [L ** k * k_fact for k, k_fact in enumerate(fact)]
     return PartialFractionTable(spec=spec, num=num, den=den)
 
 
@@ -275,7 +282,9 @@ def _harmonic_tails(table: PartialFractionTable, kind: str, T: int) -> Fraction:
     """sum_{i,j} c_{i,j} H^(i)_{T-j} for PLAIN, and
     sum_{i,j} c_{i,j} C(i+1,2) H^(i+2)_{T-j} for DOUBLE_DERIVED, exactly.
 
-    Reads the scaled prefix rows (scale L') over the window T-n .. T+n
+    The harmonic side of ``verify_partial_sum_identity``; at T = n it is
+    an independent route to the form constants of ``_zeta_form``.  Reads
+    the scaled prefix rows (scale L') over the window T-n .. T+n
     from the shared harmonic kernel and sums on integers over the common
     denominator D_{a-1} L'^(a+shift), in Horner form over the orders;
     one Fraction is formed at the end.
@@ -285,15 +294,41 @@ def _harmonic_tails(table: PartialFractionTable, kind: str, T: int) -> Fraction:
     Lp, rows = harmonic_prefixes(range(1 + shift, a + 1 + shift), T - n, T + n)
     acc = 0
     for i, row in enumerate(rows, 1):
-        col = sum(x * y for x, y in zip(table.num[a - i], reversed(row)))
+        col = sum(map(mul, table.num[a - i], reversed(row)))
         mult = binomial(i + 1, 2) if shift else 1
         acc = acc * Lp + col * (mult * (den[a - 1] // den[a - i]))
     return Fraction(acc, den[a - 1] * Lp ** (a + shift))
 
 
 def _zeta_form(table: PartialFractionTable, kind: str) -> ZetaLinearForm:
+    """The form of one kind: the table's zeta slots and the constant
+    -sum_{i,j} c_{i,j} w_i H^(i+shift)_{n-j}, w_i = 1 (plain, shift 0) or
+    C(i+1,2) (double derived, shift 2), read from the table alone.
+
+    Grouped by the power m^-(i+shift), m = 1..2n, that sum is
+    sum_m sum_i w_i m^-(i+shift) P_i(n-m), with P_i(J) = sum_{j<=J} c_{i,j}
+    the column prefix sums.  Every m <= 2n divides L = d_{(2r+2)n}, so
+    q = L/m is an integer, and with c_{i,j} = num[k][n+j] / D_k, k = a - i,
+    each m is one Horner pass in q over the prefix sums of num; the weights
+    (a-1)!/k! come in as the multipliers q k.  All of it sits over
+    D_{a-1} L^(1+shift) and one Fraction is formed.  No harmonic row is
+    read: ``_harmonic_tails`` is the partial-sum identity's own route.
+    """
+    a, n = table.spec.a, table.spec.n
+    shift = 0 if kind == PLAIN else 2
+    L = table.den[1]                                # D_k = L^k k!
+    mults = [binomial(a - k + 1, 2) if shift else 1 for k in range(a)]
+    prefixes = zip(*(accumulate(row) for row in table.num))    # over k, at j = -n, ...
+    acc = 0
+    for m, col in zip(range(2 * n, 0, -1), prefixes):          # j = n - m
+        q = L // m
+        horner = 0
+        for k, (x, mult) in enumerate(zip(col, mults)):
+            horner = horner * (q * k) + x * mult
+        acc += horner * q ** (1 + shift)
+    constant = Fraction(-acc, table.den[a - 1] * L ** (1 + shift))
     return ZetaLinearForm(spec=table.spec, kind=kind, zeta_coeffs=dict(table.zeta_coeffs),
-                          constant=-_harmonic_tails(table, kind, table.spec.n))
+                          constant=constant)
 
 
 def zeta_form_plain(table: PartialFractionTable) -> ZetaLinearForm:
@@ -324,23 +359,25 @@ def _pole_sum(table: PartialFractionTable, t, shift: int) -> Fraction:
     With t = p/q and b = p - jq, pole j contributes
     sum_i c_{i,j} m_i (q/b)^(i+shift), m_i = 1 or C(i+1,2), an integer over
     D_{a-1} b^(a+shift) summed in Horner form over k = a - i (multipliers
-    D_k / D_{k-1} = L k); each pole adds one Fraction.
+    D_k / D_{k-1} = L k).  The poles are added over one denominator,
+    D_{a-1} M^(a+shift) with M = lcm of the b, and one Fraction is formed.
     """
     t = Fraction(t)
     p, q = t.numerator, t.denominator
     a, n = table.spec.a, table.spec.n
     L = table.den[1]                                # D_k = L^k k!
-    out = Fraction(0)
-    for j, col in zip(range(-n, n + 1), zip(*table.num)):
-        b = p - j * q
-        if b == 0:
-            raise ValueError(f"t={t} is a pole")
+    bs = [p - j * q for j in range(-n, n + 1)]
+    if 0 in bs:
+        raise ValueError(f"t={t} is a pole")
+    M = math.lcm(*bs)
+    weights = [(binomial(a - k + 1, 2) if shift else 1) * q ** (a - k + shift) for k in range(a)]
+    out = 0
+    for b, col in zip(bs, zip(*table.num)):
         acc = 0
-        for k, x in enumerate(col):
-            mult = binomial(a - k + 1, 2) if shift else 1
-            acc = acc * (L * k) + x * (mult * b ** k * q ** (a - k + shift))
-        out += Fraction(acc, b ** (a + shift))
-    return out / table.den[a - 1]
+        for k, (x, weight) in enumerate(zip(col, weights)):
+            acc = acc * (L * k) + x * (weight * b ** k)
+        out += acc * (M // b) ** (a + shift)
+    return Fraction(out, table.den[a - 1] * M ** (a + shift))
 
 
 def half_second_derivative_exact(table: PartialFractionTable, t) -> Fraction:

@@ -393,7 +393,7 @@ def test_criterion_type2_box_past_the_cap_is_refused(Q, tmp_path, capsys, monkey
     # and 2e12 would take many hours at about 12 us a box
     from zetaforms import diophantine
 
-    monkeypatch.setattr(diophantine, "product", _fail_if_called)
+    monkeypatch.setattr(diophantine, "_box_vectors", _fail_if_called)
     doc = json.loads((resources.files("zetaforms.data") / "sqrt2_type2.json").read_text())
     doc["Q"] = Q
     src = tmp_path / "box.json"

@@ -1,6 +1,10 @@
+import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from importlib import resources
+from itertools import product
 
 import pytest
 from mpmath import mp
@@ -8,6 +12,7 @@ from mpmath import mp
 from oracles import cofactor_det, distance_sweep_brute, row_echelon, select_independent_rows
 from zetaforms.diophantine import (
     ProjectiveInstance,
+    _box_vectors,
     convergents,
     convex_body_emptiness,
     type2_box_check,
@@ -323,6 +328,27 @@ def test_type2_box_sqrt2():
     assert rep.hypothesis_ok, rep.decay_slopes
     assert rep.passed, rep.violations[:3]
     assert rep.boxes_checked == 200            # a1 in [-100, 100] minus zero
+
+
+def test_box_vectors_follow_product_order():
+    for caps in ((), (0,), (3,), (2, 0, 1), (1, 2, 3)):
+        assert list(_box_vectors(caps)) == list(product(*(range(-c, c + 1) for c in caps)))
+
+
+def test_type2_box_holds_one_vector_at_a_time():
+    # the shipped sqrt(2) instance at Q = 3000: 6000 box vectors.  A copy of
+    # the range of a_1 holds 6001 ints, about 230 KB traced; the lazy box
+    # peaks near 4 KB
+    doc = json.loads((resources.files("zetaforms.data") / "sqrt2_type2.json").read_text())
+    tracemalloc.start()
+    try:
+        rep = type2_box_check(xis=doc["xi"], forms=doc["forms"], qseq=doc["Q_sequence"],
+                              taus=doc["tau"], eps=float(doc["eps"]), Q=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.boxes_checked == 6000 and rep.passed
+    assert peak < 64 * 1024, f"type2_box_check peaked at {peak // 1024} KB"
 
 
 def test_type2_box_beyond_float_range():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -9,11 +10,13 @@ import pytest
 
 from oracles import (QPolynomial, form_from_json, fraction_forms, fraction_table,
                      numerator_poly, table_from_json, table_to_json)
-from zetaforms.exact_kernel import lcm_upto
+from zetaforms import linear_forms
+from zetaforms.exact_kernel import harmonic_prefixes, lcm_upto
 from zetaforms.linear_forms import (
     DOUBLE_DERIVED,
     PLAIN,
     FormSpec,
+    _harmonic_tails,
     build_summand,
     coeff_growth,
     denominator_check,
@@ -127,6 +130,10 @@ def test_partial_fraction_against_long_division_oracle():
                 assert table.coeffs[(i, j)] == oracle[i], (spec, i, j)
 
 
+def _digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("spec, digest", [
     (FormSpec(13, 2, 6), "c08ed339d81e7d8d5b4d70c5708ff2647b87f41bb1aebd21b30a977d2ff28c7c"),
     (FormSpec(41, 6, 2), "dcd913c019a7f8a2eed1fabcfd3d0735121fe9c67b871717794c77360376642f"),
@@ -134,9 +141,66 @@ def test_partial_fraction_against_long_division_oracle():
 def test_partial_fraction_golden_digest(spec, digest):
     # SHA-256 of the canonical table JSON, recorded from the truncated-series
     # route that the log-derivative recurrence replaced
-    doc = json.dumps(table_to_json(partial_fractions(build_summand(spec))),
-                     sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert _digest(table_to_json(partial_fractions(build_summand(spec)))) == digest
+
+
+@pytest.mark.parametrize("abc, table_digest, form_digests", [
+    ((101, 1, 1), "c55478d7dc18c55a2a12009a5a93638e3506a136a55171353366b1e09360c4ee",
+     ("20ea32575fbb445e671b277ff35eea7c88ff5c8a077a6eff6be68196eba89287",
+      "ca1b3a5ff0d8e8df81ddb41cae64017b8fdd5bfca460f87f90d8533ae9516126")),
+    ((301, 1, 1), "81485480bf3959760cc7746824d8dc162cefef7ef1472c19325cd374eb5dd34b",
+     ("6fbb7e68b61fd08a013bafec438863e9cf508ef46d3597e3b15d892c030b6f60",
+      "846277435811f6bca14e2b664a5311a9d4401e2c9fa60771706e8f834b216575")),
+    ((601, 1, 1), "e4bbc6d8d56e9204a8a562852a12166baad6976687febab179e40cf414d4314b",
+     ("45bc5366fb91e9ab1282162a4e3cb4785370507f4eefa97edac08c0841027983",
+      "fb78a3175e7664c21eaffa4178610b0c52ee00a097e158693993df0d354c1660")),
+], ids=["a101", "a301", "a601"])
+def test_large_a_golden_digests(abc, table_digest, form_digests):
+    # SHA-256 of the canonical table and form JSON, recorded from the
+    # recurrence on k! h_k with s!/i! ratios and the constants from
+    # harmonic rows, which the recurrence on h_k and the Horner constants replaced
+    table = partial_fractions(build_summand(FormSpec(*abc)))
+    assert _digest(table_to_json(table)) == table_digest
+    assert (_digest(form_to_json(zeta_form_plain(table))),
+            _digest(form_to_json(zeta_form_derived(table)))) == form_digests
+
+
+def test_partial_fractions_at_a_601_within_bound():
+    # about 0.45 s on a 2-vCPU 2.0 GHz Xeon; the recurrence on k! h_k with
+    # s!/i! ratios took 2.9-4.0 s there
+    summand = build_summand(FormSpec(601, 1, 1))
+    started = time.perf_counter()
+    partial_fractions(summand)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.5, f"partial_fractions(601, 1, 1) took {elapsed:.2f}s"
+
+
+def test_form_constants_equal_the_harmonic_tails():
+    # the Horner constants over the column prefix sums against
+    # -sum c_{i,j} m_i H^(i+shift)_{n-j} read from harmonic rows
+    rng = random.Random(34)
+    specs = {(7, 1, 1), (41, 6, 4)}
+    while len(specs) < 14:
+        a = rng.randrange(7, 42, 2)
+        specs.add((a, rng.randint(1, a // 6), rng.randint(1, 6)))
+    for abc in sorted(specs):
+        spec = FormSpec(*abc)
+        table = partial_fractions(build_summand(spec))
+        for build, kind in ((zeta_form_plain, PLAIN), (zeta_form_derived, DOUBLE_DERIVED)):
+            assert build(table).constant == -_harmonic_tails(table, kind, spec.n), (abc, kind)
+
+
+def test_partial_fractions_refuses_a_fractional_h(monkeypatch):
+    # a prefix row that is not L H^(1) makes some (s+1) h_{s+1} indivisible
+    def corrupted(orders, lo, hi):
+        L, rows = harmonic_prefixes(orders, lo, hi)
+        rows[0] = [x + k for k, x in enumerate(rows[0])]
+        return L, rows
+
+    monkeypatch.setattr(linear_forms, "harmonic_prefixes", corrupted)
+    for abc in ((7, 1, 1), (13, 2, 3)):
+        with pytest.raises(ArithmeticError, match="is not an integer"):
+            partial_fractions(build_summand(FormSpec(*abc)))
 
 
 @pytest.mark.parametrize("abc", [(7, 1, 1), (7, 1, 3), (9, 1, 4), (13, 2, 5), (13, 2, 20),
@@ -162,9 +226,7 @@ def test_form_golden_digest():
     # SHA-256 of the canonical form JSON at (13,2,20), recorded from the
     # Fraction-accumulating route that the integer numerators replaced
     table = partial_fractions(build_summand(FormSpec(13, 2, 20)))
-    digests = [hashlib.sha256(json.dumps(form_to_json(form), sort_keys=True,
-                                         separators=(",", ":")).encode()).hexdigest()
-               for form in (zeta_form_plain(table), zeta_form_derived(table))]
+    digests = [_digest(form_to_json(form)) for form in (zeta_form_plain(table), zeta_form_derived(table))]
     assert digests == ["5536f79756f1b1a851297981f37178c312eed8a9f10328ab4dc710d3e3eff96c",
                        "be6b4f7c387f9f3338ddd1ca7934b23cb8e3e9d0875f0efe4114c9b63a0b13dd"]
 
