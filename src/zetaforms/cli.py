@@ -5,6 +5,11 @@ Exit codes: 0 all asserted checks pass, 1 a check failed, 2 input error,
 checked before any work, the estimated size of an exact table included
 (MAX_TABLE_BYTES); a is not bounded otherwise, and a certificate value
 that its float field cannot hold is a numeric failure.
+
+Commands raise _InputError for input they refuse and let other failures
+propagate; main alone maps them to exit codes: _InputError 2 with its kind,
+OSError 2 (kind io: an unreadable --in, an unwritable --out), MemoryError 3
+(out-of-memory), ArithmeticError 3 with the subparser's numeric kind.
 """
 from __future__ import annotations
 
@@ -54,18 +59,19 @@ def _emit(doc: dict, out: str | None, csv_payload=None) -> None:
         print(json.dumps(doc, indent=2))
 
 
-def _error_block(code: int, kind: str, message: str, **extra) -> int:
-    print(json.dumps({"error": {"kind": kind, "message": message, **extra}}, indent=2),
+def _error_block(code: int, kind: str, message: str, extra: dict | None = None) -> int:
+    print(json.dumps({"error": {"kind": kind, "message": message, **(extra or {})}}, indent=2),
           file=sys.stderr)
     return code
 
 
 class _InputError(Exception):
-    """An argument that no computation can accept: exit 2 with its kind."""
+    """Input that no computation can accept: exit 2, its kind and extra fields."""
 
-    def __init__(self, kind: str, message: str):
+    def __init__(self, kind: str, message: str, **extra):
         super().__init__(message)
         self.kind = kind
+        self.extra = extra
 
 
 def _checked_r(a: int, r: int) -> int:
@@ -100,14 +106,6 @@ def _checked_table(a: int, r: int, n: int) -> None:
                           f"2^{MAX_TABLE_BYTES.bit_length() - 1}")
 
 
-def _checked_dps(dps: int) -> int | None:
-    """The dps option, or None (the default) for 0; negative is an input error."""
-    if dps < 0:
-        raise _InputError("invalid-digits",
-                          f"dps must be >= 0 (0 takes the default), got {dps}")
-    return dps or None
-
-
 def cmd_forms(args) -> int:
     from .highprec import PrecisionContext, form_residual
     from .linear_forms import (FormSpec, denominator_check, smallest_clearing_exponent,
@@ -115,17 +113,15 @@ def cmd_forms(args) -> int:
 
     try:
         spec = FormSpec(a=args.a, r=args.r, n=args.n)
-        _checked_table(spec.a, spec.r, spec.n)
     except ValueError as exc:
-        return _error_block(EXIT_INPUT_ERROR, "invalid-spec", str(exc))
-    except _InputError as exc:
-        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
+        raise _InputError("invalid-spec", str(exc)) from exc
+    _checked_table(spec.a, spec.r, spec.n)
     ctx = None
     if args.residual_digits:
         try:
             ctx = PrecisionContext(digits=args.residual_digits, guard=20)
         except ValueError as exc:
-            return _error_block(EXIT_INPUT_ERROR, "invalid-digits", str(exc))
+            raise _InputError("invalid-digits", str(exc)) from exc
     table = table_for(spec)
     try:
         plain = zeta_form_plain(table)
@@ -147,11 +143,8 @@ def cmd_forms(args) -> int:
         checks.append(rep.passed)
     residual_digits = None
     if ctx is not None:
-        try:
-            res_p = form_residual(plain, ctx)
-            res_d = form_residual(derived, ctx)
-        except ArithmeticError as exc:
-            return _error_block(EXIT_NUMERIC_ERROR, "residual", str(exc))
+        res_p = form_residual(plain, ctx)
+        res_d = form_residual(derived, ctx)
         bound = mp.mpf(10) ** (-args.residual_digits // 2)
         checks.append(res_p < bound and res_d < bound)
         residual_digits = {
@@ -174,15 +167,11 @@ def cmd_forms(args) -> int:
 def cmd_asymptotics(args) -> int:
     from .saddle import check_assumptions, compute_constants
 
-    try:
-        r = _checked_r(args.a, args.r)
-        dps = _checked_dps(args.dps)
-    except _InputError as exc:
-        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
-    try:
-        data = compute_constants(args.a, r, dps)
-    except ArithmeticError as exc:
-        return _error_block(EXIT_NUMERIC_ERROR, "root-finding", str(exc))
+    r = _checked_r(args.a, args.r)
+    if args.dps < 0:
+        raise _InputError("invalid-digits",
+                          f"dps must be >= 0 (0 takes the default), got {args.dps}")
+    data = compute_constants(args.a, r, args.dps or None)
     assumptions = check_assumptions(args.a, r, data)
     doc = saddle_json(data, assumptions)
     doc["provenance"] = provenance("asymptotics", {"a": args.a, "r": r}, data.dps)
@@ -196,11 +185,8 @@ def cmd_rank_bound(args) -> int:
     from .criterion import zeta_rank_bound
 
     if args.a % 2 == 0 or args.a < 7:
-        return _error_block(EXIT_INPUT_ERROR, "invalid-a", "a must be odd and >= 7")
-    try:
-        cert = zeta_rank_bound(args.a)
-    except ArithmeticError as exc:
-        return _error_block(EXIT_NUMERIC_ERROR, "rank-bound", str(exc))
+        raise _InputError("invalid-a", "a must be odd and >= 7")
+    cert = zeta_rank_bound(args.a)
     doc = {
         "schema": "zetaforms/rank-bound-certificate@1",
         "provenance": provenance("rank-bound", {"a": args.a}),
@@ -227,17 +213,10 @@ def cmd_rates(args) -> int:
     from .highprec import measure_rates
     from .saddle import compute_constants
 
-    try:
-        r = _checked_r(args.a, args.r)
-        nrange = _parse_range(args.n_range)
-        _checked_table(args.a, r, nrange[-1])
-    except _InputError as exc:
-        return _error_block(EXIT_INPUT_ERROR, exc.kind, str(exc))
-    try:
-        data = compute_constants(args.a, r)
-        report = measure_rates(args.a, r, list(nrange), data)
-    except (ArithmeticError, ValueError) as exc:
-        return _error_block(EXIT_NUMERIC_ERROR, "rates", str(exc))
+    r = _checked_r(args.a, args.r)
+    nrange = _parse_range(args.n_range)
+    _checked_table(args.a, r, nrange[-1])
+    report = measure_rates(args.a, r, list(nrange), compute_constants(args.a, r))
     doc = rate_report_json(report)
     doc["provenance"] = provenance("rates", {"a": args.a, "r": r, "n_range": args.n_range})
     csv_payload = None
@@ -249,31 +228,21 @@ def cmd_rates(args) -> int:
 
 def cmd_criterion(args) -> int:
     try:
-        text = Path(args.infile).read_text()
-    except OSError as exc:
-        return _error_block(EXIT_INPUT_ERROR, "io", str(exc))
-    try:
-        doc = json.loads(text)
+        doc = json.loads(Path(args.infile).read_text())
     except json.JSONDecodeError as exc:
-        return _error_block(EXIT_INPUT_ERROR, "malformed-json", exc.msg,
-                            line=exc.lineno, column=exc.colno)
-    kind = doc.get("kind")
+        raise _InputError("malformed-json", exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError("malformed-json", str(exc)) from exc
+    readers = {"rational_rank": _criterion_rank, "type2": _criterion_type2,
+               "projective_distance": _criterion_projective_distance,
+               "oscillation": _criterion_oscillation}
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in readers:
+        raise _InputError("unknown-kind", f"instance kind {kind!r} not supported")
     try:
-        if kind == "rational_rank":
-            report = _criterion_rank(doc)
-        elif kind == "type2":
-            report = _criterion_type2(doc)
-        elif kind == "projective_distance":
-            report = _criterion_projective_distance(doc)
-        elif kind == "oscillation":
-            report = _criterion_oscillation(doc)
-        else:
-            return _error_block(EXIT_INPUT_ERROR, "unknown-kind",
-                                f"instance kind {kind!r} not supported")
+        report = readers[kind](doc)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        return _error_block(EXIT_INPUT_ERROR, "malformed-instance", repr(exc))
-    except ArithmeticError as exc:
-        return _error_block(EXIT_NUMERIC_ERROR, "criterion", str(exc))
+        raise _InputError("malformed-instance", repr(exc)) from exc
     report["provenance"] = provenance("criterion", {"in": str(args.infile)})
     _emit(report, args.out)
     return EXIT_OK if report.get("pass", True) else EXIT_CHECK_FAILED
@@ -366,7 +335,7 @@ def _criterion_oscillation(doc: dict) -> dict:
         "kind": "oscillation",
         "accepted_fraction": rep.accepted_fraction,
         "lambda_estimate": rep.lambda_estimate,
-        "count": len(rep.psi),
+        "count": rep.count,
         "pass": True,
     }
 
@@ -385,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual-digits", type=int, default=0,
                    help="also check the numeric residual at this precision")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_forms)
+    p.set_defaults(func=cmd_forms, numeric="residual")
 
     p = sub.add_parser("asymptotics", help="saddle constants and assumption report")
     p.add_argument("--a", type=int, required=True)
@@ -393,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dps", type=int, default=0,
                    help="working decimal precision (default scales with a)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_asymptotics)
+    p.set_defaults(func=cmd_asymptotics, numeric="root-finding")
 
     p = sub.add_parser("rank-bound", help="rank lower-bound certificate")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rank_bound)
+    p.set_defaults(func=cmd_rank_bound, numeric="rank-bound")
 
     p = sub.add_parser("rates", help="empirical decay rates against the constants")
     p.add_argument("--a", type=int, required=True)
@@ -406,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, help="e.g. 20..40")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_rates)
+    p.set_defaults(func=cmd_rates, numeric="rates")
 
     p = sub.add_parser("criterion", help="run a checker on an instance file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_criterion)
+    p.set_defaults(func=cmd_criterion, numeric="criterion")
     return ap
 
 
@@ -420,7 +389,18 @@ def main(argv=None) -> int:
         # exact coefficients are written past the 4300-digit default cap
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        failure = EXIT_INPUT_ERROR, exc.kind, str(exc), exc.extra
+    except OSError as exc:
+        failure = EXIT_INPUT_ERROR, "io", str(exc)
+    except MemoryError:
+        failure = EXIT_NUMERIC_ERROR, "out-of-memory", f"{args.command} ran out of memory"
+    except ArithmeticError as exc:
+        failure = EXIT_NUMERIC_ERROR, args.numeric, str(exc)
+    # reported once the except clause has let go of the failed run's frames
+    return _error_block(*failure)
 
 
 if __name__ == "__main__":

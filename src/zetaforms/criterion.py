@@ -435,7 +435,8 @@ def zeta_rank_bound(a: int, saddle_data: SaddleData | None = None) -> dict:
 class OscillationReport:
     eps: float
     horizon: int
-    psi: tuple[int, ...]
+    count: int                  # accepted indices psi(1) < ... < psi(count)
+    last: int                   # psi(count)
     accepted_fraction: float
     lambda_estimate: float
 
@@ -443,7 +444,8 @@ class OscillationReport:
 def oscillation_subsequence(omegas: Sequence[float], varphis: Sequence[float],
                             eps: float, horizon: int) -> OscillationReport:
     """Greedy increasing psi with |cos(psi(n) omega_j + varphi_j)| >= eps
-    for every j, scanning m = 1..horizon.  The empirical density psi(N)/N
+    for every j, scanning m = 1..horizon; the report keeps the count and the
+    last index, not the indices.  The empirical density psi(N)/N
     estimates the thinning factor lambda.  Raises ArithmeticError if
     nothing qualifies, and ValueError before any work for a horizon past
     ENUMERATION_CAP."""
@@ -453,18 +455,17 @@ def oscillation_subsequence(omegas: Sequence[float], varphis: Sequence[float],
         raise ValueError(f"horizon {horizon} exceeds cap {ENUMERATION_CAP}")
     if len(omegas) != len(varphis):
         raise ValueError("omega/varphi length mismatch")
-    kept = []
+    count = last = 0
     for m in range(1, horizon + 1):
         if all(abs(math.cos(m * w + p)) >= eps for w, p in zip(omegas, varphis)):
-            kept.append(m)
-    if not kept:
+            count += 1
+            last = m
+    if not count:
         raise ArithmeticError("horizon exhausted: no index avoids the cosine zeros "
                               f"at eps={eps}")
-    return OscillationReport(
-        eps=eps, horizon=horizon, psi=tuple(kept),
-        accepted_fraction=len(kept) / horizon,
-        lambda_estimate=kept[-1] / len(kept),
-    )
+    return OscillationReport(eps=eps, horizon=horizon, count=count, last=last,
+                             accepted_fraction=count / horizon,
+                             lambda_estimate=last / count)
 
 
 # ---------------------------------------------------------------------------

@@ -1142,10 +1142,9 @@ def _amplitude_error(value: mpf, n: int, saddle_data, cref: float) -> tuple[mpf,
 
 
 def _rate_forms(spec: FormSpec) -> tuple[ZetaLinearForm, ZetaLinearForm]:
-    """Plain and double-derived forms at spec.  The table is used once, so
-    it is not put in table_for's cache; the calls go through the module so
-    that wrappers installed there see them."""
-    table = linear_forms.partial_fractions(build_summand(spec))
+    """Plain and double-derived forms at spec.  The calls go through the
+    module so that wrappers installed there see them."""
+    table = linear_forms.table_for(spec)
     return linear_forms.zeta_form_plain(table), linear_forms.zeta_form_derived(table)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import mul
 from typing import Iterator
@@ -238,7 +238,6 @@ def table_bytes(a: int, r: int, n: int) -> int:
     return a * a * width // 16
 
 
-@lru_cache(maxsize=32)
 def table_for(spec: FormSpec) -> PartialFractionTable:
     return partial_fractions(build_summand(spec))
 

@@ -175,6 +175,16 @@ def test_saddle_roots_at_227_digits_fit_512_mb():
     assert json.loads(proc.stdout)["pass"] is True
 
 
+def test_out_of_memory_is_numeric_failure():
+    # (7,1,960) needs about 120 MB; under 96 MiB its table runs out of
+    # memory in partial_fractions, which ended in a MemoryError traceback
+    proc = _limited_cli(["forms", "--a", "7", "--r", "1", "--n", "960"], 96 << 20)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["kind"] == "out-of-memory"
+    assert proc.stdout == ""
+
+
 def test_oversized_exact_table_is_refused_before_computing(capsys, monkeypatch):
     # this table (about 58 GiB estimated) ended in a MemoryError traceback
     # after 5 s under a 3 GB address space
@@ -469,6 +479,42 @@ def test_criterion_zero_divisor_is_malformed_instance(tmp_path, capsys):
         assert run(["criterion", "--in", str(bad)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "malformed-instance"
+
+
+@pytest.mark.parametrize("content, kind", [
+    (b"\xff{}", "malformed-json"),
+    (b"[1, 2]", "unknown-kind"),
+    (b'{"kind": ["type2"]}', "unknown-kind"),
+], ids=["not-utf8", "not-an-object", "unhashable-kind"])
+def test_criterion_unreadable_instance_is_input_error(content, kind, tmp_path, capsys):
+    # the first two ended in a UnicodeDecodeError and an AttributeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run(["criterion", "--in", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
+
+
+def test_criterion_missing_instance_is_io_error(tmp_path, capsys):
+    assert run(["criterion", "--in", str(tmp_path / "missing.json")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "io"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forms", "--a", "7", "--r", "1", "--n", "2"],
+    ["asymptotics", "--a", "13", "--r", "2"],
+    ["rank-bound", "--a", "1001"],
+    ["rates", "--a", "13", "--r", "2", "--n-range", "20..20"],
+    ["criterion", "--in", str(resources.files("zetaforms.data") / "gutnik_log2_zeta.json")],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_io_error(argv, tmp_path, capsys):
+    # --out below a regular file: every command ended in a FileExistsError
+    # traceback with exit 1
+    (tmp_path / "f").write_text("")
+    assert run(argv + ["--out", str(tmp_path / "f" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["kind"] == "io"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 def test_criterion_unknown_kind(tmp_path):

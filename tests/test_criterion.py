@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -253,10 +255,11 @@ def test_zeta_rank_bound_small_a_rejected():
 
 
 def test_oscillation_identity_cases():
+    # a count equal to the last index pins every index: psi(n) = n
     rep = oscillation_subsequence([0.0], [0.0], 0.9, 200)
-    assert rep.psi == tuple(range(1, 201))
+    assert rep.count == rep.last == 200
     rep = oscillation_subsequence([math.pi], [0.0], 0.9, 100)
-    assert rep.psi == tuple(range(1, 101))
+    assert rep.count == rep.last == 100
     assert rep.lambda_estimate == 1.0
 
 
@@ -267,6 +270,24 @@ def test_oscillation_golden_density():
     # measured, with a loose window
     assert 0.6 < rep.accepted_fraction < 0.73
     assert 1.3 < rep.lambda_estimate < 1.7
+
+
+def test_oscillation_holds_no_index_list():
+    # the shipped golden instance at horizon 1e5: its accepted indices held
+    # as a list and then a tuple peaked at 3.2 MB traced (31 MB at 1e6);
+    # the count and the last index alone stay under 256 KB
+    from importlib import resources
+
+    doc = json.loads((resources.files("zetaforms.data") / "golden_oscillation.json").read_text())
+    omegas, varphis = [float(x) for x in doc["omega"]], [float(x) for x in doc["varphi"]]
+    tracemalloc.start()
+    try:
+        rep = oscillation_subsequence(omegas, varphis, float(doc["eps"]), 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.count, rep.last) == (66667, 99999)       # as the index list gave
+    assert peak < 256 * 1024, f"oscillation_subsequence peaked at {peak // 1024} KB"
 
 
 def test_oscillation_failure():
